@@ -21,7 +21,6 @@ from .checker import (
     load_parallel_dict,
     load_stop_words,
 )
-from ._kernels import kernel_backend
 from .errors import MatrixFormatError, SeriesTableError, TamilSpellError, WordListError
 from .keyboard import ConfusionMatrix, load_confusion_matrix
 from .letters import (
@@ -61,7 +60,6 @@ __all__ = [
     "alphabet",
     "is_tamil_codepoint",
     "join_mei_uyir",
-    "kernel_backend",
     "load_confusion_matrix",
     "load_parallel_dict",
     "load_stop_words",

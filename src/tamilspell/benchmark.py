@@ -1,24 +1,18 @@
-"""Benchmarks: lattice pruning ratios and compiled-vs-pure kernel timing.
+"""Lattice pruning ratios of the keyboard strategy.
 
 ``python -m tamilspell.benchmark`` writes a CSV of how far the confusion
-matrix prunes the substitution lattice (columns word_length, ed,
-pruned_count, lattice_count).  ``--kernels`` instead times the two kernel
-implementations on identical workloads; when the compiled extension is
-not installed only the pure rows appear.
+matrix prunes the substitution lattice (columns word, word_length, ed,
+pruned_count, lattice_count).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import itertools
-import math
 import random
 import sys
-import time
 
-from . import _kernels
 from .bundled import bundled_confusion_matrix, bundled_lexicon
 from .keyboard import generate_patterns
 from .letters import alphabet, tokenize
@@ -64,72 +58,16 @@ def run_pruning(words: int, ed: int, seed: int, out=None) -> None:
             writer.writerow([word, n, budget, pruned, full])
 
 
-def _time_kernel(impl, packed_word: bytes, packed_alpha: bytes, repeat: int) -> float:
-    best = math.inf
-    for _ in range(repeat):
-        seen: set = set()
-        out: list = []
-        start = time.perf_counter()
-        impl.generate_edits1(packed_word, packed_alpha, None, seen, out)
-        for source in list(out):
-            impl.generate_edits1(source, packed_alpha, 60000, seen, out)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _time_substitutions(impl, packed_word: bytes, alternates: tuple, repeat: int) -> float:
-    best = math.inf
-    for _ in range(repeat):
-        seen: set = set()
-        out: list = []
-        start = time.perf_counter()
-        impl.generate_substitutions(packed_word, alternates, 2, None, seen, out)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_kernels(repeat: int, out=None) -> None:
-    """CSV timing both kernel implementations on an identical workload."""
-    impls = [("pure", importlib.import_module("tamilspell._kernels.pure"))]
-    try:
-        impls.append(("cython", importlib.import_module("tamilspell._kernels._speedups")))
-    except ImportError:
-        pass
-    matrix = bundled_confusion_matrix()
-    word = "தென்றல்காற்று"
-    letters = [lt.text for lt in tokenize(word)]
-    codec = _kernels.LetterCodec(letters)
-    packed_alpha = codec.pack(alphabet().letters)
-    packed_word = codec.pack(letters)
-    alternates = tuple(
-        codec.pack([a for a in matrix.alternates_for(lt) if a != lt.text])
-        for lt in tokenize(word)
-    )
-    writer = csv.writer(out or sys.stdout)
-    writer.writerow(["kernel", "impl", "seconds"])
-    for name, impl in impls:
-        writer.writerow(["edits2_capped", name, f"{_time_kernel(impl, packed_word, packed_alpha, repeat):.6f}"])
-    for name, impl in impls:
-        writer.writerow(
-            ["substitutions_ed2", name, f"{_time_substitutions(impl, packed_word, alternates, repeat):.6f}"]
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tamilspell.benchmark",
-        description="Pruning-ratio CSV, or kernel implementation timings.",
+        description="Pruning-ratio CSV of the keyboard substitution lattice.",
     )
-    parser.add_argument("--kernels", action="store_true", help="time pure vs compiled kernels")
     parser.add_argument("--words", type=int, default=25, help="lexicon words to sample")
     parser.add_argument("--ed", type=int, default=2, help="substitution budget upper bound")
-    parser.add_argument("--repeat", type=int, default=3, help="timing repetitions (best kept)")
     parser.add_argument("--seed", type=int, default=13, help="sampling seed")
     args = parser.parse_args(argv)
-    if args.kernels:
-        run_kernels(args.repeat)
-    else:
-        run_pruning(args.words, args.ed, args.seed)
+    run_pruning(args.words, args.ed, args.seed)
     return 0
 
 

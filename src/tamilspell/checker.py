@@ -1,12 +1,17 @@
 """The checking driver: validate tokens, merge strategy suggestions.
 
-Checking is two-step: a token the lexicon knows is simply valid; anything
-else goes through every correction strategy and the results are merged.
+Every token takes one route, whether it comes from ``check_word`` or
+``check_text``: a token with no Tamil code point goes to the parallel
+dictionary, a stop word is skipped, a token the lexicon knows is valid,
+and anything else goes through every correction strategy and the results
+are merged.
+
 Conjoined-split recognition outranks confusable-series substitution,
 which outranks keyboard-adjacency patterns, which outrank generic edit
 candidates; within the merged list candidates sort by letter-level edit
 distance to the input (a recognized conjoined pair scores 0), then
-strategy priority, then code-point order.
+strategy priority, then code-point order.  The edit strategy returns
+every lexicon word within ``edit_distance``, with its distance.
 
 Suggestion lists are memoized per engine.  The cache is single-flight:
 when several threads miss on the same word at once, one computes and the
@@ -27,10 +32,9 @@ from enum import Enum
 from pathlib import Path
 
 from . import conjoined, edits, keyboard, mayangoli
-from ._kernels import kernel_backend
 from .edits import letter_edit_distance
 from .errors import TamilSpellError
-from .letters import alphabet, has_tamil, tokenize
+from .letters import has_tamil, tokenize
 from .suggestion import Strategy, Suggestion
 
 __all__ = [
@@ -99,16 +103,13 @@ class CheckReport:
 class EngineConfig:
     """Tunables for a :class:`SpellChecker`.
 
-    ``candidate_limit`` caps the edit-candidate expansion per word;
     ``max_suggestions`` caps the merged list handed back per token.
     """
 
     edit_distance: int = 2
-    candidate_limit: int | None = 10000
     max_suggestions: int = 10
     workers: int = 1
     cache_enabled: bool = True
-    grantha: bool = False
 
     def __post_init__(self):
         if self.edit_distance < 1:
@@ -217,7 +218,6 @@ class SpellChecker:
             unicodedata.normalize("NFC", w) for w in stop_words
         )
         self.ranker = ranker
-        self.alphabet = alphabet(grantha=self.config.grantha)
         self.cache = SuggestionCache(enabled=self.config.cache_enabled)
         self.suggestion_computations = 0
         self._counter_lock = threading.Lock()
@@ -225,17 +225,16 @@ class SpellChecker:
     # ------------------------------------------------------------------ #
 
     def check_word(self, word: str) -> TokenReport:
-        """Check one token: valid if the lexicon knows it, else suggest."""
+        """Check one token, with the verdict ``check_text`` would give it."""
         token = unicodedata.normalize("NFC", word)
-        if self.lexicon.is_word(token):
-            return TokenReport(token, Verdict.VALID, ())
-        return TokenReport(token, Verdict.NON_WORD, self._suggestions_for(token))
+        report = self._route(token)
+        if report is None:
+            report = TokenReport(token, Verdict.NON_WORD, self._suggestions_for(token))
+        return report
 
     def check_text(self, text: str) -> CheckReport:
         """Check a document; the report lists every token in order.
 
-        Tokens without a Tamil code point are routed to the parallel
-        dictionary instead of the lexicon; stop-list tokens are skipped.
         Non-word suggestion lists are computed on ``config.workers``
         threads when that is above one.
         """
@@ -244,14 +243,8 @@ class SpellChecker:
         reports: list[TokenReport | None] = [None] * len(tokens)
         pending: list[tuple[int, str]] = []
         for i, tok in enumerate(tokens):
-            if not has_tamil(tok):
-                sub = self.substitute_foreign(tok)
-                reports[i] = TokenReport(tok, Verdict.NON_TAMIL, (sub,) if sub else ())
-            elif tok in self.stop_words:
-                reports[i] = TokenReport(tok, Verdict.SKIPPED, ())
-            elif self.lexicon.is_word(tok):
-                reports[i] = TokenReport(tok, Verdict.VALID, ())
-            else:
+            reports[i] = self._route(tok)
+            if reports[i] is None:
                 pending.append((i, tok))
         if pending:
             self._fill_non_words(reports, pending)
@@ -271,10 +264,24 @@ class SpellChecker:
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "suggestion_computations": self.suggestion_computations,
-            "kernel_backend": kernel_backend(),
         }
 
     # ------------------------------------------------------------------ #
+
+    def _route(self, token: str) -> TokenReport | None:
+        """The report of a token no strategy needs to see, else None.
+
+        A token without a Tamil code point goes to the parallel
+        dictionary, a stop word is skipped and a known word is valid.
+        """
+        if not has_tamil(token):
+            sub = self.substitute_foreign(token)
+            return TokenReport(token, Verdict.NON_TAMIL, (sub,) if sub else ())
+        if token in self.stop_words:
+            return TokenReport(token, Verdict.SKIPPED, ())
+        if self.lexicon.is_word(token):
+            return TokenReport(token, Verdict.VALID, ())
+        return None
 
     def _fill_non_words(self, reports, pending) -> None:
         workers = self.config.workers
@@ -323,14 +330,8 @@ class SpellChecker:
             ed = min(self.config.edit_distance, len(letters))
             for sug in keyboard.corrections(word, self.lexicon, self.confusion_matrix, ed):
                 merge(sug.candidate, Strategy.KEYBOARD, letter_edit_distance(word, sug.candidate))
-            for sug in edits.suggest(
-                word,
-                self.lexicon,
-                self.alphabet,
-                nedits=self.config.edit_distance,
-                limit=self.config.candidate_limit,
-            ):
-                merge(sug.candidate, Strategy.EDIT, letter_edit_distance(word, sug.candidate))
+            for sug in edits.suggest(word, self.lexicon, nedits=self.config.edit_distance):
+                merge(sug.candidate, Strategy.EDIT, sug.score)
         ranked = sorted(
             merged.values(), key=lambda s: (s.score, s.strategy.priority, s.candidate)
         )

@@ -1,23 +1,19 @@
-"""Edit-distance candidate generation over Tamil letter sequences.
+"""Edit-distance candidates over Tamil letter sequences.
 
 All operations work on whole letters, never raw code points: deleting the
 second letter of கடல் gives கல், and replacements draw from a letter
-alphabet (247 standard, 323 with grantha).  ``edits1`` enumerates the
-single-edit neighbourhood, ``edits_n`` expands it level by level, and
-``suggest`` keeps the candidates a lexicon recognizes.
-
-Candidate volume is the cost driver (a four-letter word has ~2200
-single-edit neighbours over the standard alphabet), so generation runs in
-the packed-id kernels and ``limit`` puts a hard cap on the total number of
-candidates produced.
+alphabet (247 standard, 323 with grantha).  ``suggest`` is the contract:
+every lexicon word within letter-level Damerau-Levenshtein distance
+``nedits`` is a candidate.  It takes them from the lexicon by walking it,
+never by generating strings.  ``edit_operations``, ``edits1`` and
+``edits_n`` enumerate the neighbourhood itself, level by level; they are
+the reference the walk is tested against.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from collections.abc import Sequence
 
-from . import _kernels
 from .letters import Alphabet, alphabet as default_alphabet, letter_texts
 from .suggestion import Strategy, Suggestion
 
@@ -47,6 +43,16 @@ def _coerce_alphabet(alphabet) -> tuple[str, ...]:
     return letter_texts(alphabet)
 
 
+def _operations(letters: tuple[str, ...], alpha: tuple[str, ...]) -> dict[str, list[tuple]]:
+    splits = [(letters[:i], letters[i:]) for i in range(len(letters) + 1)]
+    return {
+        "deletes": [a + b[1:] for a, b in splits if b],
+        "transposes": [a + (b[1], b[0]) + b[2:] for a, b in splits if len(b) > 1],
+        "replaces": [a + (c,) + b[1:] for a, b in splits if b for c in alpha],
+        "inserts": [a + (c,) + b for a, b in splits for c in alpha],
+    }
+
+
 def edit_operations(word, alphabet=None) -> dict[str, list[str]]:
     """Raw candidate lists per operation, before any deduplication.
 
@@ -54,96 +60,53 @@ def edit_operations(word, alphabet=None) -> dict[str, list[str]]:
     and ``inserts``.  For a word of n letters over an alphabet of A
     letters the sizes are exactly n, max(n-1, 0), n*A and (n+1)*A.
     """
-    letters = _coerce_word(word)
-    alpha = _coerce_alphabet(alphabet)
-    splits = [(letters[:i], letters[i:]) for i in range(len(letters) + 1)]
-    deletes = [a + b[1:] for a, b in splits if b]
-    transposes = [a + (b[1], b[0]) + b[2:] for a, b in splits if len(b) > 1]
-    replaces = [a + (c,) + b[1:] for a, b in splits if b for c in alpha]
-    inserts = [a + (c,) + b for a, b in splits for c in alpha]
-    return {
-        "deletes": ["".join(w) for w in deletes],
-        "transposes": ["".join(w) for w in transposes],
-        "replaces": ["".join(w) for w in replaces],
-        "inserts": ["".join(w) for w in inserts],
-    }
+    ops = _operations(_coerce_word(word), _coerce_alphabet(alphabet))
+    return {name: ["".join(w) for w in cands] for name, cands in ops.items()}
 
 
-def edits1(word, alphabet=None, limit: int | None = None) -> list[str]:
+def edits1(word, alphabet=None) -> list[str]:
     """Every word one letter-edit away, deduplicated, in generation order.
 
     Order is deletes, transposes, replaces, inserts (positions left to
-    right); with ``limit`` set, generation stops exactly at ``limit``
-    candidates, so capped results are deterministic prefixes.
+    right).  Replacing a letter by itself gives the input back, and it is
+    kept.
     """
-    letters = _coerce_word(word)
-    alpha = _coerce_alphabet(alphabet)
-    codec = _kernels.LetterCodec(letters)
-    packed_alpha = codec.pack(alpha)
-    seen: set = set()
-    out: list = []
-    _kernels.generate_edits1(codec.pack(letters), packed_alpha, limit, seen, out)
-    return [codec.text(b) for b in out]
+    return edits_n(word, alphabet, nedits=1)
 
 
-def _leveled_candidates(
-    letters: tuple[str, ...],
-    alpha: tuple[str, ...],
-    nedits: int,
-    limit: int | None,
-) -> tuple[_kernels.LetterCodec, list[bytes], list[int]]:
-    """Expand level by level; returns (codec, packed candidates, levels)."""
-    codec = _kernels.LetterCodec(letters)
-    packed_alpha = codec.pack(alpha)
-    seen: set = set()
-    out: list = []
-    levels: list[int] = []
-    _kernels.generate_edits1(codec.pack(letters), packed_alpha, limit, seen, out)
-    levels.extend([1] * len(out))
-    frontier = (0, len(out))
-    for level in range(2, nedits + 1):
-        start, end = frontier
-        for idx in range(start, end):
-            source = out[idx]
-            if not source:
-                continue  # the empty word has no defined edit neighbourhood
-            _kernels.generate_edits1(source, packed_alpha, limit, seen, out)
-        levels.extend([level] * (len(out) - end))
-        if len(out) == end:
-            break
-        frontier = (end, len(out))
-    return codec, out, levels
+def edits_n(word, alphabet=None, nedits: int = 1) -> list[str]:
+    """Candidates within ``nedits`` letter edits, in first-seen order.
 
-
-def edits_n(word, alphabet=None, nedits: int = 1, limit: int | None = None) -> list[str]:
-    """Candidates within ``nedits`` letter edits, in first-seen order."""
-    if nedits < 1:
-        raise ValueError("nedits must be >= 1")
-    letters = _coerce_word(word)
-    alpha = _coerce_alphabet(alphabet)
-    codec, out, _ = _leveled_candidates(letters, alpha, nedits, limit)
-    return [codec.text(b) for b in out]
-
-
-def suggest(word, lexicon, alphabet=None, nedits: int = 2, limit: int | None = None) -> list[Suggestion]:
-    """Edit candidates found in ``lexicon``, never including ``word`` itself.
-
-    Ranked by edit level ascending, then code-point order.  ``lexicon``
-    needs ``contains_letters`` (a :class:`tamilspell.lexicon.Lexicon`).
+    Level k applies one edit to every candidate level k-1 added; the empty
+    word is kept as a candidate but never expanded.
     """
     if nedits < 1:
         raise ValueError("nedits must be >= 1")
-    letters = _coerce_word(word)
     alpha = _coerce_alphabet(alphabet)
-    codec, out, levels = _leveled_candidates(letters, alpha, nedits, limit)
-    source = codec.pack(letters)
-    found: list[Suggestion] = []
-    for packed, level in zip(out, levels):
-        if packed == source:
-            continue
-        cand_letters = codec.unpack(packed)
-        if lexicon.contains_letters(cand_letters):
-            found.append(Suggestion("".join(cand_letters), Strategy.EDIT, level))
+    seen: dict[tuple[str, ...], None] = {}  # insertion-ordered set
+    frontier = [_coerce_word(word)]
+    for _ in range(nedits):
+        start = len(seen)
+        for source in frontier:
+            if source:
+                for cands in _operations(source, alpha).values():
+                    seen.update(dict.fromkeys(cands))
+        frontier = list(seen)[start:]
+    return ["".join(w) for w in seen]
+
+
+def suggest(word, lexicon, nedits: int = 2) -> list[Suggestion]:
+    """Every lexicon word within ``nedits`` letter edits, ``word`` excluded.
+
+    Scored by letter-level edit distance and ranked (distance, code-point
+    order).  ``lexicon`` is a :class:`tamilspell.lexicon.Lexicon`.
+    """
+    if nedits < 1:
+        raise ValueError("nedits must be >= 1")
+    found = [
+        Suggestion(candidate, Strategy.EDIT, distance)
+        for candidate, distance in lexicon.within_distance(_coerce_word(word), nedits)
+    ]
     found.sort(key=lambda s: (s.score, s.candidate))
     return found
 

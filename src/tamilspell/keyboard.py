@@ -1,11 +1,12 @@
-"""Keyboard-typo correction via a pruned substitution search.
+"""Keyboard-typo correction via substitutions from a confusion matrix.
 
 A confusion matrix maps each letter to the letters a typist is likely to
-hit instead (physically adjacent keys, usually).  Candidate generation
-walks a substitution lattice: up to ``ed`` positions of the input are
-replaced, each only by neighbours of the letter originally at that
-position.  Compared with a full-alphabet lattice this prunes the search
-by orders of magnitude while keeping exactly the plausible-typo words.
+hit instead (physically adjacent keys, usually).  A candidate replaces up
+to ``ed`` positions of the input, each only by a neighbour of the letter
+originally there.  ``corrections`` takes those candidates from the lexicon
+with one substitution walk, so only neighbours that keep a lexicon prefix
+alive are tried; ``generate_patterns`` enumerates the same lattice as
+strings and is the reference the walk is tested against.
 
 Uyirmei letters resolve through their mei: the matrix holds adjacency for
 ள், and பளம் gets பழம் by joining the neighbour ழ் with the original ள's
@@ -18,7 +19,6 @@ import unicodedata
 from collections.abc import Mapping, Sequence
 from pathlib import Path
 
-from . import _kernels
 from .errors import MatrixFormatError
 from .letters import Letter, LetterKind, join_mei_uyir, split_mei_uyir, tokenize
 from .suggestion import Strategy, Suggestion
@@ -137,17 +137,25 @@ def generate_patterns(word: str, matrix: ConfusionMatrix, ed: int = 1) -> list[s
     n = len(letters)
     if not 1 <= ed <= n:
         raise ValueError(f"ed must be between 1 and the word's {n} letters, got {ed}")
-    codec = _kernels.LetterCodec(lt.text for lt in letters)
-    per_position = []
-    for lt in letters:
-        alts = [a for a in matrix.alternates_for(lt) if a != lt.text]
-        per_position.append(codec.pack(alts))
-    seen: set = set()
-    out: list = []
-    _kernels.generate_substitutions(
-        codec.pack(lt.text for lt in letters), tuple(per_position), ed, None, seen, out
-    )
-    return [codec.text(b) for b in out]
+    alternates = _alternates(matrix, letters)
+    seen: dict[tuple[str, ...], None] = {}  # insertion-ordered set
+
+    def substitute(current: tuple[str, ...], start: int, budget: int) -> None:
+        # Depth first: substitute position p, emit, then go on to strictly
+        # later positions while the budget lasts.
+        for p in range(start, n):
+            for alt in alternates[p]:
+                cand = current[:p] + (alt,) + current[p + 1 :]
+                seen[cand] = None
+                if budget > 1:
+                    substitute(cand, p + 1, budget - 1)
+
+    substitute(tuple(lt.text for lt in letters), 0, ed)
+    return ["".join(cand) for cand in seen]
+
+
+def _alternates(matrix: ConfusionMatrix, letters: list[Letter]) -> list[list[str]]:
+    return [[a for a in matrix.alternates_for(lt) if a != lt.text] for lt in letters]
 
 
 def corrections(
@@ -157,7 +165,7 @@ def corrections(
     ed: int = 2,
     ranker=None,
 ) -> list[Suggestion]:
-    """Lattice candidates the lexicon recognizes.
+    """Lexicon words that substitute matrix neighbours at 1..``ed`` positions.
 
     ``ed`` is clamped to the word's letter count.  Scored by the number of
     substituted positions, ranked (score, code-point order); ``ranker``
@@ -166,15 +174,15 @@ def corrections(
     if ed < 1:
         raise ValueError("ed must be >= 1")
     word = unicodedata.normalize("NFC", word)
-    original = tuple(lt.text for lt in tokenize(word))
-    if not original:
+    letters = tokenize(word)
+    if not letters:
         return []
-    found: list[Suggestion] = []
-    for candidate in generate_patterns(word, matrix, min(ed, len(original))):
-        cand_letters = tuple(lt.text for lt in tokenize(candidate))
-        if lexicon.contains_letters(cand_letters):
-            changed = sum(1 for a, b in zip(original, cand_letters) if a != b)
-            found.append(Suggestion(candidate, Strategy.KEYBOARD, changed))
+    found = [
+        Suggestion(candidate, Strategy.KEYBOARD, changed)
+        for candidate, changed in lexicon.substitutions(
+            [lt.text for lt in letters], _alternates(matrix, letters), min(ed, len(letters))
+        )
+    ]
     found.sort(key=lambda s: (s.score, s.candidate))
     if ranker is not None:
         return list(ranker(word, found))

@@ -18,6 +18,7 @@ tokenizable even though the table does not count them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,9 +113,12 @@ def is_tamil_codepoint(ch: str) -> bool:
     return "ஂ" <= ch <= "௺"
 
 
+_TAMIL_SEARCH = re.compile("[ஂ-௺]").search
+
+
 def has_tamil(text: str) -> bool:
     """True when any code point of ``text`` is Tamil."""
-    return any("ஂ" <= ch <= "௺" for ch in text)
+    return _TAMIL_SEARCH(text) is not None
 
 
 def tokenize(text: str) -> list[Letter]:

@@ -1,8 +1,11 @@
 """Trie-backed lexicon keyed by Tamil letters.
 
 Nodes branch on whole letters rather than code points, so membership and
-prefix walks line up with the letter-level edit operations.  The structure
-is immutable after loading; concurrent readers need no locking.
+prefix walks line up with the letter-level edit operations.  Correction
+candidates come out of the trie by walking it: :meth:`Lexicon.within_distance`
+for edits and :meth:`Lexicon.substitutions` for per-position substitutes,
+so the node layout stays private to this module.  The structure is
+immutable after loading; concurrent readers need no locking.
 """
 
 from __future__ import annotations
@@ -10,22 +13,11 @@ from __future__ import annotations
 import unicodedata
 from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import Protocol
 
 from .errors import WordListError
 from .letters import letter_texts
 
-__all__ = ["Lexicon", "WordStore", "load_wordlist"]
-
-
-class WordStore(Protocol):
-    """Membership interface the checker needs; swap in other backends here."""
-
-    def is_word(self, word: str) -> bool: ...
-
-    def prefix_exists(self, prefix) -> bool: ...
-
-    def contains_letters(self, letters: Sequence[str]) -> bool: ...
+__all__ = ["Lexicon", "load_wordlist"]
 
 
 class _Node:
@@ -111,6 +103,176 @@ class Lexicon:
         if not letters:
             return self._count > 0
         return self._walk(letters) is not None
+
+    def within_distance(self, letters: Sequence[str], ed: int) -> list[tuple[str, int]]:
+        """Every word at distance 1..``ed`` from ``letters``, with that distance.
+
+        The distance is the unrestricted Damerau-Levenshtein distance on
+        whole letters.  A depth-first walk carries one row of the distance
+        table per trie node (Oflazer 1996), banded to |depth - column| <= ed
+        and capped at ed + 1, and leaves a subtree once no entry is within
+        ``ed``.  A row is "live" at the columns within ``ed``; only a child
+        whose letter is the query letter after a live column can differ from
+        its siblings, so all other children share one row per node (the
+        observation behind Schulz & Mihov's Levenshtein automata).  Once a
+        row's minimum is ``ed`` only those letters can stay in range, so only
+        they are followed, and a node none of whose children can is not
+        entered.
+        """
+        q = tuple(letters)
+        m = len(q)
+        cap = ed + 1
+        where: dict[str, list[int]] = {}  # letter -> columns j with q[j - 1] == letter
+        for j, letter in enumerate(q, 1):
+            where.setdefault(letter, []).append(j)
+        path = [""] * (m + ed + 1)  # path[k - 1]: the letter at depth k
+        rows: list = [None] * (m + ed + 2)  # rows[k]: the row at depth k
+
+        def transposed(y: str, depth: int, col: int, gap: int) -> int:
+            # Lowrance-Wagner: swap the path's last y (at depth k) with the
+            # query letter at ``col``, deleting and inserting what lies
+            # between.  A y more than ``ed`` levels up costs more than ``ed``.
+            for k in range(depth - 1, max(depth - ed, 1) - 1, -1):
+                if path[k - 1] == y:
+                    return rows[k - 1][col - 1] + depth - k + gap
+            return cap
+
+        # A state is (row, minimum of the row, letters after its live columns).
+        def full_row(letter: str | None, depth: int, parent: list[int]) -> tuple:
+            row = [cap] * (m + 1)
+            nexts = set()
+            low = cap
+            if depth <= ed:
+                row[0] = low = depth
+                if m:
+                    nexts.add(q[0])
+            lo = max(1, depth - ed)
+            left = row[lo - 1]
+            matched = 0  # last column before j whose query letter is ``letter``
+            for j in range(lo, min(m, depth + ed) + 1):
+                y = q[j - 1]
+                v = parent[j - 1] if y == letter else parent[j - 1] + 1
+                if parent[j] + 1 < v:
+                    v = parent[j] + 1
+                if left + 1 < v:
+                    v = left + 1
+                if matched and j - matched <= ed:
+                    t = transposed(y, depth, matched, j - matched - 1)
+                    if t < v:
+                        v = t
+                if y == letter:
+                    matched = j
+                if v <= ed:
+                    if v < low:
+                        low = v
+                    if j < m:
+                        nexts.add(q[j])
+                    row[j] = left = v
+                else:
+                    left = cap
+            return row, low, nexts
+
+        def sparse_row(letter: str, depth: int, parent: list[int]) -> tuple:
+            # The parent's minimum is ed, so an entry can stay within ed only
+            # where ``letter`` matches the query, or one column on, where a
+            # transposition closes; either entry is then exactly ed.
+            row = [cap] * (m + 1)
+            nexts = set()
+            for j in where[letter]:
+                if parent[j - 1] <= ed:
+                    row[j] = ed
+                    if j < m:
+                        nexts.add(q[j])
+                if j < m and transposed(q[j], depth, j, 0) <= ed:
+                    row[j + 1] = ed
+                    if j + 1 < m:
+                        nexts.add(q[j + 1])
+            return row, ed if nexts or row[m] == ed else cap, nexts
+
+        found: list[tuple[str, int]] = []
+        root = [min(j, cap) for j in range(m + 1)]
+        stack = [(self._root, 0, "", (root, 0, {q[j] for j in range(min(m, cap))}))]
+        while stack:
+            node, depth, letter, (row, low, nexts) = stack.pop()
+            rows[depth] = row
+            if depth:
+                path[depth - 1] = letter
+            children = node.children
+            depth += 1
+            for x in nexts:
+                child = children.get(x)
+                if child is None:
+                    continue
+                kid = full_row(x, depth, row) if low < ed else sparse_row(x, depth, row)
+                r, r_low, r_nexts = kid
+                if r_low > ed:
+                    continue
+                if child.is_word and 0 < r[m] <= ed:
+                    found.append(("".join(path[: depth - 1]) + x, r[m]))
+                grandkids = child.children
+                if r_low < ed:
+                    if grandkids:
+                        stack.append((child, depth, x, kid))
+                    continue
+                for y in r_nexts:
+                    if y in grandkids:
+                        stack.append((child, depth, x, kid))
+                        break
+            if low == ed:
+                continue
+            kid = full_row(None, depth, row)
+            r, r_low, r_nexts = kid
+            if r_low > ed:
+                continue
+            word_dist = r[m] if r[m] <= ed else 0
+            for x, child in children.items():
+                if x in nexts:
+                    continue
+                if word_dist and child.is_word:
+                    found.append(("".join(path[: depth - 1]) + x, word_dist))
+                grandkids = child.children
+                if r_low < ed:
+                    if grandkids:
+                        stack.append((child, depth, x, kid))
+                    continue
+                for y in r_nexts:
+                    if y in grandkids:
+                        stack.append((child, depth, x, kid))
+                        break
+        return found
+
+    def substitutions(
+        self, letters: Sequence[str], alternates: Sequence[Sequence[str]], budget: int
+    ) -> list[tuple[str, int]]:
+        """Words that replace 1..``budget`` positions of ``letters``, with the count.
+
+        ``alternates[p]`` lists the letters allowed in place of
+        ``letters[p]``, the letter itself excluded.  Only paths that spell a
+        lexicon prefix are followed, so the work is bounded by the lexicon,
+        not by the product of the alternates.
+        """
+        n = len(letters)
+        path = [""] * n
+        found: list[tuple[str, int]] = []
+        stack = [(self._root, 0, "", 0)]
+        while stack:
+            node, p, letter, changes = stack.pop()
+            if p:
+                path[p - 1] = letter
+            if p == n:
+                if node.is_word and changes:
+                    found.append(("".join(path), changes))
+                continue
+            children = node.children
+            child = children.get(letters[p])
+            if child is not None:
+                stack.append((child, p + 1, letters[p], changes))
+            if changes < budget:
+                for alt in alternates[p]:
+                    child = children.get(alt)
+                    if child is not None:
+                        stack.append((child, p + 1, alt, changes + 1))
+        return found
 
 
 def load_wordlist(source, into: Lexicon | None = None) -> Lexicon:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 
-from tamilspell.benchmark import _full_lattice_count, run_kernels, run_pruning
+from tamilspell.benchmark import _full_lattice_count, run_pruning
 from tamilspell.letters import tokenize
 
 
@@ -41,14 +41,3 @@ def test_full_lattice_count_matches_hand_formula():
 def test_full_lattice_count_off_table_letter():
     # "x" is not in the table, so that position offers all 247 letters.
     assert _full_lattice_count("xக", 1) == 247 + 246
-
-
-def test_kernel_csv_rows():
-    out = io.StringIO()
-    run_kernels(repeat=1, out=out)
-    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
-    kernels = {(row["kernel"], row["impl"]) for row in rows}
-    assert ("edits2_capped", "pure") in kernels
-    assert ("substitutions_ed2", "pure") in kernels
-    for row in rows:
-        assert float(row["seconds"]) > 0

@@ -110,12 +110,6 @@ def test_engine_config_validation():
         EngineConfig(max_suggestions=-1)
 
 
-def test_grantha_config_widens_alphabet(fixture_lexicon):
-    assert len(engine(fixture_lexicon).alphabet) == 247
-    wide = engine(fixture_lexicon, config=EngineConfig(grantha=True))
-    assert len(wide.alphabet) == 323
-
-
 # ----------------------------------------------------------------- documents
 
 
@@ -130,6 +124,18 @@ def test_check_text_orders_and_verdicts(fixture_lexicon):
     ]
     assert not report.clean
     assert [t.token for t in report.non_words()] == ["பளம்"]
+
+
+def test_check_word_gives_the_check_text_verdict(fixture_lexicon):
+    eng = engine(fixture_lexicon, stop_words=["பளம்"])
+    for token in ("computer", "பளம்", "பழம்", "சுவம்"):
+        assert eng.check_word(token) == eng.check_text(token).tokens[0]
+    assert eng.check_word("computer") == TokenReport(
+        "computer", Verdict.NON_TAMIL, (Suggestion("கணினி", Strategy.FOREIGN, 0),)
+    )
+    assert eng.check_word("பளம்") == TokenReport("பளம்", Verdict.SKIPPED, ())
+    assert eng.check_word("") == TokenReport("", Verdict.NON_TAMIL, ())
+    assert eng.suggestion_computations == 1  # only சுவம் reached the strategies
 
 
 def test_valid_tokens_carry_no_suggestions(fixture_lexicon):
@@ -326,7 +332,6 @@ def test_stats_shape(fixture_lexicon):
     assert stats["cache_enabled"] is True
     assert stats["cache_misses"] == 1
     assert stats["suggestion_computations"] == 1
-    assert stats["kernel_backend"] in ("pure", "cython")
 
 
 # ----------------------------------------------------------------- loaders

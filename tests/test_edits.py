@@ -57,13 +57,6 @@ def test_edits1_letter_wise_on_real_word():
         assert "".join(letter_texts(cand)) == cand
 
 
-def test_edits1_limit_is_exact_prefix():
-    full = edits1("பளம்", alphabet())
-    capped = edits1("பளம்", alphabet(), limit=5)
-    assert len(capped) == 5
-    assert capped == full[:5]
-
-
 def test_edits1_rejects_empty_word():
     with pytest.raises(ValueError):
         edits1("", AK)
@@ -86,15 +79,10 @@ def test_edits_n_matches_oracle_small():
         word = "".join(rng.choice(table) for _ in range(rng.randint(1, 3)))
         letters = letter_texts(word)
         for nedits in (1, 2):
-            got = {letter_texts(c) for c in edits_n(word, alpha, nedits=nedits)}
+            listed = edits_n(word, alpha, nedits=nedits)
+            assert len(set(listed)) == len(listed)
+            got = {letter_texts(c) for c in listed}
             assert got == oracles.oracle_edits_n(letters, alpha, nedits)
-
-
-def test_edits_n_limit_threads_across_levels():
-    full = edits_n("கஅ", AK, nedits=2)
-    capped = edits_n("கஅ", AK, nedits=2, limit=15)
-    assert len(capped) == 15
-    assert capped == full[:15]
 
 
 def test_alphabet_growth_grows_candidates():
@@ -110,7 +98,7 @@ def test_alphabet_growth_grows_candidates():
 
 def test_suggest_finds_lexicon_words():
     lex = Lexicon(["பல"])
-    found = suggest("பள", lex, alphabet())
+    found = suggest("பள", lex)
     assert [s.candidate for s in found][:1] == ["பல"]
     assert found[0].strategy is Strategy.EDIT
     assert found[0].score == 1
@@ -118,18 +106,18 @@ def test_suggest_finds_lexicon_words():
 
 def test_suggest_excludes_the_input_word():
     lex = Lexicon(["பள", "பல"])
-    found = suggest("பள", lex, alphabet())
+    found = suggest("பள", lex)
     assert "பள" not in [s.candidate for s in found]
     assert "பல" in [s.candidate for s in found]
 
 
 def test_suggest_empty_lexicon():
-    assert suggest("பள", Lexicon(), alphabet()) == []
+    assert suggest("பள", Lexicon()) == []
 
 
 def test_suggest_ranks_distance_then_codepoint():
     lex = Lexicon(["கடல்", "கல்", "கடல்கள்"])
-    found = suggest("கடல", lex, alphabet(), nedits=2)
+    found = suggest("கடல", lex, nedits=2)
     scores = [s.score for s in found]
     assert scores == sorted(scores)
     for level in set(scores):

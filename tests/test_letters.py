@@ -51,6 +51,9 @@ def test_has_tamil():
     assert has_tamil("abc க xyz")
     assert not has_tamil("abc xyz")
     assert not has_tamil("")
+    # The block edges agree with is_tamil_codepoint.
+    assert has_tamil("x\u0b82") and has_tamil("\u0bfa")
+    assert not has_tamil("\u0b81\u0bfb")
 
 
 # --------------------------------------------------------------------- #

@@ -1,0 +1,103 @@
+"""The lexicon walks against the enumerators they replace.
+
+Each strategy takes its candidates from the lexicon by walking the trie.
+The plain-Python enumerators (``edits_n``, ``generate_patterns``,
+``generate_alternates``) are the reference: enumerate, keep what the
+lexicon knows, and the walk must give exactly that set and those scores.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+
+from conftest import random_letter_word
+from tamilspell import keyboard, mayangoli
+from tamilspell.checker import SpellChecker, Verdict
+from tamilspell.edits import edits_n, letter_edit_distance, suggest
+from tamilspell.keyboard import ConfusionMatrix
+from tamilspell.letters import alphabet, letter_texts
+from tamilspell.lexicon import Lexicon
+
+TABLE = alphabet().letters
+
+
+def _random_lexicon(rng: random.Random, letters, max_len: int) -> set[str]:
+    return {
+        "".join(rng.choice(letters) for _ in range(rng.randint(1, max_len)))
+        for _ in range(rng.randint(5, 60))
+    }
+
+
+def test_edit_walk_equals_filtered_enumeration():
+    # Two to five letters force repeated letters and gapped transpositions.
+    rng = random.Random(2024)
+    checked = 0
+    for ed in (1, 2, 3):
+        for _ in range(150 if ed < 3 else 60):
+            letters = tuple(rng.sample(TABLE, rng.randint(2, 5)))
+            words = _random_lexicon(rng, letters, 7)
+            query = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5 if ed < 3 else 4)))
+            found = suggest(query, Lexicon(words), nedits=ed)
+            want = {c for c in edits_n(query, letters, nedits=ed) if c in words} - {query}
+            assert {s.candidate for s in found} == want
+            for s in found:
+                assert s.score == letter_edit_distance(query, s.candidate)
+            checked += len(found)
+    assert checked > 500, "the lexicons must actually hold neighbours"
+
+
+def test_keyboard_walk_equals_filtered_patterns():
+    rng = random.Random(99)
+    checked = 0
+    for _ in range(200):
+        letters = rng.sample(TABLE, rng.randint(3, 6))
+        matrix = ConfusionMatrix(
+            {key: [c for c in rng.sample(letters, rng.randint(1, 3)) if c != key] for key in letters}
+        )
+        word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        original = letter_texts(word)
+        ed = rng.randint(1, len(original))
+        patterns = keyboard.generate_patterns(word, matrix, ed)
+        words = set(rng.sample(patterns, min(len(patterns), 8))) | _random_lexicon(rng, letters, 5)
+        want = []
+        for cand in patterns:
+            if cand in words:
+                changed = sum(a != b for a, b in zip(original, letter_texts(cand)))
+                want.append((changed, cand))
+        got = keyboard.corrections(word, Lexicon(words), matrix, ed)
+        assert [(s.score, s.candidate) for s in got] == sorted(want)
+        checked += len(got)
+    assert checked > 200
+
+
+def test_mayangoli_walk_equals_filtered_alternates():
+    rng = random.Random(7)
+    series = [lt for lt in TABLE if mayangoli.find_letter_positions(lt)]
+    checked = 0
+    for _ in range(200):
+        pool = rng.sample(series, 3) + rng.sample(TABLE, 2)
+        word = "".join(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+        original = letter_texts(word)
+        alternates = mayangoli.generate_alternates(word)
+        words = set(rng.sample(alternates, min(len(alternates), 6))) | {
+            random_letter_word(rng, 1, 6) for _ in range(20)
+        }
+        want = []
+        for cand in alternates:
+            if cand in words:
+                changed = sum(a != b for a, b in zip(original, letter_texts(cand)))
+                want.append((changed, cand))
+        got = mayangoli.suggest(word, Lexicon(words))
+        assert [(s.score, s.candidate) for s in got] == sorted(want)
+        checked += len(got)
+    assert checked > 200
+
+
+def test_long_series_token_is_bounded(fixture_lexicon):
+    # Forty confusable positions are 3**40 series variants; the walk only
+    # follows prefixes the lexicon holds.
+    started = time.perf_counter()
+    report = SpellChecker(fixture_lexicon).check_word("ள" * 40)
+    assert report.verdict is Verdict.NON_WORD
+    assert time.perf_counter() - started < 2.0
