@@ -15,7 +15,6 @@ from .checker import (
     CheckReport,
     EngineConfig,
     SpellChecker,
-    SuggestionCache,
     TokenReport,
     Verdict,
     load_parallel_dict,
@@ -51,7 +50,6 @@ __all__ = [
     "SpellChecker",
     "Strategy",
     "Suggestion",
-    "SuggestionCache",
     "TamilSpellError",
     "TokenReport",
     "Verdict",

@@ -26,14 +26,14 @@ def _sample_words(count: int, seed: int) -> list[str]:
     return words[:count]
 
 
-def _full_lattice_count(word: str, ed: int, grantha: bool = False) -> int:
+def _full_lattice_count(word: str, ed: int) -> int:
     """Candidates an unpruned lattice would enumerate for this word.
 
     Every subset of up to ``ed`` positions is substituted; a position has
     one choice per alphabet letter other than the letter already there.
     """
     letters = [lt.text for lt in tokenize(word)]
-    table = alphabet(grantha)
+    table = alphabet()
     choices = [len(table) - (1 if lt in table.letters else 0) for lt in letters]
     total = 0
     for k in range(1, ed + 1):

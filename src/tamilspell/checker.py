@@ -13,20 +13,19 @@ distance to the input (a recognized conjoined pair scores 0), then
 strategy priority, then code-point order.  The edit strategy returns
 every lexicon word within ``edit_distance``, with its distance.
 
-Suggestion lists are memoized per engine.  The cache is single-flight:
-when several threads miss on the same word at once, one computes and the
-rest wait for its result, so a word is never computed twice.  Document
-checking can therefore fan out across a thread pool (``workers`` in the
-config) and still produce byte-identical reports for any worker count.
+Suggestion lists are memoized per engine in one LRU memo of
+``CACHE_SIZE`` words, so a document that repeats a misspelling computes
+it once and a long-lived engine stays bounded.  Checking runs serially.
+An engine may be shared across threads; concurrent misses on one word
+may then compute it twice, with equal results.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import threading
 import unicodedata
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -38,15 +37,18 @@ from .letters import has_tamil, tokenize
 from .suggestion import Strategy, Suggestion
 
 __all__ = [
+    "CACHE_SIZE",
     "CheckReport",
     "EngineConfig",
     "SpellChecker",
-    "SuggestionCache",
     "TokenReport",
     "Verdict",
     "load_parallel_dict",
     "load_stop_words",
 ]
+
+# Distinct non-words an engine keeps suggestion lists for.
+CACHE_SIZE = 4096
 
 
 class Verdict(Enum):
@@ -108,79 +110,12 @@ class EngineConfig:
 
     edit_distance: int = 2
     max_suggestions: int = 10
-    workers: int = 1
-    cache_enabled: bool = True
 
     def __post_init__(self):
         if self.edit_distance < 1:
             raise ValueError("edit_distance must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.max_suggestions < 0:
             raise ValueError("max_suggestions must be >= 0")
-
-
-class _Pending:
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value: tuple | None = None
-        self.error: BaseException | None = None
-
-
-class SuggestionCache:
-    """Single-flight memo of word -> suggestion tuple, with hit counters.
-
-    Concurrent misses on one key coalesce: the first caller computes, the
-    others block on its event and share the result object, so hits always
-    return the identical tuple and the computation runs exactly once.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        self._entries: dict[str, _Pending] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def get_or_compute(self, key: str, compute):
-        if not self.enabled:
-            with self._lock:
-                self.misses += 1
-            return compute()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = _Pending()
-                self._entries[key] = entry
-                self.misses += 1
-                owner = True
-            else:
-                self.hits += 1
-                owner = False
-        if owner:
-            try:
-                entry.value = compute()
-            except BaseException as exc:
-                entry.error = exc
-                with self._lock:
-                    self._entries.pop(key, None)  # never cache a failure
-                entry.event.set()
-                raise
-            entry.event.set()
-            return entry.value
-        entry.event.wait()
-        if entry.error is not None:
-            raise entry.error
-        return entry.value
 
 
 class SpellChecker:
@@ -188,8 +123,7 @@ class SpellChecker:
 
     ``confusion_matrix=None`` loads the bundled keyboard-adjacency matrix;
     pass an empty :class:`~tamilspell.keyboard.ConfusionMatrix` to disable
-    the keyboard strategy.  ``ranker`` may reorder the merged suggestion
-    list (word, suggestions) -> suggestions before it is capped.
+    the keyboard strategy.
     """
 
     def __init__(
@@ -201,7 +135,6 @@ class SpellChecker:
         series_table: mayangoli.SeriesTable | None = None,
         parallel_dict: Mapping[str, str] | None = None,
         stop_words: Iterable[str] = (),
-        ranker=None,
     ):
         from .bundled import bundled_confusion_matrix
 
@@ -217,38 +150,22 @@ class SpellChecker:
         self.stop_words = frozenset(
             unicodedata.normalize("NFC", w) for w in stop_words
         )
-        self.ranker = ranker
-        self.cache = SuggestionCache(enabled=self.config.cache_enabled)
-        self.suggestion_computations = 0
-        self._counter_lock = threading.Lock()
+        self._suggestions = functools.lru_cache(maxsize=CACHE_SIZE)(self._compute_suggestions)
 
     # ------------------------------------------------------------------ #
 
     def check_word(self, word: str) -> TokenReport:
         """Check one token, with the verdict ``check_text`` would give it."""
         token = unicodedata.normalize("NFC", word)
-        report = self._route(token)
-        if report is None:
-            report = TokenReport(token, Verdict.NON_WORD, self._suggestions_for(token))
-        return report
+        return self._route(token) or TokenReport(token, Verdict.NON_WORD, self._suggestions(token))
 
     def check_text(self, text: str) -> CheckReport:
-        """Check a document; the report lists every token in order.
-
-        Non-word suggestion lists are computed on ``config.workers``
-        threads when that is above one.
-        """
-        text = unicodedata.normalize("NFC", text)
-        tokens = _word_tokens(text)
-        reports: list[TokenReport | None] = [None] * len(tokens)
-        pending: list[tuple[int, str]] = []
-        for i, tok in enumerate(tokens):
-            reports[i] = self._route(tok)
-            if reports[i] is None:
-                pending.append((i, tok))
-        if pending:
-            self._fill_non_words(reports, pending)
-        return CheckReport(tuple(reports))  # type: ignore[arg-type]
+        """Check a document; the report lists every token in order."""
+        tokens = _word_tokens(unicodedata.normalize("NFC", text))
+        return CheckReport(tuple([
+            self._route(tok) or TokenReport(tok, Verdict.NON_WORD, self._suggestions(tok))
+            for tok in tokens
+        ]))
 
     def substitute_foreign(self, token: str) -> Suggestion | None:
         """Parallel-dictionary lookup for a non-Tamil token (case-folded)."""
@@ -259,11 +176,12 @@ class SpellChecker:
 
     @property
     def stats(self) -> dict:
+        """Memo counters; evictions are ``cache_misses - cache_size``."""
+        info = self._suggestions.cache_info()
         return {
-            "cache_enabled": self.cache.enabled,
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "suggestion_computations": self.suggestion_computations,
+            "cache_hits": info.hits,
+            "cache_misses": info.misses,
+            "cache_size": info.currsize,
         }
 
     # ------------------------------------------------------------------ #
@@ -283,37 +201,7 @@ class SpellChecker:
             return TokenReport(token, Verdict.VALID, ())
         return None
 
-    def _fill_non_words(self, reports, pending) -> None:
-        workers = self.config.workers
-        if workers <= 1:
-            for i, tok in pending:
-                reports[i] = TokenReport(tok, Verdict.NON_WORD, self._suggestions_for(tok))
-            return
-        if self.cache.enabled:
-            # One task per distinct word; occurrences share the result.
-            order: dict[str, list[int]] = {}
-            for i, tok in pending:
-                order.setdefault(tok, []).append(i)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {word: pool.submit(self._suggestions_for, word) for word in order}
-                for word, indices in order.items():
-                    suggestions = futures[word].result()
-                    for i in indices:
-                        reports[i] = TokenReport(word, Verdict.NON_WORD, suggestions)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    (i, tok, pool.submit(self._suggestions_for, tok)) for i, tok in pending
-                ]
-                for i, tok, fut in futures:
-                    reports[i] = TokenReport(tok, Verdict.NON_WORD, fut.result())
-
-    def _suggestions_for(self, word: str) -> tuple[Suggestion, ...]:
-        return self.cache.get_or_compute(word, lambda: self._compute_suggestions(word))
-
     def _compute_suggestions(self, word: str) -> tuple[Suggestion, ...]:
-        with self._counter_lock:
-            self.suggestion_computations += 1
         letters = tuple(lt.text for lt in tokenize(word))
         merged: dict[str, Suggestion] = {}
 
@@ -335,8 +223,6 @@ class SpellChecker:
         ranked = sorted(
             merged.values(), key=lambda s: (s.score, s.strategy.priority, s.candidate)
         )
-        if self.ranker is not None:
-            ranked = list(self.ranker(word, ranked))
         return tuple(ranked[: self.config.max_suggestions])
 
 
@@ -344,15 +230,17 @@ class SpellChecker:
 
 
 def _word_tokens(text: str) -> list[str]:
-    """Split text into word tokens: runs of letters, marks, digits, or _.
+    """Split text into word tokens: runs of letters, marks, digits, _ or joiners.
 
     Splitting on Unicode categories (not on a word regex) keeps Tamil
-    combining marks glued to their consonants.
+    combining marks glued to their consonants.  ZWNJ and ZWJ stay inside
+    the word they sit in, so ``check_text`` sees the token ``check_word``
+    would be given.
     """
     tokens: list[str] = []
     current: list[str] = []
     for ch in text:
-        if ch == "_" or unicodedata.category(ch)[0] in "LMN":
+        if ch in "_\u200c\u200d" or unicodedata.category(ch)[0] in "LMN":
             current.append(ch)
         elif current:
             tokens.append("".join(current))

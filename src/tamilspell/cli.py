@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parallel", metavar="PATH", help="foreign-to-Tamil parallel dictionary")
     parser.add_argument("--stopwords", metavar="PATH", help="stop word list (tokens to skip)")
     parser.add_argument("--ed", type=int, default=2, metavar="N", help="edit distance budget (default 2)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N", help="suggestion worker threads")
     parser.add_argument("--json", action="store_true", help="emit a full JSON report for batch mode")
     parser.add_argument("--stats", action="store_true", help="print engine statistics to stderr")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -62,10 +61,9 @@ def build_engine(args: argparse.Namespace) -> SpellChecker:
     matrix = load_confusion_matrix(args.cm) if args.cm else bundled_confusion_matrix()
     parallel = load_parallel_dict(args.parallel) if args.parallel else bundled_parallel_dict()
     stop_words = load_stop_words(args.stopwords) if args.stopwords else frozenset()
-    config = EngineConfig(edit_distance=args.ed, workers=args.workers)
     return SpellChecker(
         lexicon,
-        config=config,
+        config=EngineConfig(edit_distance=args.ed),
         confusion_matrix=matrix,
         parallel_dict=parallel,
         stop_words=stop_words,
@@ -162,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - started
         stats = engine.stats
         stats["elapsed_seconds"] = round(elapsed, 3)
-        stats["workers"] = engine.config.workers
         print(json.dumps(stats, ensure_ascii=False), file=sys.stderr)
     return status
 

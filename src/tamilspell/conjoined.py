@@ -83,15 +83,27 @@ def generate_plain_splits(word: str) -> list[SplitPair]:
 def recognize(word: str, lexicon) -> list[SplitPair]:
     """Splits whose halves are both lexicon words; plain splits first.
 
-    Duplicate (left, right) pairs keep their first occurrence.
+    No (left, right) pair repeats: plain pairs differ in the length of
+    their left half, ottru pairs too, and an ottru pair's halves are longer
+    together than the word.  The word is tokenized once and split points
+    are walked left to right, stopping at the first letter that leaves the
+    lexicon's prefixes: no left half can be a word after it.  A right half
+    is looked up only behind a left half that is a word, so the work is
+    bounded by the lexicon's depth.
     """
-    found: list[SplitPair] = []
-    seen: set[tuple[str, str]] = set()
-    for pair in generate_plain_splits(word) + generate_ottru_splits(word):
-        key = (pair.left, pair.right)
-        if key in seen:
-            continue
-        seen.add(key)
-        if lexicon.is_word(pair.left) and lexicon.is_word(pair.right):
-            found.append(pair)
-    return found
+    letters = tokenize(unicodedata.normalize("NFC", word))
+    texts = tuple(lt.text for lt in letters)
+    plain: list[SplitPair] = []
+    ottru: list[SplitPair] = []
+    for i, letter in enumerate(letters):
+        left = "".join(texts[:i])
+        if lexicon.contains_letters(texts[:i]) and lexicon.contains_letters(texts[i:]):
+            plain.append(SplitPair(left, "".join(texts[i:]), SplitKind.PLAIN))
+        if letter.kind is LetterKind.UYIRMEI:
+            mei, uyir = split_mei_uyir(letter)
+            right = uyir.text + "".join(texts[i + 1 :])
+            if lexicon.contains_letters(texts[:i] + (mei.text,)) and lexicon.is_word(right):
+                ottru.append(SplitPair(left + mei.text, right, SplitKind.OTTRU))
+        if not lexicon.prefix_exists(texts[: i + 1]):
+            break
+    return plain + ottru

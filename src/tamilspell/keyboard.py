@@ -11,6 +11,10 @@ strings and is the reference the walk is tested against.
 Uyirmei letters resolve through their mei: the matrix holds adjacency for
 ள், and பளம் gets பழம் by joining the neighbour ழ் with the original ள's
 uyir.  A full uyirmei key in the matrix overrides that resolution.
+
+The walk looks up the substituted letters as they are: a க் put before a
+ஷ letter stays two letters and does not match the one letter க்ஷ its
+joined text re-tokenizes to.  Only grantha letters can form such a pair.
 """
 
 from __future__ import annotations
@@ -163,13 +167,11 @@ def corrections(
     lexicon,
     matrix: ConfusionMatrix,
     ed: int = 2,
-    ranker=None,
 ) -> list[Suggestion]:
     """Lexicon words that substitute matrix neighbours at 1..``ed`` positions.
 
     ``ed`` is clamped to the word's letter count.  Scored by the number of
-    substituted positions, ranked (score, code-point order); ``ranker``
-    may replace the final ordering.
+    substituted positions, ranked (score, code-point order).
     """
     if ed < 1:
         raise ValueError("ed must be >= 1")
@@ -184,6 +186,4 @@ def corrections(
         )
     ]
     found.sort(key=lambda s: (s.score, s.candidate))
-    if ranker is not None:
-        return list(ranker(word, found))
     return found

@@ -11,7 +11,7 @@ LABELS = {
     6: "pruned keyboard lattice equals brute-force oracle",
     7: "tamil code point screening over U+0000..U+2000",
     8: "suggestion cache single computation and hit count",
-    9: "worker-count determinism and no-regression timing",
+    9: "byte-identical reports across fresh and warm engines",
     10: "foreign token substitution and passthrough",
 }
 

@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import io
-import threading
-import time
 
 import pytest
 
+import tamilspell.checker
 from tamilspell.checker import (
-    CheckReport,
     EngineConfig,
     SpellChecker,
-    SuggestionCache,
     TokenReport,
     Verdict,
     load_parallel_dict,
     load_stop_words,
 )
 from tamilspell.edits import letter_edit_distance
+from tamilspell.lexicon import Lexicon
 from tamilspell.suggestion import Strategy, Suggestion
 
 
@@ -88,24 +86,9 @@ def test_max_suggestions_cap(fixture_lexicon):
     assert zero.check_word("பளம்").suggestions == ()
 
 
-def test_ranker_reorders_before_cap(fixture_lexicon):
-    config = EngineConfig(max_suggestions=3)
-    plain = engine(fixture_lexicon, config=config).check_word("பளம்").suggestions
-    flipped = engine(
-        fixture_lexicon,
-        config=config,
-        ranker=lambda w, ranked: list(reversed(ranked)),
-    ).check_word("பளம்").suggestions
-    # The cap applies after the hook, so the reversed list surfaces the tail.
-    assert flipped != plain
-    assert len(flipped) == 3
-
-
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(edit_distance=0)
-    with pytest.raises(ValueError):
-        EngineConfig(workers=0)
     with pytest.raises(ValueError):
         EngineConfig(max_suggestions=-1)
 
@@ -128,14 +111,19 @@ def test_check_text_orders_and_verdicts(fixture_lexicon):
 
 def test_check_word_gives_the_check_text_verdict(fixture_lexicon):
     eng = engine(fixture_lexicon, stop_words=["பளம்"])
-    for token in ("computer", "பளம்", "பழம்", "சுவம்"):
-        assert eng.check_word(token) == eng.check_text(token).tokens[0]
+    for token in ("computer", "பளம்", "பழம்", "சுவம்", "தென்\u200cறல்", "தென்\u200dறல்"):
+        assert eng.check_text(token).tokens == (eng.check_word(token),)
     assert eng.check_word("computer") == TokenReport(
         "computer", Verdict.NON_TAMIL, (Suggestion("கணினி", Strategy.FOREIGN, 0),)
     )
     assert eng.check_word("பளம்") == TokenReport("பளம்", Verdict.SKIPPED, ())
     assert eng.check_word("") == TokenReport("", Verdict.NON_TAMIL, ())
-    assert eng.suggestion_computations == 1  # only சுவம் reached the strategies
+    # A joiner stays inside its word, which is then one letter from தென்றல்.
+    zwnj = eng.check_word("தென்\u200cறல்")
+    assert zwnj.verdict is Verdict.NON_WORD
+    assert Suggestion("தென்றல்", Strategy.EDIT, 1) in zwnj.suggestions
+    # Only சுவம் and the two joiner spellings reached the strategies.
+    assert eng.stats["cache_misses"] == 3
 
 
 def test_valid_tokens_carry_no_suggestions(fixture_lexicon):
@@ -205,21 +193,10 @@ def test_report_dict_shapes(fixture_lexicon):
 def test_cache_counts_and_shares_result(fixture_lexicon):
     eng = engine(fixture_lexicon)
     report = eng.check_text("பளம் பளம் பளம் பளம்")
-    assert eng.cache.misses == 1
-    assert eng.cache.hits == 3
-    assert eng.suggestion_computations == 1
+    assert eng.stats["cache_misses"] == 1
+    assert eng.stats["cache_hits"] == 3
     tuples = [t.suggestions for t in report.tokens]
     assert all(t is tuples[0] for t in tuples)
-
-
-def test_cache_disabled_recomputes(fixture_lexicon):
-    config = EngineConfig(cache_enabled=False)
-    eng = engine(fixture_lexicon, config=config)
-    eng.check_text("பளம் பளம் பளம்")
-    assert eng.suggestion_computations == 3
-    assert eng.cache.hits == 0
-    assert eng.cache.misses == 3
-    assert len(eng.cache) == 0
 
 
 def test_cache_hits_return_identical_object(fixture_lexicon):
@@ -231,107 +208,52 @@ def test_cache_hits_return_identical_object(fixture_lexicon):
 
 def test_computations_count_distinct_nonwords(fixture_lexicon):
     # கறி is in the lexicon; பளம் and சுவம் are the two distinct non-words.
-    eng = engine(fixture_lexicon, config=EngineConfig(workers=2))
+    eng = engine(fixture_lexicon)
     eng.check_text("பளம் கறி சுவம் பளம் கறி சுவம் பளம்")
-    assert eng.suggestion_computations == 2
+    assert eng.stats["cache_misses"] == 2
+    assert eng.stats["cache_size"] == 2
 
 
-def test_single_flight_under_contention(fixture_lexicon):
-    eng = engine(fixture_lexicon)
-    calls = []
-    original = eng._compute_suggestions
+def test_cache_never_stores_failures(fixture_lexicon):
+    class FailingOnce(Lexicon):
+        failed = False
 
-    def slow(word):
-        calls.append(word)
-        time.sleep(0.05)
-        return original(word)
+        def within_distance(self, letters, ed):
+            if not self.failed:
+                self.failed = True
+                raise RuntimeError("first walk fails")
+            return super().within_distance(letters, ed)
 
-    eng._compute_suggestions = slow
-    results = [None] * 8
-    barrier = threading.Barrier(8)
-
-    def worker(slot):
-        barrier.wait()
-        results[slot] = eng._suggestions_for("பளம்")
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert calls == ["பளம்"]
-    assert all(r is results[0] for r in results)
-    assert eng.cache.misses == 1
-    assert eng.cache.hits == 7
-
-
-def test_cache_never_stores_failures():
-    cache = SuggestionCache()
-    boom = []
-
-    def compute():
-        boom.append(1)
-        if len(boom) == 1:
-            raise RuntimeError("first call fails")
-        return ("ok",)
-
+    eng = engine(FailingOnce(fixture_lexicon.words()))
     with pytest.raises(RuntimeError):
-        cache.get_or_compute("word", compute)
-    assert len(cache) == 0
-    assert cache.get_or_compute("word", compute) == ("ok",)
-    assert cache.misses == 2
+        eng.check_word("பளம்")
+    assert eng.stats["cache_size"] == 0
+    assert eng.check_word("பளம்") == engine(fixture_lexicon).check_word("பளம்")
+    assert eng.stats == {"cache_hits": 0, "cache_misses": 2, "cache_size": 1}
 
 
-def test_cache_clear(fixture_lexicon):
+def test_cache_is_bounded_and_evicts_least_recent(fixture_lexicon, monkeypatch):
+    monkeypatch.setattr(tamilspell.checker, "CACHE_SIZE", 2)
     eng = engine(fixture_lexicon)
-    eng.check_word("பளம்")
-    assert len(eng.cache) == 1
-    eng.cache.clear()
-    assert len(eng.cache) == 0
-    eng.check_word("பளம்")
-    assert eng.cache.misses == 2
-
-
-# ----------------------------------------------------------------- workers
-
-
-def _document():
-    words = ["பழம்", "பளம்", "வீடு", "கறி", "மரம்", "computer", "தென்றல்காற்று"]
-    return " ".join(words[i % len(words)] for i in range(120))
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_worker_reports_match_serial(fixture_lexicon, workers):
-    doc = _document()
-    serial = engine(fixture_lexicon).check_text(doc).to_json()
-    pooled = engine(
-        fixture_lexicon, config=EngineConfig(workers=workers)
-    ).check_text(doc).to_json()
-    assert pooled == serial
-
-
-def test_workers_without_cache_match_serial(fixture_lexicon):
-    doc = _document()
-    serial = engine(fixture_lexicon).check_text(doc).to_json()
-    config = EngineConfig(workers=4, cache_enabled=False)
-    pooled = engine(fixture_lexicon, config=config).check_text(doc).to_json()
-    assert pooled == serial
-
-
-def test_worker_cache_counts_stay_per_distinct_word(fixture_lexicon):
-    eng = engine(fixture_lexicon, config=EngineConfig(workers=4))
-    eng.check_text("பளம் பளம் சுவம் பளம் சுவம்")
-    assert eng.suggestion_computations == 2
-    assert eng.cache.misses == 2
+    first = eng.check_word("பளம்").suggestions
+    eng.check_word("சுவம்")
+    assert eng.check_word("பளம்").suggestions is first  # now the most recent
+    eng.check_word("கறக")  # evicts சுவம்
+    assert eng.check_word("பளம்").suggestions is first
+    for word in ("மலழ", "சுவம்"):
+        eng.check_word(word)
+        assert eng.stats["cache_size"] == 2
+    again = eng.check_word("பளம்").suggestions
+    assert again == first
+    assert again is not first  # evicted, then computed afresh
+    assert eng.stats == {"cache_hits": 2, "cache_misses": 6, "cache_size": 2}
 
 
 def test_stats_shape(fixture_lexicon):
     eng = engine(fixture_lexicon)
     eng.check_word("பளம்")
-    stats = eng.stats
-    assert stats["cache_enabled"] is True
-    assert stats["cache_misses"] == 1
-    assert stats["suggestion_computations"] == 1
+    eng.check_word("பளம்")
+    assert eng.stats == {"cache_hits": 1, "cache_misses": 1, "cache_size": 1}
 
 
 # ----------------------------------------------------------------- loaders

@@ -173,8 +173,7 @@ def test_stats_go_to_stderr(tmp_path, wordlist, capsys):
     main([doc, "--dict", wordlist, "--stats"])
     err = capsys.readouterr().err
     stats = json.loads(err.strip().splitlines()[-1])
-    assert stats["suggestion_computations"] == 1
-    assert stats["workers"] == 1
+    assert stats["cache_misses"] == 1
     assert "elapsed_seconds" in stats
 
 
@@ -226,12 +225,6 @@ def test_dictionaries_merge(tmp_path):
     engine = build_engine(args)
     assert engine.lexicon.is_word("பழம்")
     assert engine.lexicon.is_word("பலம்")
-
-
-def test_workers_flag_reaches_config(wordlist):
-    args = _build_parser().parse_args(["--workers", "3", "x"])
-    args.dictionaries = [wordlist]
-    assert build_engine(args).config.workers == 3
 
 
 def test_version_flag(capsys):

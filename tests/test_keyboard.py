@@ -166,13 +166,6 @@ def test_corrections_clamp_ed_to_word_length():
         corrections("பளம்", lex, matrix, ed=0)
 
 
-def test_corrections_ranker_hook():
-    lex = Lexicon(["பழம்", "பலம்"])
-    matrix = ConfusionMatrix({"ள்": ["ழ்", "ல்"]})
-    reverse = corrections("பளம்", lex, matrix, ed=1, ranker=lambda w, s: list(reversed(s)))
-    assert [s.candidate for s in reverse] == ["பலம்", "பழம்"][::-1]
-
-
 def test_corrections_with_bundled_matrix(fixture_lexicon, fixture_matrix):
     # ட் and த் sit on adjacent keys: மடம் is a plausible typo for மதம்.
     found = corrections("மடம்", fixture_lexicon, fixture_matrix, ed=1)

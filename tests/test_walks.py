@@ -2,7 +2,8 @@
 
 Each strategy takes its candidates from the lexicon by walking the trie.
 The plain-Python enumerators (``edits_n``, ``generate_patterns``,
-``generate_alternates``) are the reference: enumerate, keep what the
+``generate_alternates``, ``generate_plain_splits`` with
+``generate_ottru_splits``) are the reference: enumerate, keep what the
 lexicon knows, and the walk must give exactly that set and those scores.
 """
 
@@ -12,11 +13,12 @@ import random
 import time
 
 from conftest import random_letter_word
-from tamilspell import keyboard, mayangoli
+from tamilspell import conjoined, keyboard, mayangoli
 from tamilspell.checker import SpellChecker, Verdict
+from tamilspell.conjoined import SplitKind
 from tamilspell.edits import edits_n, letter_edit_distance, suggest
 from tamilspell.keyboard import ConfusionMatrix
-from tamilspell.letters import alphabet, letter_texts
+from tamilspell.letters import alphabet, join_mei_uyir, letter_texts
 from tamilspell.lexicon import Lexicon
 
 TABLE = alphabet().letters
@@ -99,5 +101,67 @@ def test_long_series_token_is_bounded(fixture_lexicon):
     # follows prefixes the lexicon holds.
     started = time.perf_counter()
     report = SpellChecker(fixture_lexicon).check_word("ள" * 40)
+    assert report.verdict is Verdict.NON_WORD
+    assert time.perf_counter() - started < 2.0
+
+
+def test_keyboard_walk_keeps_substituted_letters_apart():
+    # The walk looks the substituted letters up as they are: க் put before
+    # ஷி stays two letters, although the joined text re-tokenizes as the
+    # one letter க்ஷி.  The enumerator joins and so finds பக்ஷி.
+    lex = Lexicon(["பக்ஷி"])
+    matrix = ConfusionMatrix({"ச்": ["க்"]})
+    assert letter_texts("பச்ஷி") == ("ப", "ச்", "ஷி")
+    assert "பக்ஷி" in keyboard.generate_patterns("பச்ஷி", matrix, 1)
+    assert keyboard.corrections("பச்ஷி", lex, matrix, 1) == []
+
+
+def _filtered_splits(word: str, lexicon: Lexicon) -> list:
+    found, seen = [], set()
+    for pair in conjoined.generate_plain_splits(word) + conjoined.generate_ottru_splits(word):
+        key = (pair.left, pair.right)
+        if key not in seen:
+            seen.add(key)
+            if lexicon.is_word(pair.left) and lexicon.is_word(pair.right):
+                found.append(pair)
+    return found
+
+
+def test_conjoined_walk_equals_filtered_splits():
+    rng = random.Random(31)
+    # Each pool has a mei and an uyir, so compounds fuse inside a letter.
+    pools = [
+        (["க்", "க", "அ", "இ", "ல்", "லி"], "ல்", "இ"),
+        ([lt for lt in TABLE if rng.random() < 0.05] + ["அ", "உ", "ண்", "ண"], "ண்", "அ"),
+    ]
+    checked = {SplitKind.PLAIN: 0, SplitKind.OTTRU: 0}
+    for pool, mei, uyir in pools:
+        for _ in range(600):
+            words = sorted(_random_lexicon(rng, pool, 4))
+            shape = rng.randrange(3)
+            if shape == 0:
+                word = "".join(rng.choice(words) for _ in range(rng.randint(1, 4)))
+            elif shape == 1:
+                left, right = rng.choice(words) + mei, uyir + rng.choice(words)
+                words += [left, right]
+                word = left[: -len(mei)] + join_mei_uyir(mei, uyir).text + right[len(uyir) :]
+            else:
+                word = "".join(rng.choice(pool) for _ in range(rng.randint(0, 9)))
+            lexicon = Lexicon(words)
+            found = conjoined.recognize(word, lexicon)
+            assert found == _filtered_splits(word, lexicon), word
+            for pair in found:
+                checked[pair.kind] += 1
+    assert min(checked.values()) > 100, "the words must actually split both ways"
+
+
+def test_long_random_token_is_bounded(fixture_lexicon):
+    # Looking both halves of every split up would be quadratic in the
+    # token's length; conjoined recognition stops at the first letter that
+    # leaves the lexicon's prefixes.
+    rng = random.Random(3000)
+    token = "".join(rng.choice(TABLE) for _ in range(3000))
+    started = time.perf_counter()
+    report = SpellChecker(fixture_lexicon).check_word(token)
     assert report.verdict is Verdict.NON_WORD
     assert time.perf_counter() - started < 2.0
