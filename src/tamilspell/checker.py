@@ -23,17 +23,17 @@ may then compute it twice, with equal results.
 from __future__ import annotations
 
 import functools
-import json
 import unicodedata
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
 from .errors import TamilSpellError
-from .letters import has_tamil, tokenize
+from .letters import has_tamil, letter_texts
 from .suggestion import Strategy, Suggestion
 
 __all__ = [
@@ -81,6 +81,10 @@ class TokenReport:
         }
 
 
+# The JSON text of every verdict and strategy name.
+_QUOTED = {member: encode_basestring(member.value) for member in (*Verdict, *Strategy)}
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Every token of a checked document, in order."""
@@ -97,8 +101,47 @@ class CheckReport:
     def as_dicts(self) -> list[dict]:
         return [t.as_dict() for t in self.tokens]
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dicts(), ensure_ascii=False, indent=indent)
+    def to_json(self, indent: int | str | None = None) -> str:
+        """The text of ``json.dumps(self.as_dicts(), ensure_ascii=False, indent=indent)``.
+
+        Written directly, without building the dicts.  Strings are escaped,
+        so every newline in the text is layout.
+        """
+        if not self.tokens:
+            return "[]"
+        if indent is None:
+            sep, nl = ", ", ("",) * 5
+        else:
+            if not isinstance(indent, str):
+                indent = " " * indent
+            sep = ","
+            nl = tuple("\n" + indent * k for k in range(5))
+        quote = encode_basestring
+        next_suggestion = sep + nl[3]
+        token_head = "{" + nl[2] + '"token": '
+        verdict_head = sep + nl[2] + '"verdict": '
+        suggestions_head = sep + nl[2] + '"suggestions": '
+        token_tail = nl[1] + "}"
+        suggestion_head = "{" + nl[4] + '"candidate": '
+        strategy_head = sep + nl[4] + '"strategy": '
+        score_head = sep + nl[4] + '"score": '
+        suggestion_tail = nl[3] + "}"
+        suggestions_tail = nl[2] + "]"
+        out = []
+        for t in self.tokens:
+            if t.suggestions:
+                rendered = "[" + nl[3] + next_suggestion.join([
+                    suggestion_head + quote(s.candidate) + strategy_head
+                    + _QUOTED[s.strategy] + score_head + str(s.score) + suggestion_tail
+                    for s in t.suggestions
+                ]) + suggestions_tail
+            else:
+                rendered = "[]"
+            out.append(
+                token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
+                + suggestions_head + rendered + token_tail
+            )
+        return "[" + nl[1] + (sep + nl[1]).join(out) + nl[0] + "]"
 
 
 @dataclass(frozen=True)
@@ -202,7 +245,7 @@ class SpellChecker:
         return None
 
     def _compute_suggestions(self, word: str) -> tuple[Suggestion, ...]:
-        letters = tuple(lt.text for lt in tokenize(word))
+        letters = letter_texts(word)
         merged: dict[str, Suggestion] = {}
 
         def merge(candidate: str, strategy: Strategy, score: int) -> None:

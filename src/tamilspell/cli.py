@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring
 
 from . import __version__
 from .bundled import bundled_confusion_matrix, bundled_lexicon, bundled_parallel_dict
@@ -126,8 +127,15 @@ def _check_files(engine: SpellChecker, files: list[str], as_json: bool, out_stre
             clean = False
         results.append((path, report))
     if as_json:
-        payload = [{"file": path, "tokens": report.as_dicts()} for path, report in results]
-        print(json.dumps(payload, ensure_ascii=False, indent=2), file=out_stream)
+        # json.dumps(payload, ensure_ascii=False, indent=2) for the payload
+        # [{"file": path, "tokens": report.as_dicts()}, ...], written directly;
+        # each report is indented two levels deeper by its (layout-only) newlines.
+        files_json = ",\n  ".join(
+            '{\n    "file": ' + encode_basestring(path) + ',\n    "tokens": '
+            + report.to_json(2).replace("\n", "\n    ") + "\n  }"
+            for path, report in results
+        )
+        print(f"[\n  {files_json}\n]", file=out_stream)
     else:
         for path, report in results:
             for token in report.non_words():

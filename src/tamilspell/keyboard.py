@@ -24,7 +24,7 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 from .errors import MatrixFormatError
-from .letters import Letter, LetterKind, join_mei_uyir, split_mei_uyir, tokenize
+from .letters import VOWEL_SIGNS, Letter, LetterKind, letter_texts, tokenize
 from .suggestion import Strategy, Suggestion
 
 __all__ = [
@@ -36,7 +36,12 @@ __all__ = [
 
 
 class ConfusionMatrix:
-    """Letter -> likely-mistyped-neighbour lists."""
+    """Letter -> likely-mistyped-neighbour lists.
+
+    Every letter's alternates are resolved once, at construction: the
+    direct entries, and for each mei key the uyirmei fallback of its
+    twelve uyir forms.
+    """
 
     def __init__(self, neighbors: Mapping[str, Sequence[str]]):
         table: dict[str, tuple[str, ...]] = {}
@@ -51,6 +56,17 @@ class ConfusionMatrix:
                     cleaned.append(alt)
             table[key] = tuple(cleaned)
         self._table = table
+        resolved = dict(table)
+        for key, alts in table.items():
+            if not _is_mei(key):
+                continue
+            meis = [alt for alt in alts if _is_mei(alt)]
+            for sign in VOWEL_SIGNS.values():
+                # join_mei_uyir, for letters already checked to be mei
+                letter = key[:-1] + sign
+                if letter not in table:
+                    resolved[letter] = tuple(mei[:-1] + sign for mei in meis)
+        self._resolved = resolved
 
     def __len__(self) -> int:
         return len(self._table)
@@ -66,25 +82,17 @@ class ConfusionMatrix:
         (non-mei neighbours cannot carry an uyir and are skipped).
         """
         if isinstance(letter, Letter):
-            text, kind = letter.text, letter.kind
+            text = letter.text
         else:
-            text = unicodedata.normalize("NFC", letter)
-            tokens = tokenize(text)
-            if len(tokens) != 1:
+            texts = letter_texts(unicodedata.normalize("NFC", letter))
+            if len(texts) != 1:
                 raise ValueError(f"not a single letter: {letter!r}")
-            text, kind = tokens[0].text, tokens[0].kind
-        direct = self._table.get(text)
-        if direct is not None:
-            return direct
-        if kind is LetterKind.UYIRMEI:
-            mei, uyir = split_mei_uyir(Letter(text, kind))
-            joined = []
-            for alt in self._table.get(mei.text, ()):
-                alt_tokens = tokenize(alt)
-                if len(alt_tokens) == 1 and alt_tokens[0].kind is LetterKind.MEI:
-                    joined.append(join_mei_uyir(alt_tokens[0], uyir).text)
-            return tuple(joined)
-        return ()
+            text = texts[0]
+        return self._resolved.get(text, ())
+
+
+def _is_mei(text: str) -> bool:
+    return tokenize(text) == [Letter(text, LetterKind.MEI)]
 
 
 def load_confusion_matrix(source) -> ConfusionMatrix:
@@ -136,8 +144,7 @@ def generate_patterns(word: str, matrix: ConfusionMatrix, ed: int = 1) -> list[s
     there; the input itself is never emitted and duplicates are dropped.
     ``ed`` must satisfy 1 <= ed <= letter count.
     """
-    word = unicodedata.normalize("NFC", word)
-    letters = tokenize(word)
+    letters = letter_texts(unicodedata.normalize("NFC", word))
     n = len(letters)
     if not 1 <= ed <= n:
         raise ValueError(f"ed must be between 1 and the word's {n} letters, got {ed}")
@@ -154,12 +161,15 @@ def generate_patterns(word: str, matrix: ConfusionMatrix, ed: int = 1) -> list[s
                 if budget > 1:
                     substitute(cand, p + 1, budget - 1)
 
-    substitute(tuple(lt.text for lt in letters), 0, ed)
+    substitute(letters, 0, ed)
     return ["".join(cand) for cand in seen]
 
 
-def _alternates(matrix: ConfusionMatrix, letters: list[Letter]) -> list[list[str]]:
-    return [[a for a in matrix.alternates_for(lt) if a != lt.text] for lt in letters]
+def _alternates(matrix: ConfusionMatrix, letters: Sequence[str]) -> list[tuple[str, ...]]:
+    # No entry lists its own letter: the matrix rejects self-neighbours,
+    # and distinct mei neighbours join to distinct uyirmei.
+    get = matrix._resolved.get
+    return [get(letter, ()) for letter in letters]
 
 
 def corrections(
@@ -175,14 +185,13 @@ def corrections(
     """
     if ed < 1:
         raise ValueError("ed must be >= 1")
-    word = unicodedata.normalize("NFC", word)
-    letters = tokenize(word)
+    letters = letter_texts(unicodedata.normalize("NFC", word))
     if not letters:
         return []
     found = [
         Suggestion(candidate, Strategy.KEYBOARD, changed)
         for candidate, changed in lexicon.substitutions(
-            [lt.text for lt in letters], _alternates(matrix, letters), min(ed, len(letters))
+            letters, _alternates(matrix, letters), min(ed, len(letters))
         )
     ]
     found.sort(key=lambda s: (s.score, s.candidate))

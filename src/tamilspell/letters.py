@@ -8,6 +8,14 @@ raw code points produce garbage (deleting the ா from கா yields a different
 letter, not a shorter word), so everything downstream runs on the letter
 sequences produced by :func:`tokenize`.
 
+Splitting is one compiled regular expression: a consonant (the conjunct
+க்ஷ tried first) with an optional pulli or vowel sign, or else any single
+code point.  :func:`letter_texts` returns those texts as they are;
+:func:`tokenize` maps each through a table built once at import that
+holds a shared :class:`Letter` for every Tamil letter and every lone mark
+(``Letter`` is frozen, so sharing is safe), and wraps any other code
+point as an OTHER letter.
+
 Two alphabet tables are provided.  The standard table has 247 letters:
 12 uyir, the ayudham ஃ, 18 mei and 216 uyirmei.  The extended table adds
 the grantha consonants for 323 letters: mei forms for ஜ ஷ ஸ ஹ plus the
@@ -52,10 +60,6 @@ CONSONANTS = (
 GRANTHA_CONSONANTS = ("ஜ", "ஷ", "ஸ", "ஹ", KSSA, "ஶ")
 # Grantha consonants whose mei form counts toward the 323-letter table.
 _GRANTHA_WITH_MEI = ("ஜ", "ஷ", "ஸ", "ஹ")
-
-_UYIR_SET = frozenset(UYIR_LETTERS)
-_SIGN_SET = frozenset(SIGN_TO_UYIR)
-_SINGLE_CONSONANTS = frozenset(CONSONANTS) | {"ஜ", "ஷ", "ஸ", "ஹ", "ஶ"}
 
 
 class LetterKind(Enum):
@@ -121,6 +125,28 @@ def has_tamil(text: str) -> bool:
     return _TAMIL_SEARCH(text) is not None
 
 
+def _letter_table() -> dict[str, Letter]:
+    table = {u: Letter(u, LetterKind.UYIR) for u in UYIR_LETTERS}
+    table[AYUDHAM] = Letter(AYUDHAM, LetterKind.AYUDHAM)
+    for mark in (PULLI, *SIGN_TO_UYIR):
+        table[mark] = Letter(mark, LetterKind.MALFORMED)
+    for cons in (*CONSONANTS, *GRANTHA_CONSONANTS):
+        table[cons + PULLI] = Letter(cons + PULLI, LetterKind.MEI)
+        for sign in VOWEL_SIGNS.values():
+            table[cons + sign] = Letter(cons + sign, LetterKind.UYIRMEI)
+    return table
+
+
+# Every Tamil token text -> its (shared, immutable) Letter.
+_LETTERS = _letter_table()
+# One token: a consonant (க்ஷ tried first) with an optional pulli or vowel
+# sign, else any single code point.
+_SINGLE_CONSONANTS = "".join(c for c in (*CONSONANTS, *GRANTHA_CONSONANTS) if c != KSSA)
+_SPLIT = re.compile(
+    f"(?:{KSSA}|[{_SINGLE_CONSONANTS}])[{PULLI}{''.join(SIGN_TO_UYIR)}]?|.", re.DOTALL
+).findall
+
+
 def tokenize(text: str) -> list[Letter]:
     """Split ``text`` into Tamil letters plus pass-through tokens.
 
@@ -129,37 +155,8 @@ def tokenize(text: str) -> list[Letter]:
     becomes a MALFORMED token, and any non-Tamil code point becomes an
     OTHER token.  Callers are expected to hand in NFC-normalized text.
     """
-    tokens: list[Letter] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _SINGLE_CONSONANTS:
-            base, j = ch, i + 1
-            if ch == "க" and text[i + 1 : i + 3] == PULLI + "ஷ":
-                base, j = KSSA, i + 3
-            nxt = text[j] if j < n else ""
-            if nxt == PULLI:
-                tokens.append(Letter(base + PULLI, LetterKind.MEI))
-                i = j + 1
-            elif nxt in _SIGN_SET:
-                tokens.append(Letter(base + nxt, LetterKind.UYIRMEI))
-                i = j + 1
-            else:
-                tokens.append(Letter(base, LetterKind.UYIRMEI))
-                i = j
-        elif ch in _UYIR_SET:
-            tokens.append(Letter(ch, LetterKind.UYIR))
-            i += 1
-        elif ch == AYUDHAM:
-            tokens.append(Letter(ch, LetterKind.AYUDHAM))
-            i += 1
-        elif ch in _SIGN_SET or ch == PULLI:
-            tokens.append(Letter(ch, LetterKind.MALFORMED))
-            i += 1
-        else:
-            tokens.append(Letter(ch, LetterKind.OTHER))
-            i += 1
-    return tokens
+    get = _LETTERS.get
+    return [get(t) or Letter(t, LetterKind.OTHER) for t in _SPLIT(text)]
 
 
 def classify(text: str) -> Letter:
@@ -177,7 +174,7 @@ def _as_letter(letter: Letter | str) -> Letter:
 def letter_texts(word: str | list[Letter] | tuple[str, ...]) -> tuple[str, ...]:
     """Coerce a word (string or pre-tokenized sequence) to letter texts."""
     if isinstance(word, str):
-        return tuple(t.text for t in tokenize(word))
+        return tuple(_SPLIT(word))
     return tuple(t.text if isinstance(t, Letter) else t for t in word)
 
 

@@ -37,10 +37,6 @@ class Lexicon:
         for word in words:
             self.add_word(word)
 
-    @property
-    def word_count(self) -> int:
-        return self._count
-
     def __len__(self) -> int:
         return self._count
 

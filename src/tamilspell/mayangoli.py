@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import SeriesTableError
-from .letters import Letter, LetterKind, join_mei_uyir, split_mei_uyir, tokenize
+from .letters import VOWEL_SIGNS, Letter, LetterKind, tokenize
 from .suggestion import Strategy, Suggestion
 
 __all__ = [
@@ -47,9 +47,17 @@ DEFAULT_SERIES = (
 
 @dataclass(frozen=True)
 class SeriesTable:
-    """The confusable groups, each a tuple of mei letters."""
+    """The confusable groups, each a tuple of mei letters.
+
+    Each uyirmei of a series member is mapped once, at construction, to
+    its match data and its row: every member of its series joined with
+    its uyir.
+    """
 
     series: tuple[tuple[str, ...], ...] = DEFAULT_SERIES
+    _letters: dict[str, tuple[str, str, int, tuple[str, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         seen: dict[str, int] = {}
@@ -62,12 +70,14 @@ class SeriesTable:
                 if mei in seen:
                     raise SeriesTableError(f"{mei!r} appears in series {seen[mei]} and {idx}")
                 seen[mei] = idx
-
-    def series_of(self, mei: str) -> tuple[str, ...] | None:
-        for group in self.series:
-            if mei in group:
-                return group
-        return None
+        letters = {}
+        for idx, group in enumerate(self.series):
+            for uyir, sign in VOWEL_SIGNS.items():
+                # join_mei_uyir, for members already checked to be mei
+                row = tuple(mei[:-1] + sign for mei in group)
+                for mei, letter in zip(group, row):
+                    letters[letter] = (mei, uyir, idx, row)
+        object.__setattr__(self, "_letters", letters)
 
 
 @dataclass(frozen=True)
@@ -122,19 +132,12 @@ def find_letter_positions(word, table: SeriesTable | None = None) -> list[Series
     pass-through tokens are skipped.
     """
     table = table or _DEFAULT_TABLE
-    if isinstance(word, str):
-        letters = tokenize(unicodedata.normalize("NFC", word))
-    else:
-        letters = list(word)
+    get = table._letters.get
     matches: list[SeriesMatch] = []
-    for pos, letter in enumerate(letters):
-        if letter.kind is not LetterKind.UYIRMEI:
-            continue
-        mei, uyir = split_mei_uyir(letter)
-        for idx, group in enumerate(table.series):
-            if mei.text in group:
-                matches.append(SeriesMatch(pos, mei.text, uyir.text, idx))
-                break
+    for pos, letter in enumerate(_letters(word)):
+        entry = get(letter.text)
+        if entry is not None:
+            matches.append(SeriesMatch(pos, *entry[:3]))
     return matches
 
 
@@ -146,13 +149,16 @@ def find_correspondents(word, matches=None, table: SeriesTable | None = None) ->
     original letter included.
     """
     table = table or _DEFAULT_TABLE
+    letters = _letters(word)
     if matches is None:
-        matches = find_letter_positions(word, table)
-    rows: list[list[str]] = []
-    for match in matches:
-        group = table.series[match.series_index]
-        rows.append([join_mei_uyir(mei, match.uyir).text for mei in group])
-    return rows
+        matches = find_letter_positions(letters, table)
+    return [list(table._letters[letters[m.position].text][3]) for m in matches]
+
+
+def _letters(word) -> list[Letter]:
+    if isinstance(word, str):
+        return tokenize(unicodedata.normalize("NFC", word))
+    return list(word)
 
 
 def generate_alternates(word: str, table: SeriesTable | None = None) -> list[str]:

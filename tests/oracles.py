@@ -2,13 +2,68 @@
 
 Everything here is written the slow, obvious way on purpose: list
 comprehensions over letter tuples, breadth-first search for distances,
-itertools enumeration for lattices.  No package internals are reused
-beyond the tokenizer's letter boundaries.
+itertools enumeration for lattices, a per-code-point loop for letters.
+No package internals are reused beyond the letter constants and the
+``Letter`` record.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from tamilspell.letters import (
+    AYUDHAM,
+    CONSONANTS,
+    KSSA,
+    PULLI,
+    SIGN_TO_UYIR,
+    UYIR_LETTERS,
+    Letter,
+    LetterKind,
+)
+
+_SINGLE_CONSONANTS = frozenset(CONSONANTS) | {"ஜ", "ஷ", "ஸ", "ஹ", "ஶ"}
+
+
+def reference_tokenize(text: str) -> list[Letter]:
+    """The tokenizer as a per-code-point loop: the reference for ``tokenize``.
+
+    A consonant (க் + ஷ read as the one consonant க்ஷ) takes a following
+    pulli (mei) or vowel sign (uyirmei), else stands bare (uyirmei); uyir
+    and ஃ stand alone; a sign or pulli with no consonant is MALFORMED and
+    anything else is OTHER.
+    """
+    tokens: list[Letter] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in _SINGLE_CONSONANTS:
+            base, j = ch, i + 1
+            if ch == "க" and text[i + 1 : i + 3] == PULLI + "ஷ":
+                base, j = KSSA, i + 3
+            nxt = text[j] if j < n else ""
+            if nxt == PULLI:
+                tokens.append(Letter(base + PULLI, LetterKind.MEI))
+                i = j + 1
+            elif nxt in SIGN_TO_UYIR:
+                tokens.append(Letter(base + nxt, LetterKind.UYIRMEI))
+                i = j + 1
+            else:
+                tokens.append(Letter(base, LetterKind.UYIRMEI))
+                i = j
+        elif ch in UYIR_LETTERS:
+            tokens.append(Letter(ch, LetterKind.UYIR))
+            i += 1
+        elif ch == AYUDHAM:
+            tokens.append(Letter(ch, LetterKind.AYUDHAM))
+            i += 1
+        elif ch in SIGN_TO_UYIR or ch == PULLI:
+            tokens.append(Letter(ch, LetterKind.MALFORMED))
+            i += 1
+        else:
+            tokens.append(Letter(ch, LetterKind.OTHER))
+            i += 1
+    return tokens
 
 
 def naive_single_edits(letters: tuple, alphabet: tuple) -> list[tuple]:

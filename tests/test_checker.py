@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import tamilspell.checker
 from tamilspell.checker import (
+    CheckReport,
     EngineConfig,
     SpellChecker,
     TokenReport,
@@ -174,6 +177,49 @@ def test_to_json_keeps_tamil_readable(fixture_lexicon):
     text = report.to_json()
     assert "பளம்" in text
     assert "\\u" not in text
+
+
+def _dumps(report, indent):
+    return json.dumps(report.as_dicts(), ensure_ascii=False, indent=indent)
+
+
+ODD_TEXTS = ('say "hi"', "back\\slash", "\x00\x07\t\n\x1f\x7f", "line\u2028sep\u2029", "😀𝔸", "")
+
+
+def test_to_json_equals_json_dumps(fixture_lexicon):
+    checked = engine(fixture_lexicon).check_text("பழம் பளம் computer தென்றல்காற்று xyz")
+    odd = CheckReport(tuple(
+        TokenReport(text, verdict, suggestions)
+        for text, verdict, suggestions in [
+            (ODD_TEXTS[0], Verdict.NON_WORD, ()),
+            (ODD_TEXTS[1], Verdict.NON_TAMIL, (Suggestion(ODD_TEXTS[2], Strategy.FOREIGN, 0),)),
+            (ODD_TEXTS[3], Verdict.NON_WORD, tuple(
+                Suggestion(text, strategy, score)
+                for text, strategy, score in zip(ODD_TEXTS, Strategy, (0, 1, 2, 12, -3))
+            )),
+            (ODD_TEXTS[4], Verdict.SKIPPED, ()),
+            (ODD_TEXTS[5], Verdict.VALID, ()),
+        ]
+    ))
+    for report in (checked, odd, CheckReport(())):
+        for indent in (None, 0, 2):
+            assert report.to_json(indent) == _dumps(report, indent)
+    assert any(t.suggestions for t in checked.tokens)
+    assert any(not t.suggestions for t in checked.tokens)
+
+
+@given(st.lists(st.tuples(
+    st.text(max_size=8),
+    st.sampled_from(Verdict),
+    st.lists(st.tuples(st.text(max_size=8), st.sampled_from(Strategy), st.integers(-999, 999)), max_size=3),
+), max_size=4))
+def test_to_json_equals_json_dumps_on_any_text(rows):
+    report = CheckReport(tuple(
+        TokenReport(token, verdict, tuple(Suggestion(*s) for s in suggestions))
+        for token, verdict, suggestions in rows
+    ))
+    for indent in (None, 0, 2):
+        assert report.to_json(indent) == _dumps(report, indent)
 
 
 def test_report_dict_shapes(fixture_lexicon):

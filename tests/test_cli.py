@@ -126,6 +126,19 @@ def test_batch_json_report(tmp_path, wordlist, capsys):
     assert tokens[1]["suggestions"][0]["candidate"] == "பலம்"
 
 
+def test_batch_json_bytes_equal_json_dumps(tmp_path, wordlist, capsys):
+    one = write_doc(tmp_path, 'say "hi".txt', "பழம் பளம் computer\nதென்றல்காற்று\n")
+    two = write_doc(tmp_path, "empty.txt", "")
+    main([one, two, "--dict", wordlist, "--json"])
+    engine = build_engine(_build_parser().parse_args([one, "--dict", wordlist]))
+    payload = [
+        {"file": path, "tokens": engine.check_text(text).as_dicts()}
+        for path, text in ((one, "பழம் பளம் computer\nதென்றல்காற்று\n"), (two, ""))
+    ]
+    assert payload[0]["tokens"] and not payload[1]["tokens"]
+    assert capsys.readouterr().out == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
 def test_batch_multiple_files(tmp_path, wordlist, capsys):
     one = write_doc(tmp_path, "one.txt", "பளம்\n")
     two = write_doc(tmp_path, "two.txt", "பழம்\n")

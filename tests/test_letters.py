@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import reference_tokenize
 from tamilspell.letters import (
     AYUDHAM,
     KSSA,
@@ -14,6 +15,7 @@ from tamilspell.letters import (
     has_tamil,
     is_tamil_codepoint,
     join_mei_uyir,
+    letter_texts,
     split_mei_uyir,
     tokenize,
 )
@@ -111,6 +113,23 @@ def test_tokenize_ksha_conjunct():
 @given(st.text(max_size=40))
 def test_tokenize_partitions_any_text(text):
     assert "".join(texts(tokenize(text))) == text
+
+
+# Pieces drawn for the reference comparison: the whole Tamil block
+# (assigned or not), Latin letters, newline, the joiners, a combining
+# acute, and the pieces of க்ஷ, also pre-joined so the conjunct turns up.
+_PIECES = (
+    [chr(cp) for cp in range(0x0B80, 0x0C00)]
+    + list("abcXYZ")
+    + ["\n", "\u200c", "\u200d", "\u0301", "க", PULLI, "ஷ", "க்", "க்ஷ", KSSA + PULLI]
+)
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+def test_tokenize_equals_reference_loop(text):
+    expected = [(t.text, t.kind) for t in reference_tokenize(text)]
+    assert [(t.text, t.kind) for t in tokenize(text)] == expected
+    assert letter_texts(text) == tuple(t for t, _ in expected)
 
 
 def test_every_table_letter_is_one_token():
