@@ -11,7 +11,12 @@ which outranks keyboard-adjacency patterns, which outrank generic edit
 candidates; within the merged list candidates sort by letter-level edit
 distance to the input (a recognized conjoined pair scores 0), then
 strategy priority, then code-point order.  The edit strategy returns
-every lexicon word within ``edit_distance``, with its distance.
+every lexicon word within ``edit_distance``, with its distance.  Every
+keyboard candidate and every series candidate within that distance is
+among them, so each candidate is scored once, by the edit walk, and
+labelled with the highest-priority strategy that proposed it.  Only a
+series candidate beyond ``edit_distance`` (the series budget is
+unlimited) is scored on its own.
 
 Suggestion lists are memoized per engine in one LRU memo of
 ``CACHE_SIZE`` words, so a document that repeats a misspelling computes
@@ -33,7 +38,7 @@ from pathlib import Path
 from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
 from .errors import TamilSpellError
-from .letters import has_tamil, letter_texts
+from .letters import has_tamil
 from .suggestion import Strategy, Suggestion
 
 __all__ = [
@@ -165,8 +170,9 @@ class SpellChecker:
     """Two-step checker over a lexicon, with pluggable strategy inputs.
 
     ``confusion_matrix=None`` loads the bundled keyboard-adjacency matrix;
-    pass an empty :class:`~tamilspell.keyboard.ConfusionMatrix` to disable
-    the keyboard strategy.
+    with an empty :class:`~tamilspell.keyboard.ConfusionMatrix` no
+    candidate is labelled KEYBOARD, and the words the keyboard strategy
+    would have reached are labelled EDIT.
     """
 
     def __init__(
@@ -245,24 +251,24 @@ class SpellChecker:
         return None
 
     def _compute_suggestions(self, word: str) -> tuple[Suggestion, ...]:
-        letters = letter_texts(word)
+        lexicon, ed = self.lexicon, self.config.edit_distance
+        series = {s.candidate for s in mayangoli.suggest(word, lexicon, self.series_table)}
+        nearby = keyboard.corrections(word, lexicon, self.confusion_matrix, ed)
         merged: dict[str, Suggestion] = {}
-
-        def merge(candidate: str, strategy: Strategy, score: int) -> None:
-            prev = merged.get(candidate)
-            if prev is None or (score, strategy.priority) < (prev.score, prev.strategy.priority):
-                merged[candidate] = Suggestion(candidate, strategy, score)
-
-        for pair in conjoined.recognize(word, self.lexicon):
-            merge(f"{pair.left} {pair.right}", Strategy.CONJOINED, 0)
-        for sug in mayangoli.suggest(word, self.lexicon, self.series_table):
-            merge(sug.candidate, Strategy.MAYANGOLI, letter_edit_distance(word, sug.candidate))
-        if letters:
-            ed = min(self.config.edit_distance, len(letters))
-            for sug in keyboard.corrections(word, self.lexicon, self.confusion_matrix, ed):
-                merge(sug.candidate, Strategy.KEYBOARD, letter_edit_distance(word, sug.candidate))
-            for sug in edits.suggest(word, self.lexicon, nedits=self.config.edit_distance):
-                merge(sug.candidate, Strategy.EDIT, sug.score)
+        for sug in edits.suggest(word, lexicon, nedits=ed):
+            if sug.candidate in series:
+                sug = Suggestion(sug.candidate, Strategy.MAYANGOLI, sug.score)
+            elif sug.candidate in nearby:
+                sug = Suggestion(sug.candidate, Strategy.KEYBOARD, sug.score)
+            merged[sug.candidate] = sug
+        for candidate in series.difference(merged):
+            merged[candidate] = Suggestion(
+                candidate, Strategy.MAYANGOLI, letter_edit_distance(word, candidate)
+            )
+        for pair in conjoined.recognize(word, lexicon):
+            # Scores 0, below any other strategy's score for the same text.
+            candidate = f"{pair.left} {pair.right}"
+            merged[candidate] = Suggestion(candidate, Strategy.CONJOINED, 0)
         ranked = sorted(
             merged.values(), key=lambda s: (s.score, s.strategy.priority, s.candidate)
         )

@@ -120,8 +120,11 @@ def _check_files(engine: SpellChecker, files: list[str], as_json: bool, out_stre
     results = []
     clean = True
     for path in files:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TamilSpellError(f"{path}: {exc}") from exc
         report = engine.check_text(text)
         if not report.clean:
             clean = False
@@ -149,6 +152,8 @@ def _check_files(engine: SpellChecker, files: list[str], as_json: bool, out_stre
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.ed < 1:
+        parser.error(f"argument --ed: must be at least 1, got {args.ed}")
     if not args.interactive and not args.files:
         parser.print_usage(sys.stderr)
         print("tamilspell: error: give FILEs to check or -i for interactive mode", file=sys.stderr)

@@ -1,12 +1,18 @@
 """Keyboard-typo correction via substitutions from a confusion matrix.
 
 A confusion matrix maps each letter to the letters a typist is likely to
-hit instead (physically adjacent keys, usually).  A candidate replaces up
-to ``ed`` positions of the input, each only by a neighbour of the letter
-originally there.  ``corrections`` takes those candidates from the lexicon
-with one substitution walk, so only neighbours that keep a lexicon prefix
-alive are tried; ``generate_patterns`` enumerates the same lattice as
-strings and is the reference the walk is tested against.
+hit instead (physically adjacent keys, usually).  A keyboard candidate
+replaces up to ``ed`` positions of the input, each only by a neighbour of
+the letter originally there.  ``corrections`` takes the set of those
+candidates from the lexicon with one substitution walk, so only
+neighbours that keep a lexicon prefix alive are tried;
+``generate_patterns`` enumerates the same lattice as strings and is the
+reference the walk is tested against.
+
+A keyboard candidate differs from the input in at most ``ed`` letters,
+which makes it an edit candidate at the same distance as well.
+``corrections`` therefore returns bare words, and the checker labels the
+edit candidates among them as keyboard suggestions.
 
 Uyirmei letters resolve through their mei: the matrix holds adjacency for
 ள், and பளம் gets பழம் by joining the neighbour ழ் with the original ள's
@@ -25,7 +31,6 @@ from pathlib import Path
 
 from .errors import MatrixFormatError
 from .letters import VOWEL_SIGNS, Letter, LetterKind, letter_texts, tokenize
-from .suggestion import Strategy, Suggestion
 
 __all__ = [
     "ConfusionMatrix",
@@ -172,27 +177,16 @@ def _alternates(matrix: ConfusionMatrix, letters: Sequence[str]) -> list[tuple[s
     return [get(letter, ()) for letter in letters]
 
 
-def corrections(
-    word: str,
-    lexicon,
-    matrix: ConfusionMatrix,
-    ed: int = 2,
-) -> list[Suggestion]:
+def corrections(word: str, lexicon, matrix: ConfusionMatrix, ed: int = 2) -> set[str]:
     """Lexicon words that substitute matrix neighbours at 1..``ed`` positions.
 
-    ``ed`` is clamped to the word's letter count.  Scored by the number of
-    substituted positions, ranked (score, code-point order).
+    ``ed`` is clamped to the word's letter count.
     """
     if ed < 1:
         raise ValueError("ed must be >= 1")
     letters = letter_texts(unicodedata.normalize("NFC", word))
-    if not letters:
-        return []
-    found = [
-        Suggestion(candidate, Strategy.KEYBOARD, changed)
-        for candidate, changed in lexicon.substitutions(
-            letters, _alternates(matrix, letters), min(ed, len(letters))
-        )
-    ]
-    found.sort(key=lambda s: (s.score, s.candidate))
-    return found
+    alternates = _alternates(matrix, letters)
+    return {
+        candidate
+        for candidate, _ in lexicon.substitutions(letters, alternates, min(ed, len(letters)))
+    }

@@ -2,10 +2,12 @@
 
 Nodes branch on whole letters rather than code points, so membership and
 prefix walks line up with the letter-level edit operations.  Correction
-candidates come out of the trie by walking it: :meth:`Lexicon.within_distance`
-for edits and :meth:`Lexicon.substitutions` for per-position substitutes,
-so the node layout stays private to this module.  The structure is
-immutable after loading; concurrent readers need no locking.
+candidates come out of the trie by walking it, so the node layout stays
+private to this module: :meth:`Lexicon.within_distance` gives every word
+within an edit distance, with that distance, and
+:meth:`Lexicon.substitutions` gives the words that swap letters for
+per-position alternates (confusable series, keyboard neighbours).  The
+structure is immutable after loading; concurrent readers need no locking.
 """
 
 from __future__ import annotations

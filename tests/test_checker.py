@@ -58,6 +58,20 @@ def test_merge_keeps_lowest_priority_strategy(fixture_lexicon):
     assert by_candidate["பழம்"].score == 1
 
 
+def test_conjoined_pair_that_is_also_an_edit_is_listed_once():
+    # The lexicon holds the spaced form too, one letter (the space) away.
+    lexicon = Lexicon(["தென்றல்", "காற்று", "தென்றல் காற்று"])
+    report = engine(lexicon).check_word("தென்றல்காற்று")
+    assert report.suggestions == (Suggestion("தென்றல் காற்று", Strategy.CONJOINED, 0),)
+
+
+def test_series_candidate_beyond_ed_is_scored_by_distance():
+    # Three series swaps turn லழல into ழலழ, two edits away (a rotation);
+    # the series budget is unlimited, so ed=1 does not hide it.
+    report = engine(Lexicon(["ழலழ"]), config=EngineConfig(edit_distance=1)).check_word("லழல")
+    assert report.suggestions == (Suggestion("ழலழ", Strategy.MAYANGOLI, 2),)
+
+
 def test_merged_list_is_sorted(fixture_lexicon):
     report = engine(fixture_lexicon).check_word("பளம்")
     keys = [(s.score, s.strategy.priority, s.candidate) for s in report.suggestions]

@@ -208,6 +208,26 @@ def test_missing_file_reports_and_exits_two(capsys):
     assert "tamilspell: error:" in err
 
 
+@pytest.mark.parametrize("ed", ["0", "-1"])
+def test_ed_below_one_is_usage_error(tmp_path, wordlist, capsys, ed):
+    doc = write_doc(tmp_path, "doc.txt", "பளம்\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main([doc, "--dict", wordlist, "--ed", ed])
+    assert exit_info.value.code == 2
+    assert "--ed" in capsys.readouterr().err
+
+
+def test_undecodable_document_exits_two(tmp_path, wordlist, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("பழம்\n".encode() + b"\xff\n")
+    status = main([str(bad), "--dict", wordlist])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"tamilspell: error: {bad}: ")
+    assert "can't decode byte 0xff" in captured.err
+
+
 def test_empty_wordlist_rejected(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n", encoding="utf-8")

@@ -5,6 +5,8 @@ The plain-Python enumerators (``edits_n``, ``generate_patterns``,
 ``generate_alternates``, ``generate_plain_splits`` with
 ``generate_ottru_splits``) are the reference: enumerate, keep what the
 lexicon knows, and the walk must give exactly that set and those scores.
+The keyboard walk only labels edit candidates, so it is checked through
+the checker's labels.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import time
 
 from conftest import random_letter_word
 from tamilspell import conjoined, keyboard, mayangoli
-from tamilspell.checker import SpellChecker, Verdict
+from tamilspell.checker import EngineConfig, SpellChecker, Verdict
 from tamilspell.conjoined import SplitKind
 from tamilspell.edits import edits_n, letter_edit_distance, suggest
 from tamilspell.keyboard import ConfusionMatrix
 from tamilspell.letters import alphabet, join_mei_uyir, letter_texts
 from tamilspell.lexicon import Lexicon
+from tamilspell.suggestion import Strategy, Suggestion
 
 TABLE = alphabet().letters
 
@@ -50,27 +53,46 @@ def test_edit_walk_equals_filtered_enumeration():
 
 
 def test_keyboard_walk_equals_filtered_patterns():
+    # The walk reaches the lattice's lexicon words.  The checker labels an
+    # edit candidate KEYBOARD when the walk reaches it and the series
+    # strategy does not, so the labelled candidates are those words minus
+    # the series ones, each scored by its letter edit distance.
     rng = random.Random(99)
     checked = 0
-    for _ in range(200):
+    for _ in range(300):
         letters = rng.sample(TABLE, rng.randint(3, 6))
         matrix = ConfusionMatrix(
             {key: [c for c in rng.sample(letters, rng.randint(1, 3)) if c != key] for key in letters}
         )
         word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
-        original = letter_texts(word)
-        ed = rng.randint(1, len(original))
-        patterns = keyboard.generate_patterns(word, matrix, ed)
+        ed = rng.randint(1, 3)
+        patterns = keyboard.generate_patterns(word, matrix, min(ed, len(letter_texts(word))))
         words = set(rng.sample(patterns, min(len(patterns), 8))) | _random_lexicon(rng, letters, 5)
-        want = []
-        for cand in patterns:
-            if cand in words:
-                changed = sum(a != b for a, b in zip(original, letter_texts(cand)))
-                want.append((changed, cand))
-        got = keyboard.corrections(word, Lexicon(words), matrix, ed)
-        assert [(s.score, s.candidate) for s in got] == sorted(want)
+        words.discard(word)
+        lexicon = Lexicon(words)
+        reached = {c for c in patterns if c in words}
+        assert keyboard.corrections(word, lexicon, matrix, ed) == reached
+        config = EngineConfig(edit_distance=ed, max_suggestions=10**6)
+        report = SpellChecker(lexicon, config=config, confusion_matrix=matrix).check_word(word)
+        got = {s.candidate: s.score for s in report.suggestions if s.strategy is Strategy.KEYBOARD}
+        series = {s.candidate for s in mayangoli.suggest(word, lexicon)}
+        assert set(got) == reached - series
+        for candidate, score in got.items():
+            assert score == letter_edit_distance(word, candidate)
         checked += len(got)
     assert checked > 200
+
+
+def test_rotation_beyond_the_substitution_budget_stays_edit():
+    # Each letter of கபம turns into a matrix neighbour in பமக, so only
+    # three substitutions reach it, but two edits do (delete க, append it).
+    matrix = ConfusionMatrix({"க": ["ப"], "ப": ["ம"], "ம": ["க"]})
+    lexicon = Lexicon(["பமக"])
+    assert "பமக" in keyboard.generate_patterns("கபம", matrix, 3)
+    at_two = SpellChecker(lexicon, config=EngineConfig(edit_distance=2), confusion_matrix=matrix)
+    assert at_two.check_word("கபம").suggestions == (Suggestion("பமக", Strategy.EDIT, 2),)
+    at_three = SpellChecker(lexicon, config=EngineConfig(edit_distance=3), confusion_matrix=matrix)
+    assert at_three.check_word("கபம").suggestions == (Suggestion("பமக", Strategy.KEYBOARD, 2),)
 
 
 def test_mayangoli_walk_equals_filtered_alternates():
@@ -113,7 +135,11 @@ def test_keyboard_walk_keeps_substituted_letters_apart():
     matrix = ConfusionMatrix({"ச்": ["க்"]})
     assert letter_texts("பச்ஷி") == ("ப", "ச்", "ஷி")
     assert "பக்ஷி" in keyboard.generate_patterns("பச்ஷி", matrix, 1)
-    assert keyboard.corrections("பச்ஷி", lex, matrix, 1) == []
+    assert keyboard.corrections("பச்ஷி", lex, matrix, 1) == set()
+    # Two edits reach it (ச் to க்ஷி, ஷி deleted), so the checker still
+    # suggests it, as an edit.
+    report = SpellChecker(lex, confusion_matrix=matrix).check_word("பச்ஷி")
+    assert report.suggestions == (Suggestion("பக்ஷி", Strategy.EDIT, 2),)
 
 
 def _filtered_splits(word: str, lexicon: Lexicon) -> list:
