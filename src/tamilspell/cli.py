@@ -49,19 +49,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(loader, path: str):
+    """``loader(path)``, with undecodable bytes reported as a data-file error."""
+    try:
+        return loader(path)
+    except UnicodeDecodeError as exc:
+        raise TamilSpellError(f"{path}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def build_engine(args: argparse.Namespace) -> SpellChecker:
     """Construct the engine an argument namespace describes."""
     if args.dictionaries:
-        lexicon = None
-        for path in args.dictionaries:
-            lexicon = load_wordlist(path, into=lexicon)
+        lexicon = load_wordlist(*args.dictionaries)
         if not len(lexicon):
             raise TamilSpellError("the loaded word lists are empty")
     else:
         lexicon = bundled_lexicon()
-    matrix = load_confusion_matrix(args.cm) if args.cm else bundled_confusion_matrix()
-    parallel = load_parallel_dict(args.parallel) if args.parallel else bundled_parallel_dict()
-    stop_words = load_stop_words(args.stopwords) if args.stopwords else frozenset()
+    matrix = _load(load_confusion_matrix, args.cm) if args.cm else bundled_confusion_matrix()
+    parallel = _load(load_parallel_dict, args.parallel) if args.parallel else bundled_parallel_dict()
+    stop_words = _load(load_stop_words, args.stopwords) if args.stopwords else frozenset()
     return SpellChecker(
         lexicon,
         config=EngineConfig(edit_distance=args.ed),
@@ -120,12 +131,7 @@ def _check_files(engine: SpellChecker, files: list[str], as_json: bool, out_stre
     results = []
     clean = True
     for path in files:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TamilSpellError(f"{path}: {exc}") from exc
-        report = engine.check_text(text)
+        report = engine.check_text(_load(_read_text, path))
         if not report.clean:
             clean = False
         results.append((path, report))

@@ -1,19 +1,35 @@
-"""Trie-backed lexicon keyed by Tamil letters.
+"""Immutable lexicon keyed by Tamil letters.
 
-Nodes branch on whole letters rather than code points, so membership and
-prefix walks line up with the letter-level edit operations.  Correction
-candidates come out of the trie by walking it, so the node layout stays
-private to this module: :meth:`Lexicon.within_distance` gives every word
-within an edit distance, with that distance, and
-:meth:`Lexicon.substitutions` gives the words that swap letters for
-per-position alternates (confusable series, keyboard neighbours).  The
-structure is immutable after loading; concurrent readers need no locking.
+A :class:`Lexicon` is built once from all its words and never changes, so
+concurrent readers need no locking.  It keeps two structures:
+
+* a ``frozenset`` of the NFC words, which answers membership
+  (:meth:`Lexicon.is_word`, ``in``, ``len``) with one hash lookup and no
+  letter split, and lists the words (:meth:`Lexicon.words`, in no
+  particular order);
+* a trie over whole letters, so that prefix walks line up with the
+  letter-level edit operations.
+
+Correction candidates come out of the trie by walking it:
+:meth:`Lexicon.within_distance` gives every word within an edit distance,
+with that distance, and :meth:`Lexicon.substitutions` gives the words that
+swap letters for per-position alternates (confusable series, keyboard
+neighbours).  The trie's layout is private to this module.  It is flat, in
+the spirit of Daciuk et al. 2000: each distinct letter is coded as one
+character, and nodes are numbered breadth-first, so that the child along
+edge ``e`` is node ``e + 1``.  One string holds every edge's letter code,
+sorted within each node; per node, a list holds the offset of its first
+edge (its edges run to the next node's offset) and a byte string marks
+where words end.
 """
 
 from __future__ import annotations
 
+import sys
 import unicodedata
-from collections.abc import Iterable, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 from pathlib import Path
 
 from .errors import WordListError
@@ -21,72 +37,100 @@ from .letters import letter_texts
 
 __all__ = ["Lexicon", "load_wordlist"]
 
+_nfc = partial(unicodedata.normalize, "NFC")
 
-class _Node:
-    __slots__ = ("children", "is_word")
+# Letter codes are the characters below this one, which codes a query
+# letter the lexicon lacks: it labels no edge.
+_MAX_LETTERS = sys.maxunicode
+_NO_LETTER = chr(_MAX_LETTERS)
 
-    def __init__(self):
-        self.children: dict[str, _Node] = {}
-        self.is_word = False
+
+class _Codes(dict):
+    """Letter text -> one-character code, assigned on first sight."""
+
+    def __missing__(self, letter: str) -> str:
+        if len(self) >= _MAX_LETTERS:
+            raise WordListError(f"more than {_MAX_LETTERS} distinct letters")
+        code = self[letter] = chr(len(self))
+        return code
+
+
+def _build_trie(words: Iterable[str]) -> tuple[dict[str, str], list[int], str, bytes]:
+    """The letter codes, edge offsets, edge labels and word ends of ``words``.
+
+    ``words`` are NFC and non-empty.  Each becomes a key string of letter
+    codes.  Sorted, the keys meet every depth's nodes in breadth-first
+    order: a key adds one node per letter after its common prefix with the
+    key before it, and a word ends at its last node.
+    """
+    codes = _Codes()
+    code = codes.__getitem__
+    keys = sorted(["".join(map(code, letter_texts(word))) for word in words])
+    # labels[d]: the codes of the depth d + 1 nodes.  Per depth-d node,
+    # starts[d] says where its children start in labels[d], and ends[d]
+    # holds 1 when a word ends there.
+    labels: list[list[str]] = [[]]
+    starts = [array("I", [0])]
+    ends = [bytearray(1)]
+    prev = ""
+    for key in keys:
+        n = len(key)
+        i = 0
+        limit = min(n, len(prev))
+        while i < limit and key[i] == prev[i]:
+            i += 1
+        while len(labels) <= n:
+            labels.append([])
+            starts.append(array("I"))
+            ends.append(bytearray())
+        for d in range(i, n):
+            labels[d].append(key[d])
+            starts[d + 1].append(len(labels[d + 1]))
+            ends[d + 1].append(0)
+        ends[n][-1] = 1
+        prev = key
+    del keys
+    first: list[int] = []
+    edges = 0  # edges into depths 1..d, so the first edge into depth d + 1
+    for d, level in enumerate(starts):
+        first.extend([edges + s for s in level])
+        edges += len(labels[d])
+    first.append(edges)
+    return (
+        codes,
+        first,
+        "".join(["".join(level) for level in labels]),
+        b"".join(ends),
+    )
 
 
 class Lexicon:
-    """A set of words with letter-wise prefix queries."""
+    """A fixed set of words with letter-wise prefix queries and walks."""
 
     def __init__(self, words: Iterable[str] = ()):
-        self._root = _Node()
-        self._count = 0
-        for word in words:
-            self.add_word(word)
+        self._words = frozenset(filter(None, map(_nfc, words)))
+        codes, self._first, self._labels, self._ends = _build_trie(self._words)
+        self._code = codes.get
+        self._letter_of = {c: letter for letter, c in codes.items()}
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._words)
 
     def __contains__(self, word: object) -> bool:
         return isinstance(word, str) and self.is_word(word)
 
-    def add_word(self, word: str) -> bool:
-        """Insert one word; returns False when it was already present."""
-        letters = letter_texts(unicodedata.normalize("NFC", word))
-        if not letters:
-            return False
-        node = self._root
-        for letter in letters:
-            node = node.children.setdefault(letter, _Node())
-        if node.is_word:
-            return False
-        node.is_word = True
-        self._count += 1
-        return True
-
-    def _walk(self, letters: Sequence[str]) -> _Node | None:
-        node = self._root
-        for letter in letters:
-            node = node.children.get(letter)
-            if node is None:
-                return None
-        return node
-
-    def contains_letters(self, letters: Sequence[str]) -> bool:
-        """Membership check for an already-tokenized letter sequence."""
-        if not letters:
-            return False
-        node = self._walk(letters)
-        return node is not None and node.is_word
-
-    def words(self) -> Iterable[str]:
-        """Yield every loaded word (trie order, not sorted)."""
-        stack: list[tuple[str, _Node]] = [("", self._root)]
-        while stack:
-            prefix, node = stack.pop()
-            if node.is_word:
-                yield prefix
-            for letter, child in node.children.items():
-                stack.append((prefix + letter, child))
+    def words(self) -> Iterator[str]:
+        """Every loaded word, once each, in no particular order."""
+        return iter(self._words)
 
     def is_word(self, word: str) -> bool:
         """True when ``word`` (a string) was loaded into the lexicon."""
-        return self.contains_letters(letter_texts(unicodedata.normalize("NFC", word)))
+        return _nfc(word) in self._words
+
+    def contains_letters(self, letters: Sequence[str]) -> bool:
+        """True when ``letters`` is exactly the letter split of a loaded word."""
+        text = "".join(letters)
+        return text in self._words and letter_texts(text) == tuple(letters)
 
     def prefix_exists(self, prefix) -> bool:
         """True when at least one loaded word starts with ``prefix``.
@@ -95,12 +139,19 @@ class Lexicon:
         exactly when the lexicon is non-empty.
         """
         if isinstance(prefix, str):
-            letters = letter_texts(unicodedata.normalize("NFC", prefix))
+            letters = letter_texts(_nfc(prefix))
         else:
             letters = letter_texts(prefix)
         if not letters:
-            return self._count > 0
-        return self._walk(letters) is not None
+            return bool(self._words)
+        first, labels, code = self._first, self._labels, self._code
+        node = 0
+        for letter in letters:
+            e = labels.find(code(letter, _NO_LETTER), first[node], first[node + 1])
+            if e < 0:
+                return False
+            node = e + 1
+        return True
 
     def within_distance(self, letters: Sequence[str], ed: int) -> list[tuple[str, int]]:
         """Every word at distance 1..``ed`` from ``letters``, with that distance.
@@ -117,7 +168,11 @@ class Lexicon:
         they are followed, and a node none of whose children can is not
         entered.
         """
-        q = tuple(letters)
+        code = self._code
+        query = tuple(letters)
+        # The rows compare letter codes; the path holds letters, which spell
+        # the words found and locate transpositions.
+        q = tuple([code(letter, _NO_LETTER) for letter in query])
         m = len(q)
         cap = ed + 1
         where: dict[str, list[int]] = {}  # letter -> columns j with q[j - 1] == letter
@@ -144,10 +199,10 @@ class Lexicon:
                 row[0] = low = depth
                 if m:
                     nexts.add(q[0])
-            lo = max(1, depth - ed)
+            lo = depth - ed if depth > ed else 1
             left = row[lo - 1]
             matched = 0  # last column before j whose query letter is ``letter``
-            for j in range(lo, min(m, depth + ed) + 1):
+            for j in range(lo, (depth + ed if depth + ed < m else m) + 1):
                 y = q[j - 1]
                 v = parent[j - 1] if y == letter else parent[j - 1] + 1
                 if parent[j] + 1 < v:
@@ -155,7 +210,7 @@ class Lexicon:
                 if left + 1 < v:
                     v = left + 1
                 if matched and j - matched <= ed:
-                    t = transposed(y, depth, matched, j - matched - 1)
+                    t = transposed(query[j - 1], depth, matched, j - matched - 1)
                     if t < v:
                         v = t
                 if y == letter:
@@ -181,62 +236,63 @@ class Lexicon:
                     row[j] = ed
                     if j < m:
                         nexts.add(q[j])
-                if j < m and transposed(q[j], depth, j, 0) <= ed:
+                if j < m and transposed(query[j], depth, j, 0) <= ed:
                     row[j + 1] = ed
                     if j + 1 < m:
                         nexts.add(q[j + 1])
             return row, ed if nexts or row[m] == ed else cap, nexts
 
+        first, labels, ends, letter_of = self._first, self._labels, self._ends, self._letter_of
         found: list[tuple[str, int]] = []
+
+        def descend(e: int, x: str, depth: int, kid: tuple) -> None:
+            # The child along edge ``e``, whose row ``kid`` is within ed:
+            # report it if it is a word in range, and queue it if one of its
+            # children can stay in range.
+            r, r_low, r_nexts = kid
+            c = e + 1
+            if 0 < r[m] <= ed and ends[c]:
+                found.append(("".join(path[: depth - 1]) + letter_of[x], r[m]))
+            lo = first[c]
+            hi = first[c + 1]
+            if lo < hi and (r_low < ed or not r_nexts.isdisjoint(labels[lo:hi])):
+                stack.append((lo, hi, depth, x, kid))
+
         root = [min(j, cap) for j in range(m + 1)]
-        stack = [(self._root, 0, "", (root, 0, {q[j] for j in range(min(m, cap))}))]
+        stack = [(first[0], first[1], 0, "", (root, 0, {q[j] for j in range(min(m, cap))}))]
         while stack:
-            node, depth, letter, (row, low, nexts) = stack.pop()
+            lo, hi, depth, letter, (row, low, nexts) = stack.pop()
             rows[depth] = row
             if depth:
-                path[depth - 1] = letter
-            children = node.children
+                path[depth - 1] = letter_of[letter]
             depth += 1
+            if low < ed:
+                shared = full_row(None, depth, row)
+                s_row, s_low, s_nexts = shared
+                s_dist = s_row[m] if s_row[m] <= ed else 0
+                if s_low < ed or s_nexts or s_dist:
+                    # Every child: the query's letters get their own row,
+                    # the others share one.
+                    for e, x in enumerate(labels[lo:hi], lo):
+                        if x in nexts:
+                            kid = full_row(x, depth, row)
+                            if kid[1] <= ed:
+                                descend(e, x, depth, kid)
+                            continue
+                        c = e + 1
+                        if s_dist and ends[c]:
+                            found.append(("".join(path[: depth - 1]) + letter_of[x], s_dist))
+                        lo2 = first[c]
+                        hi2 = first[c + 1]
+                        if lo2 < hi2 and (s_low < ed or not s_nexts.isdisjoint(labels[lo2:hi2])):
+                            stack.append((lo2, hi2, depth, x, shared))
+                    continue
             for x in nexts:
-                child = children.get(x)
-                if child is None:
-                    continue
-                kid = full_row(x, depth, row) if low < ed else sparse_row(x, depth, row)
-                r, r_low, r_nexts = kid
-                if r_low > ed:
-                    continue
-                if child.is_word and 0 < r[m] <= ed:
-                    found.append(("".join(path[: depth - 1]) + x, r[m]))
-                grandkids = child.children
-                if r_low < ed:
-                    if grandkids:
-                        stack.append((child, depth, x, kid))
-                    continue
-                for y in r_nexts:
-                    if y in grandkids:
-                        stack.append((child, depth, x, kid))
-                        break
-            if low == ed:
-                continue
-            kid = full_row(None, depth, row)
-            r, r_low, r_nexts = kid
-            if r_low > ed:
-                continue
-            word_dist = r[m] if r[m] <= ed else 0
-            for x, child in children.items():
-                if x in nexts:
-                    continue
-                if word_dist and child.is_word:
-                    found.append(("".join(path[: depth - 1]) + x, word_dist))
-                grandkids = child.children
-                if r_low < ed:
-                    if grandkids:
-                        stack.append((child, depth, x, kid))
-                    continue
-                for y in r_nexts:
-                    if y in grandkids:
-                        stack.append((child, depth, x, kid))
-                        break
+                e = labels.find(x, lo, hi)
+                if e >= 0:
+                    kid = full_row(x, depth, row) if low < ed else sparse_row(x, depth, row)
+                    if kid[1] <= ed:
+                        descend(e, x, depth, kid)
         return found
 
     def substitutions(
@@ -250,46 +306,53 @@ class Lexicon:
         not by the product of the alternates.
         """
         n = len(letters)
+        first, labels, ends, code = self._first, self._labels, self._ends, self._code
         path = [""] * n
         found: list[tuple[str, int]] = []
-        stack = [(self._root, 0, "", 0)]
+        stack = [(0, 0, "", 0)]
         while stack:
             node, p, letter, changes = stack.pop()
             if p:
                 path[p - 1] = letter
             if p == n:
-                if node.is_word and changes:
+                if ends[node] and changes:
                     found.append(("".join(path), changes))
                 continue
-            children = node.children
-            child = children.get(letters[p])
-            if child is not None:
-                stack.append((child, p + 1, letters[p], changes))
+            lo = first[node]
+            hi = first[node + 1]
+            e = labels.find(code(letters[p], _NO_LETTER), lo, hi)
+            if e >= 0:
+                stack.append((e + 1, p + 1, letters[p], changes))
             if changes < budget:
                 for alt in alternates[p]:
-                    child = children.get(alt)
-                    if child is not None:
-                        stack.append((child, p + 1, alt, changes + 1))
+                    e = labels.find(code(alt, _NO_LETTER), lo, hi)
+                    if e >= 0:
+                        stack.append((e + 1, p + 1, alt, changes + 1))
         return found
 
 
-def load_wordlist(source, into: Lexicon | None = None) -> Lexicon:
-    """Build a :class:`Lexicon` from a UTF-8 word list.
+def load_wordlist(*sources) -> Lexicon:
+    """Build one :class:`Lexicon` from one or more UTF-8 word lists.
 
     One word per line; blank lines and lines starting with ``#`` are
-    skipped, duplicates are ignored.  ``source`` may be a path or an open
-    text/binary stream.  Undecodable bytes raise :class:`WordListError`
-    with the offending line number.  Passing ``into`` merges the words
-    into an existing lexicon instead of building a fresh one.
+    skipped, and a word listed more than once, in one source or several,
+    is loaded once.  Each source may be a path or an open text/binary
+    stream.  Undecodable bytes raise :class:`WordListError` with the
+    source's name and the offending line number.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return _load_lines(fh, name=str(source), into=into)
-    return _load_lines(source, name=getattr(source, "name", "<stream>"), into=into)
+    return Lexicon(_read_words(sources))
 
 
-def _load_lines(stream, name: str, into: Lexicon | None) -> Lexicon:
-    lexicon = into if into is not None else Lexicon()
+def _read_words(sources) -> Iterator[str]:
+    for source in sources:
+        if isinstance(source, (str, Path)):
+            with open(source, "rb") as fh:
+                yield from _words_in(fh, str(source))
+        else:
+            yield from _words_in(source, getattr(source, "name", "<stream>"))
+
+
+def _words_in(stream, name: str) -> Iterator[str]:
     for lineno, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             try:
@@ -299,7 +362,5 @@ def _load_lines(stream, name: str, into: Lexicon | None) -> Lexicon:
         else:
             line = raw
         word = line.strip()
-        if not word or word.startswith("#"):
-            continue
-        lexicon.add_word(word)
-    return lexicon
+        if word and not word.startswith("#"):
+            yield word

@@ -246,10 +246,23 @@ def test_bad_matrix_file_exits_two(tmp_path, wordlist, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--cm", "--parallel", "--stopwords"])
+def test_undecodable_data_file_exits_two(tmp_path, wordlist, capsys, flag):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"\xff\tx\n")
+    doc = write_doc(tmp_path, "doc.txt", "பழம்\n")
+    status = main([doc, "--dict", wordlist, flag, str(bad)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"tamilspell: error: {bad}: ")
+    assert "can't decode byte 0xff" in captured.err
+
+
 # ----------------------------------------------------------------- flags
 
 
-def test_dictionaries_merge(tmp_path):
+def test_dictionaries_merge(tmp_path, capsys):
     first = tmp_path / "a.txt"
     first.write_text("பழம்\n", encoding="utf-8")
     second = tmp_path / "b.txt"
@@ -258,6 +271,9 @@ def test_dictionaries_merge(tmp_path):
     engine = build_engine(args)
     assert engine.lexicon.is_word("பழம்")
     assert engine.lexicon.is_word("பலம்")
+    doc = write_doc(tmp_path, "doc.txt", "பழம் பலம்\n")
+    assert main([doc, "--dict", str(first), "--dict", str(second)]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_version_flag(capsys):
