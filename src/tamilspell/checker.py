@@ -4,7 +4,9 @@ Every token takes one route, whether it comes from ``check_word`` or
 ``check_text``: a token with no Tamil code point goes to the parallel
 dictionary, a stop word is skipped, a token the lexicon knows is valid,
 and anything else goes through every correction strategy and the results
-are merged.
+are merged.  The checker is the input boundary: it NFC-normalizes each
+token, and splits a non-word into letters once; every strategy takes that
+letter tuple.
 
 Conjoined-split recognition outranks confusable-series substitution,
 which outranks keyboard-adjacency patterns, which outrank generic edit
@@ -33,12 +35,11 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
-from pathlib import Path
 
 from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
-from .errors import TamilSpellError
-from .letters import has_tamil
+from .errors import TamilSpellError, _data_lines
+from .letters import has_tamil, letter_texts
 from .suggestion import Strategy, Suggestion
 
 __all__ = [
@@ -252,10 +253,11 @@ class SpellChecker:
 
     def _compute_suggestions(self, word: str) -> tuple[Suggestion, ...]:
         lexicon, ed = self.lexicon, self.config.edit_distance
-        series = {s.candidate for s in mayangoli.suggest(word, lexicon, self.series_table)}
-        nearby = keyboard.corrections(word, lexicon, self.confusion_matrix, ed)
+        letters = letter_texts(word)
+        series = mayangoli.suggest(letters, lexicon, self.series_table)
+        nearby = keyboard.corrections(letters, lexicon, self.confusion_matrix, ed)
         merged: dict[str, Suggestion] = {}
-        for sug in edits.suggest(word, lexicon, nedits=ed):
+        for sug in edits.suggest(letters, lexicon, nedits=ed):
             if sug.candidate in series:
                 sug = Suggestion(sug.candidate, Strategy.MAYANGOLI, sug.score)
             elif sug.candidate in nearby:
@@ -263,9 +265,9 @@ class SpellChecker:
             merged[sug.candidate] = sug
         for candidate in series.difference(merged):
             merged[candidate] = Suggestion(
-                candidate, Strategy.MAYANGOLI, letter_edit_distance(word, candidate)
+                candidate, Strategy.MAYANGOLI, letter_edit_distance(letters, candidate)
             )
-        for pair in conjoined.recognize(word, lexicon):
+        for pair in conjoined.recognize(letters, lexicon):
             # Scores 0, below any other strategy's score for the same text.
             candidate = f"{pair.left} {pair.right}"
             merged[candidate] = Suggestion(candidate, Strategy.CONJOINED, 0)
@@ -301,18 +303,8 @@ def _word_tokens(text: str) -> list[str]:
 
 def load_parallel_dict(source) -> dict[str, str]:
     """Read ``foreign<TAB>tamil`` lines into a case-folded mapping."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        name = str(source)
-    else:
-        lines = list(source)
-        name = getattr(source, "name", "<stream>")
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for name, lineno, line in _data_lines(source, TamilSpellError):
         if "\t" not in line:
             raise TamilSpellError(f"{name}:{lineno}: expected 'foreign<TAB>tamil'")
         foreign, tamil = line.split("\t", 1)
@@ -326,14 +318,7 @@ def load_parallel_dict(source) -> dict[str, str]:
 
 def load_stop_words(source) -> frozenset[str]:
     """Read a stop list: one word per line, ``#`` comments allowed."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = list(source)
-    words = set()
-    for raw in lines:
-        word = raw.strip()
-        if word and not word.startswith("#"):
-            words.add(unicodedata.normalize("NFC", word))
-    return frozenset(words)
+    return frozenset(
+        unicodedata.normalize("NFC", line.strip())
+        for _, _, line in _data_lines(source, TamilSpellError)
+    )

@@ -49,17 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(loader, path: str):
-    """``loader(path)``, with undecodable bytes reported as a data-file error."""
+def _read_text(path: str) -> str:
+    """The document at ``path``; undecodable bytes are a data-file error."""
     try:
-        return loader(path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise TamilSpellError(f"{path}: {exc}") from exc
-
-
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
 
 
 def build_engine(args: argparse.Namespace) -> SpellChecker:
@@ -70,9 +66,9 @@ def build_engine(args: argparse.Namespace) -> SpellChecker:
             raise TamilSpellError("the loaded word lists are empty")
     else:
         lexicon = bundled_lexicon()
-    matrix = _load(load_confusion_matrix, args.cm) if args.cm else bundled_confusion_matrix()
-    parallel = _load(load_parallel_dict, args.parallel) if args.parallel else bundled_parallel_dict()
-    stop_words = _load(load_stop_words, args.stopwords) if args.stopwords else frozenset()
+    matrix = load_confusion_matrix(args.cm) if args.cm else bundled_confusion_matrix()
+    parallel = load_parallel_dict(args.parallel) if args.parallel else bundled_parallel_dict()
+    stop_words = load_stop_words(args.stopwords) if args.stopwords else frozenset()
     return SpellChecker(
         lexicon,
         config=EngineConfig(edit_distance=args.ed),
@@ -85,8 +81,10 @@ def build_engine(args: argparse.Namespace) -> SpellChecker:
 def repl(engine: SpellChecker, in_stream=None, out_stream=None) -> None:
     """Interactive loop: one word per line, suggestions are numbered.
 
-    Entering an index after a suggestion list echoes that candidate;
-    ``:q`` or end-of-file leaves the loop.
+    A word whose verdict is not a non-word and that has no suggestion
+    (valid, a stop word, a non-Tamil token with no parallel-dictionary
+    entry) is reported correct.  Entering an index after a suggestion list
+    echoes that candidate; ``:q`` or end-of-file leaves the loop.
     """
     stdin = in_stream if in_stream is not None else sys.stdin
     stdout = out_stream if out_stream is not None else sys.stdout
@@ -115,11 +113,10 @@ def repl(engine: SpellChecker, in_stream=None, out_stream=None) -> None:
                 say(f"எண் {index} பட்டியலில் இல்லை")
             continue
         report = engine.check_word(word)
-        if report.verdict is Verdict.VALID:
-            say(f'சொல் "{word}" சரி')
-            last = []
-            continue
         last = [s.candidate for s in report.suggestions]
+        if report.verdict is not Verdict.NON_WORD and not last:
+            say(f'சொல் "{word}" சரி')
+            continue
         say(f'சொல் "{word}" மாற்றங்கள்')
         if last:
             say(", ".join(f"({i}) {cand}" for i, cand in enumerate(last)))
@@ -131,7 +128,7 @@ def _check_files(engine: SpellChecker, files: list[str], as_json: bool, out_stre
     results = []
     clean = True
     for path in files:
-        report = engine.check_text(_load(_read_text, path))
+        report = engine.check_text(_read_text(path))
         if not report.clean:
             clean = False
         results.append((path, report))

@@ -5,16 +5,29 @@ Two split families are generated.  A plain split cuts between letters:
 because joining word-final mei with word-initial uyir is exactly how such
 compounds fuse: கணவன் -> கண் + அவன் (the ண becomes ண் + அ).  A word the
 lexicon already knows both halves of is reported as a recognized pair
-rather than a misspelling.
+rather than a misspelling.  ``recognize`` takes the word as its letter
+split, as the checker made it; ``generate_plain_splits`` and
+``generate_ottru_splits`` enumerate every split of a text and are the
+reference it is tested against.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .letters import LetterKind, join_mei_uyir, split_mei_uyir, tokenize
+from .letters import (
+    CONSONANTS,
+    GRANTHA_CONSONANTS,
+    PULLI,
+    VOWEL_SIGNS,
+    LetterKind,
+    join_mei_uyir,
+    split_mei_uyir,
+    tokenize,
+)
 
 __all__ = [
     "SplitKind",
@@ -23,6 +36,14 @@ __all__ = [
     "generate_plain_splits",
     "recognize",
 ]
+
+
+# Each uyirmei letter -> the texts of its mei and its uyir (split_mei_uyir).
+_MEI_UYIR = {
+    cons + sign: (cons + PULLI, uyir)
+    for cons in (*CONSONANTS, *GRANTHA_CONSONANTS)
+    for uyir, sign in VOWEL_SIGNS.items()
+}
 
 
 class SplitKind(Enum):
@@ -80,30 +101,29 @@ def generate_plain_splits(word: str) -> list[SplitPair]:
     ]
 
 
-def recognize(word: str, lexicon) -> list[SplitPair]:
+def recognize(letters: Sequence[str], lexicon) -> list[SplitPair]:
     """Splits whose halves are both lexicon words; plain splits first.
 
-    No (left, right) pair repeats: plain pairs differ in the length of
-    their left half, ottru pairs too, and an ottru pair's halves are longer
-    together than the word.  The word is tokenized once and split points
-    are walked left to right, stopping at the first letter that leaves the
-    lexicon's prefixes: no left half can be a word after it.  A right half
-    is looked up only behind a left half that is a word, so the work is
-    bounded by the lexicon's depth.
+    ``letters`` is the word's letter split.  No (left, right) pair
+    repeats: plain pairs differ in the length of their left half, ottru
+    pairs too, and an ottru pair's halves are longer together than the
+    word.  Split points are walked left to right, stopping at the first
+    letter that leaves the lexicon's prefixes: no left half can be a word
+    after it.  A right half is looked up only behind a left half that is a
+    word, so the work is bounded by the lexicon's depth.
     """
-    letters = tokenize(unicodedata.normalize("NFC", word))
-    texts = tuple(lt.text for lt in letters)
+    texts = tuple(letters)
     plain: list[SplitPair] = []
     ottru: list[SplitPair] = []
-    for i, letter in enumerate(letters):
+    for i, text in enumerate(texts):
         left = "".join(texts[:i])
         if lexicon.contains_letters(texts[:i]) and lexicon.contains_letters(texts[i:]):
             plain.append(SplitPair(left, "".join(texts[i:]), SplitKind.PLAIN))
-        if letter.kind is LetterKind.UYIRMEI:
-            mei, uyir = split_mei_uyir(letter)
-            right = uyir.text + "".join(texts[i + 1 :])
-            if lexicon.contains_letters(texts[:i] + (mei.text,)) and lexicon.is_word(right):
-                ottru.append(SplitPair(left + mei.text, right, SplitKind.OTTRU))
+        if text in _MEI_UYIR:
+            mei, uyir = _MEI_UYIR[text]
+            right = uyir + "".join(texts[i + 1 :])
+            if lexicon.contains_letters(texts[:i] + (mei,)) and lexicon.is_word(right):
+                ottru.append(SplitPair(left + mei, right, SplitKind.OTTRU))
         if not lexicon.prefix_exists(texts[: i + 1]):
             break
     return plain + ottru

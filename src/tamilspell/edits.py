@@ -4,8 +4,9 @@ All operations work on whole letters, never raw code points: deleting the
 second letter of கடல் gives கல், and replacements draw from a letter
 alphabet (247 standard, 323 with grantha).  ``suggest`` is the contract:
 every lexicon word within letter-level Damerau-Levenshtein distance
-``nedits`` is a candidate.  It takes them from the lexicon by walking it,
-never by generating strings.  ``edit_operations``, ``edits1`` and
+``nedits`` is a candidate.  It takes the input as its letter split, as
+the checker made it, and takes the candidates from the lexicon by walking
+it, never by generating strings.  ``edit_operations``, ``edits1`` and
 ``edits_n`` enumerate the neighbourhood itself, level by level; they are
 the reference the walk is tested against.
 """
@@ -13,6 +14,7 @@ the reference the walk is tested against.
 from __future__ import annotations
 
 import unicodedata
+from collections.abc import Sequence
 
 from .letters import Alphabet, alphabet as default_alphabet, letter_texts
 from .suggestion import Strategy, Suggestion
@@ -95,17 +97,18 @@ def edits_n(word, alphabet=None, nedits: int = 1) -> list[str]:
     return ["".join(w) for w in seen]
 
 
-def suggest(word, lexicon, nedits: int = 2) -> list[Suggestion]:
-    """Every lexicon word within ``nedits`` letter edits, ``word`` excluded.
+def suggest(letters: Sequence[str], lexicon, nedits: int = 2) -> list[Suggestion]:
+    """Every lexicon word within ``nedits`` letter edits, the input excluded.
 
-    Scored by letter-level edit distance and ranked (distance, code-point
-    order).  ``lexicon`` is a :class:`tamilspell.lexicon.Lexicon`.
+    ``letters`` is the word's letter split.  Scored by letter-level edit
+    distance and ranked (distance, code-point order).  ``lexicon`` is a
+    :class:`tamilspell.lexicon.Lexicon`.
     """
     if nedits < 1:
         raise ValueError("nedits must be >= 1")
     found = [
         Suggestion(candidate, Strategy.EDIT, distance)
-        for candidate, distance in lexicon.within_distance(_coerce_word(word), nedits)
+        for candidate, distance in lexicon.within_distance(letters, nedits)
     ]
     found.sort(key=lambda s: (s.score, s.candidate))
     return found
@@ -115,10 +118,9 @@ def letter_edit_distance(a, b) -> int:
     """Unrestricted Damerau-Levenshtein distance between letter sequences.
 
     Insert, delete, replace and transpose all cost one, counted on whole
-    letters; accepts strings or pre-tokenized sequences.
+    letters; accepts NFC strings or letter sequences.
     """
-    sa = letter_texts(unicodedata.normalize("NFC", a)) if isinstance(a, str) else letter_texts(a)
-    sb = letter_texts(unicodedata.normalize("NFC", b)) if isinstance(b, str) else letter_texts(b)
+    sa, sb = letter_texts(a), letter_texts(b)
     la, lb = len(sa), len(sb)
     if not la:
         return lb

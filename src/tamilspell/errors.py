@@ -1,4 +1,10 @@
-"""Exception types raised by the data-file loaders."""
+"""Exception types raised by the data-file loaders, and the line reader they share."""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+from contextlib import nullcontext
+from pathlib import Path
 
 
 class TamilSpellError(Exception):
@@ -15,3 +21,26 @@ class MatrixFormatError(TamilSpellError):
 
 class SeriesTableError(TamilSpellError):
     """A confusable-series file is malformed."""
+
+
+def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int, str]]:
+    """``(name, lineno, line)`` for each line of ``source`` with content.
+
+    ``source`` is a path, or a text or binary stream named by its ``name``
+    attribute.  Lines are read one at a time and come back as read, line
+    ending included, so that a tab at either end still separates fields;
+    blank lines and ``#`` comments are skipped.  Bytes are decoded as UTF-8
+    line by line, and undecodable ones raise ``error`` as ``name:lineno:
+    undecodable bytes: <codec message>``.
+    """
+    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as stream:
+        name = getattr(stream, "name", "<stream>")
+        for lineno, line in enumerate(stream, start=1):
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"{name}:{lineno}: undecodable bytes: {exc}") from exc
+            content = line.strip()
+            if content and not content.startswith("#"):
+                yield name, lineno, line

@@ -3,7 +3,8 @@
 A confusion matrix maps each letter to the letters a typist is likely to
 hit instead (physically adjacent keys, usually).  A keyboard candidate
 replaces up to ``ed`` positions of the input, each only by a neighbour of
-the letter originally there.  ``corrections`` takes the set of those
+the letter originally there.  ``corrections`` takes the input as its
+letter split, as the checker made it, and takes the set of those
 candidates from the lexicon with one substitution walk, so only
 neighbours that keep a lexicon prefix alive are tried;
 ``generate_patterns`` enumerates the same lattice as strings and is the
@@ -27,9 +28,8 @@ from __future__ import annotations
 
 import unicodedata
 from collections.abc import Mapping, Sequence
-from pathlib import Path
 
-from .errors import MatrixFormatError
+from .errors import MatrixFormatError, _data_lines
 from .letters import VOWEL_SIGNS, Letter, LetterKind, letter_texts, tokenize
 
 __all__ = [
@@ -103,23 +103,13 @@ def _is_mei(text: str) -> bool:
 def load_confusion_matrix(source) -> ConfusionMatrix:
     """Parse a matrix file: ``letter<TAB>alt1 alt2 ...`` per line.
 
-    Blank lines and ``#`` comments are skipped.  A missing tab, an entry
-    that is not a single letter, or a letter listing itself raise
-    :class:`MatrixFormatError` with the line number.  Repeated keys extend
-    the earlier neighbour list.
+    Blank lines and ``#`` comments are skipped.  Undecodable bytes, a
+    missing tab, an entry that is not a single letter, or a letter listing
+    itself raise :class:`MatrixFormatError` with the line number.
+    Repeated keys extend the earlier neighbour list.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        name = str(source)
-    else:
-        lines = list(source)
-        name = getattr(source, "name", "<stream>")
     table: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for name, lineno, line in _data_lines(source, MatrixFormatError):
         if "\t" not in line:
             raise MatrixFormatError(f"{name}:{lineno}: expected 'letter<TAB>neighbours'")
         key_field, alt_field = line.split("\t", 1)
@@ -177,14 +167,14 @@ def _alternates(matrix: ConfusionMatrix, letters: Sequence[str]) -> list[tuple[s
     return [get(letter, ()) for letter in letters]
 
 
-def corrections(word: str, lexicon, matrix: ConfusionMatrix, ed: int = 2) -> set[str]:
+def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: int = 2) -> set[str]:
     """Lexicon words that substitute matrix neighbours at 1..``ed`` positions.
 
-    ``ed`` is clamped to the word's letter count.
+    ``letters`` is the word's letter split; ``ed`` is clamped to its
+    length.
     """
     if ed < 1:
         raise ValueError("ed must be >= 1")
-    letters = letter_texts(unicodedata.normalize("NFC", word))
     alternates = _alternates(matrix, letters)
     return {
         candidate

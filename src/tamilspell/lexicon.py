@@ -30,9 +30,8 @@ import unicodedata
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
-from pathlib import Path
 
-from .errors import WordListError
+from .errors import WordListError, _data_lines
 from .letters import letter_texts
 
 __all__ = ["Lexicon", "load_wordlist"]
@@ -340,27 +339,6 @@ def load_wordlist(*sources) -> Lexicon:
     stream.  Undecodable bytes raise :class:`WordListError` with the
     source's name and the offending line number.
     """
-    return Lexicon(_read_words(sources))
-
-
-def _read_words(sources) -> Iterator[str]:
-    for source in sources:
-        if isinstance(source, (str, Path)):
-            with open(source, "rb") as fh:
-                yield from _words_in(fh, str(source))
-        else:
-            yield from _words_in(source, getattr(source, "name", "<stream>"))
-
-
-def _words_in(stream, name: str) -> Iterator[str]:
-    for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise WordListError(f"{name}:{lineno}: undecodable bytes: {exc}") from exc
-        else:
-            line = raw
-        word = line.strip()
-        if word and not word.startswith("#"):
-            yield word
+    return Lexicon(
+        line.strip() for source in sources for _, _, line in _data_lines(source, WordListError)
+    )

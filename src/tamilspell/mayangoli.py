@@ -6,9 +6,11 @@ whose consonant falls in one of those series, the letter's uyir is held
 fixed and the consonant is swapped through the rest of its series; the
 cartesian product over all matched positions (minus the input itself) is
 the candidate set.  Word length is always preserved.  ``suggest`` takes
-the lexicon words of that set with one substitution walk, so its work is
+the input as its letter split, as the checker made it, and takes the
+lexicon words of that set with one substitution walk, so its work is
 bounded by the lexicon's prefixes, not by the size of the product that
-``generate_alternates`` enumerates.
+``generate_alternates`` enumerates.  Each series letter's alternates are
+resolved once, when the :class:`SeriesTable` is built.
 
 A bare mei (no vowel part) is deliberately not substituted: series
 confusion is a pronunciation error, and a pulli consonant at a word
@@ -19,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import SeriesTableError
+from .errors import SeriesTableError, _data_lines
 from .letters import VOWEL_SIGNS, Letter, LetterKind, tokenize
-from .suggestion import Strategy, Suggestion
 
 __all__ = [
     "DEFAULT_SERIES",
@@ -50,14 +51,15 @@ class SeriesTable:
     """The confusable groups, each a tuple of mei letters.
 
     Each uyirmei of a series member is mapped once, at construction, to
-    its match data and its row: every member of its series joined with
-    its uyir.
+    its match data, its row (every member of its series joined with its
+    uyir) and its alternates (the row without the letter itself).
     """
 
     series: tuple[tuple[str, ...], ...] = DEFAULT_SERIES
     _letters: dict[str, tuple[str, str, int, tuple[str, ...]]] = field(
         init=False, repr=False, compare=False
     )
+    _alternates: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: dict[str, int] = {}
@@ -70,14 +72,16 @@ class SeriesTable:
                 if mei in seen:
                     raise SeriesTableError(f"{mei!r} appears in series {seen[mei]} and {idx}")
                 seen[mei] = idx
-        letters = {}
+        letters, alternates = {}, {}
         for idx, group in enumerate(self.series):
             for uyir, sign in VOWEL_SIGNS.items():
                 # join_mei_uyir, for members already checked to be mei
                 row = tuple(mei[:-1] + sign for mei in group)
                 for mei, letter in zip(group, row):
                     letters[letter] = (mei, uyir, idx, row)
+                    alternates[letter] = tuple(alt for alt in row if alt != letter)
         object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_alternates", alternates)
 
 
 @dataclass(frozen=True)
@@ -93,33 +97,24 @@ class SeriesMatch:
 def load_series_table(source) -> SeriesTable:
     """Read a series table: one series per line, mei letters space-separated.
 
-    Blank lines and ``#`` comments are skipped.  Malformed members and
-    duplicates across series raise :class:`SeriesTableError` with the line
-    number.
+    Blank lines and ``#`` comments are skipped.  Undecodable bytes,
+    malformed members and duplicates across series raise
+    :class:`SeriesTableError` with the line number.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        name = str(source)
-    else:
-        lines = list(source)
-        name = getattr(source, "name", "<stream>")
     groups: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    seen: set[str] = set()
+    for name, lineno, line in _data_lines(source, SeriesTableError):
         members = tuple(unicodedata.normalize("NFC", m) for m in line.split())
         if len(members) < 2:
             raise SeriesTableError(f"{name}:{lineno}: a series needs at least two members")
         for mei in members:
             if tokenize(mei) != [Letter(mei, LetterKind.MEI)]:
                 raise SeriesTableError(f"{name}:{lineno}: not a mei letter: {mei!r}")
+            if mei in seen:
+                raise SeriesTableError(f"{name}:{lineno}: {mei!r} is already in a series")
+            seen.add(mei)
         groups.append(members)
-    try:
-        return SeriesTable(tuple(groups))
-    except SeriesTableError as exc:
-        raise SeriesTableError(f"{name}: {exc}") from None
+    return SeriesTable(tuple(groups))
 
 
 _DEFAULT_TABLE = SeriesTable()
@@ -185,22 +180,15 @@ def generate_alternates(word: str, table: SeriesTable | None = None) -> list[str
     return alternates
 
 
-def suggest(word: str, lexicon, table: SeriesTable | None = None) -> list[Suggestion]:
-    """Series-substituted variants that the lexicon recognizes.
+def suggest(letters: Sequence[str], lexicon, table: SeriesTable | None = None) -> set[str]:
+    """Lexicon words that swap series letters at one or more positions.
 
-    Scored by the number of substituted positions, ranked (score,
-    code-point order).
+    ``letters`` is the word's letter split.  Any number of positions may
+    change.
     """
-    word = unicodedata.normalize("NFC", word)
-    letters = tokenize(word)
-    texts = [lt.text for lt in letters]
-    alternates: list[list[str]] = [[] for _ in letters]
-    matches = find_letter_positions(letters, table)
-    for match, row in zip(matches, find_correspondents(letters, matches, table)):
-        alternates[match.position] = [alt for alt in row if alt != texts[match.position]]
-    found = [
-        Suggestion(candidate, Strategy.MAYANGOLI, changed)
-        for candidate, changed in lexicon.substitutions(texts, alternates, len(texts))
-    ]
-    found.sort(key=lambda s: (s.score, s.candidate))
-    return found
+    get = (table or _DEFAULT_TABLE)._alternates.get
+    alternates = [get(letter, ()) for letter in letters]
+    return {
+        candidate
+        for candidate, _ in lexicon.substitutions(letters, alternates, len(letters))
+    }

@@ -59,7 +59,7 @@ def test_c2_conjoined_flagship(fixture_lexicon):
     assert fixture_lexicon.is_word("தென்றல்")
     assert fixture_lexicon.is_word("காற்று")
     assert not fixture_lexicon.is_word("தென்றல்காற்று")
-    pairs = recognize("தென்றல்காற்று", fixture_lexicon)
+    pairs = recognize(letter_texts("தென்றல்காற்று"), fixture_lexicon)
     assert ("தென்றல்", "காற்று") in [(p.left, p.right) for p in pairs]
     engine = SpellChecker(fixture_lexicon)
     top = engine.check_word("தென்றல்காற்று").suggestions[0]

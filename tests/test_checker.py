@@ -5,10 +5,14 @@ from __future__ import annotations
 import io
 import json
 
+import unicodedata
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tamilspell.checker
+import tamilspell.letters
+from tamilspell.bundled import bundled_lexicon
 from tamilspell.checker import (
     CheckReport,
     EngineConfig,
@@ -19,7 +23,11 @@ from tamilspell.checker import (
     load_stop_words,
 )
 from tamilspell.edits import letter_edit_distance
-from tamilspell.lexicon import Lexicon
+from tamilspell.errors import MatrixFormatError, SeriesTableError, TamilSpellError, WordListError
+from tamilspell.keyboard import load_confusion_matrix
+from tamilspell.letters import alphabet, letter_texts
+from tamilspell.lexicon import Lexicon, load_wordlist
+from tamilspell.mayangoli import load_series_table
 from tamilspell.suggestion import Strategy, Suggestion
 
 
@@ -247,6 +255,54 @@ def test_report_dict_shapes(fixture_lexicon):
     assert set(first) == {"candidate", "strategy", "score"}
 
 
+# The vowel signs that NFD decomposes into two code points.
+_TWO_PART_SIGNS = ("ொ", "ோ", "ௌ")
+_TWO_PART_WORDS = sorted(
+    w for w in bundled_lexicon().words() if any(sign in w for sign in _TWO_PART_SIGNS)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_TWO_PART_WORDS),
+    st.lists(
+        st.tuples(st.booleans(), st.integers(0, 20), st.sampled_from(alphabet().letters)),
+        max_size=2,
+    ),
+)
+def test_nfd_spelling_gets_the_nfc_report(fixture_lexicon, word, edits):
+    # Only the checker normalizes; every strategy sees the NFC letters.
+    # Edited words are mostly non-words, which reach every strategy.
+    letters = list(letter_texts(word))
+    for replace, pos, letter in edits:
+        if replace:
+            letters[pos % len(letters)] = letter
+        else:
+            letters.insert(pos % (len(letters) + 1), letter)
+    nfc = "".join(letters)
+    nfd = unicodedata.normalize("NFD", nfc)
+    assume(nfd != nfc)
+    want = engine(fixture_lexicon).check_word(nfc)
+    assert engine(fixture_lexicon).check_word(nfd) == want
+    text = f"{nfd}, {nfd}"
+    assert engine(fixture_lexicon).check_text(text) == CheckReport((want, want))
+
+
+@pytest.mark.parametrize("token", ["பளம்", "தென்றல்காற்று", "கணவன்", "ஙொ", "ளளளளளள"])
+def test_a_non_word_is_split_once_when_computed(fixture_lexicon, monkeypatch, token):
+    # Counted at the letter splitter behind letter_texts and tokenize; the
+    # lexicon's own splits of other texts (halves, candidates) do not count.
+    split = tamilspell.letters._SPLIT
+    calls = []
+    monkeypatch.setattr(tamilspell.letters, "_SPLIT", lambda text: calls.append(text) or split(text))
+    eng = engine(fixture_lexicon, config=EngineConfig(max_suggestions=10**6))
+    report = eng.check_word(token)
+    assert report.verdict is Verdict.NON_WORD
+    assert calls.count(token) == 1
+    assert eng.check_word(token).suggestions is report.suggestions
+    assert calls.count(token) == 1
+
+
 # ----------------------------------------------------------------- cache
 
 
@@ -344,6 +400,28 @@ def test_load_stop_words(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("# list\nஒரு\n\nஅந்த\n", encoding="utf-8")
     assert load_stop_words(path) == frozenset({"ஒரு", "அந்த"})
+
+
+@pytest.mark.parametrize(
+    "loader, error, first_line",
+    [
+        (load_wordlist, WordListError, "கல்"),
+        (load_confusion_matrix, MatrixFormatError, "க்\tல்"),
+        (load_parallel_dict, TamilSpellError, "computer\tகணினி"),
+        (load_stop_words, TamilSpellError, "ஒரு"),
+        (load_series_table, SeriesTableError, "ல் ழ்"),
+    ],
+)
+def test_loaders_name_the_undecodable_line(tmp_path, loader, error, first_line):
+    data = first_line.encode() + b"\n\xff\tx\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    for source, name in ((str(path), str(path)), (path, str(path)), (io.BytesIO(data), "<stream>")):
+        with pytest.raises(TamilSpellError) as err:
+            loader(source)
+        assert type(err.value) is error
+        assert str(err.value).startswith(f"{name}:2: undecodable bytes: ")
+        assert "can't decode byte 0xff" in str(err.value)
 
 
 def test_bundled_parallel_dict_used_by_default(fixture_lexicon, fixture_parallel):

@@ -72,7 +72,28 @@ def test_repl_valid_word_clears_selection():
     got = run_repl(engine, "பளம்\nபலம்\n0\n:q\n")
     # After a valid word the stale list is gone, so "0" is checked as a word.
     assert got.count("(0) பலம்") == 1
-    assert 'சொல் "0" மாற்றங்கள்' in got
+    assert 'சொல் "0" சரி' in got
+
+
+def test_repl_reports_what_batch_mode_passes_as_correct():
+    # A stop word and a non-Tamil token with no parallel-dictionary entry
+    # are never listed in batch mode; the loop calls them correct and
+    # drops the stale list, as for a valid word.
+    engine = SpellChecker(
+        Lexicon(["பலம்", "பழம்"]),
+        config=EngineConfig(edit_distance=1),
+        confusion_matrix=ConfusionMatrix({}),
+        stop_words=["ஒரு"],
+    )
+    got = run_repl(engine, "பளம்\nஒரு\n0\nxylophone\n:q\n")
+    assert got == (
+        '>> சொல் "பளம்" மாற்றங்கள்\n'
+        "(0) பலம், (1) பழம்\n"
+        '>> சொல் "ஒரு" சரி\n'
+        '>> சொல் "0" சரி\n'
+        '>> சொல் "xylophone" சரி\n'
+        ">> "
+    )
 
 
 # ----------------------------------------------------------------- batch
@@ -255,7 +276,7 @@ def test_undecodable_data_file_exits_two(tmp_path, wordlist, capsys, flag):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"tamilspell: error: {bad}: ")
+    assert captured.err.startswith(f"tamilspell: error: {bad}:1: ")
     assert "can't decode byte 0xff" in captured.err
 
 

@@ -10,7 +10,7 @@ from tamilspell.conjoined import (
     generate_plain_splits,
     recognize,
 )
-from tamilspell.letters import PULLI, UYIR_LETTERS, VOWEL_SIGNS
+from tamilspell.letters import PULLI, UYIR_LETTERS, VOWEL_SIGNS, letter_texts
 from tamilspell.lexicon import Lexicon
 
 
@@ -66,7 +66,7 @@ def test_reconstruction_fuzz():
 
 
 def test_recognize_requires_both_halves(fixture_lexicon):
-    pairs = recognize("தென்றல்காற்று", fixture_lexicon)
+    pairs = recognize(letter_texts("தென்றல்காற்று"), fixture_lexicon)
     assert (
         SplitPair("தென்றல்", "காற்று", SplitKind.PLAIN) in pairs
     )
@@ -78,20 +78,20 @@ def test_recognize_requires_both_halves(fixture_lexicon):
 
 def test_recognize_through_a_letter(fixture_lexicon):
     # கணவன் is not in the fixture list, but கண் + அவன் both are.
-    pairs = recognize("கணவன்", fixture_lexicon)
+    pairs = recognize(letter_texts("கணவன்"), fixture_lexicon)
     assert [(p.left, p.right, p.kind) for p in pairs] == [
         ("கண்", "அவன்", SplitKind.OTTRU)
     ]
 
 
 def test_recognize_misses_unknown_halves(make_lexicon):
-    assert recognize("தென்றல்காற்று", make_lexicon("தென்றல்")) == []
+    assert recognize(letter_texts("தென்றல்காற்று"), make_lexicon("தென்றல்")) == []
 
 
 def test_recognize_orders_plain_first(make_lexicon):
     # One word can split both ways; plain pairs come first.
     lex = make_lexicon("கல்", "கண்", "அல்", "அண்", "கலண்", "க")
-    pairs = recognize("கல்அண்", lex)
+    pairs = recognize(letter_texts("கல்அண்"), lex)
     kinds = [p.kind for p in pairs]
     assert kinds == sorted(kinds, key=lambda k: k is not SplitKind.PLAIN)
     assert ("கல்", "அண்") in [(p.left, p.right) for p in pairs]
@@ -101,5 +101,5 @@ def test_recognize_no_duplicates(fixture_lexicon):
     rng = random.Random(5)
     for _ in range(50):
         word = random_letter_word(rng, 2, 6)
-        pairs = recognize(word, fixture_lexicon)
+        pairs = recognize(letter_texts(word), fixture_lexicon)
         assert len({(p.left, p.right) for p in pairs}) == len(pairs)

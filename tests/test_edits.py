@@ -98,7 +98,7 @@ def test_alphabet_growth_grows_candidates():
 
 def test_suggest_finds_lexicon_words():
     lex = Lexicon(["பல"])
-    found = suggest("பள", lex)
+    found = suggest(letter_texts("பள"), lex)
     assert [s.candidate for s in found][:1] == ["பல"]
     assert found[0].strategy is Strategy.EDIT
     assert found[0].score == 1
@@ -106,18 +106,18 @@ def test_suggest_finds_lexicon_words():
 
 def test_suggest_excludes_the_input_word():
     lex = Lexicon(["பள", "பல"])
-    found = suggest("பள", lex)
+    found = suggest(letter_texts("பள"), lex)
     assert "பள" not in [s.candidate for s in found]
     assert "பல" in [s.candidate for s in found]
 
 
 def test_suggest_empty_lexicon():
-    assert suggest("பள", Lexicon()) == []
+    assert suggest(letter_texts("பள"), Lexicon()) == []
 
 
 def test_suggest_ranks_distance_then_codepoint():
     lex = Lexicon(["கடல்", "கல்", "கடல்கள்"])
-    found = suggest("கடல", lex, nedits=2)
+    found = suggest(letter_texts("கடல"), lex, nedits=2)
     scores = [s.score for s in found]
     assert scores == sorted(scores)
     for level in set(scores):

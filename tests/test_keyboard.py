@@ -151,17 +151,17 @@ def test_patterns_match_lattice_oracle():
 def test_corrections_are_the_lexicon_words_among_the_patterns():
     lex = Lexicon(["பழம்", "பலம்"])
     matrix = ConfusionMatrix({"ள்": ["ழ்", "ம்"]})
-    assert corrections("பளம்", lex, matrix, ed=1) == {"பழம்"}
+    assert corrections(letter_texts("பளம்"), lex, matrix, ed=1) == {"பழம்"}
 
 
 def test_corrections_clamp_ed_to_word_length():
     lex = Lexicon(["பழம்"])
     matrix = ConfusionMatrix({"ள்": ["ழ்"]})
-    assert corrections("பளம்", lex, matrix, ed=9) == {"பழம்"}
+    assert corrections(letter_texts("பளம்"), lex, matrix, ed=9) == {"பழம்"}
     with pytest.raises(ValueError):
-        corrections("பளம்", lex, matrix, ed=0)
+        corrections(letter_texts("பளம்"), lex, matrix, ed=0)
 
 
 def test_corrections_with_bundled_matrix(fixture_lexicon, fixture_matrix):
     # ட் and த் sit on adjacent keys: மடம் is a plausible typo for மதம்.
-    assert "மதம்" in corrections("மடம்", fixture_lexicon, fixture_matrix, ed=1)
+    assert "மதம்" in corrections(letter_texts("மடம்"), fixture_lexicon, fixture_matrix, ed=1)

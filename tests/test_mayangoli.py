@@ -18,7 +18,6 @@ from tamilspell.mayangoli import (
     load_series_table,
     suggest,
 )
-from tamilspell.suggestion import Strategy
 
 
 def test_default_series_families():
@@ -84,18 +83,16 @@ def test_generate_alternates_changes_only_matched_positions():
 
 
 def test_suggest_filters_through_lexicon(fixture_lexicon):
-    found = suggest("பளம்", fixture_lexicon)
-    assert [s.candidate for s in found] == ["பலம்", "பழம்"]
-    assert all(s.strategy is Strategy.MAYANGOLI and s.score == 1 for s in found)
+    assert suggest(letter_texts("பளம்"), fixture_lexicon) == {"பலம்", "பழம்"}
 
 
 def test_suggest_is_validity_agnostic(fixture_lexicon):
     # கரை is itself a word; its series twin கறை is still offered.
-    assert [s.candidate for s in suggest("கரை", fixture_lexicon)] == ["கறை"]
+    assert suggest(letter_texts("கரை"), fixture_lexicon) == {"கறை"}
 
 
 def test_suggest_empty_when_no_positions(make_lexicon):
-    assert suggest("அது", make_lexicon("அது")) == []
+    assert suggest(letter_texts("அது"), make_lexicon("அது")) == set()
 
 
 # --------------------------------------------------------------------- #
@@ -117,6 +114,12 @@ def test_load_rejects_non_mei():
     with pytest.raises(SeriesTableError) as err:
         load_series_table(io.StringIO("ல ழ\n"))
     assert ":1:" in str(err.value)
+
+
+def test_load_rejects_duplicate_membership_with_its_line():
+    with pytest.raises(SeriesTableError) as err:
+        load_series_table(io.StringIO("ல் ழ்\n# x\nள் ழ்\n"))
+    assert str(err.value).startswith("<stream>:3: ")
 
 
 def test_table_rejects_duplicate_membership():
