@@ -20,7 +20,7 @@ from .checker import (
     load_parallel_dict,
     load_stop_words,
 )
-from .errors import MatrixFormatError, SeriesTableError, TamilSpellError, WordListError
+from .errors import MatrixFormatError, TamilSpellError, WordListError
 from .keyboard import ConfusionMatrix, load_confusion_matrix
 from .letters import (
     Alphabet,
@@ -46,7 +46,6 @@ __all__ = [
     "LetterKind",
     "Lexicon",
     "MatrixFormatError",
-    "SeriesTableError",
     "SpellChecker",
     "Strategy",
     "Suggestion",

@@ -182,7 +182,6 @@ class SpellChecker:
         *,
         config: EngineConfig | None = None,
         confusion_matrix: keyboard.ConfusionMatrix | None = None,
-        series_table: mayangoli.SeriesTable | None = None,
         parallel_dict: Mapping[str, str] | None = None,
         stop_words: Iterable[str] = (),
     ):
@@ -193,7 +192,6 @@ class SpellChecker:
         self.confusion_matrix = (
             confusion_matrix if confusion_matrix is not None else bundled_confusion_matrix()
         )
-        self.series_table = series_table or mayangoli.SeriesTable()
         self.parallel_dict = {
             k.casefold(): v for k, v in (parallel_dict or {}).items()
         }
@@ -254,7 +252,7 @@ class SpellChecker:
     def _compute_suggestions(self, word: str) -> tuple[Suggestion, ...]:
         lexicon, ed = self.lexicon, self.config.edit_distance
         letters = letter_texts(word)
-        series = mayangoli.suggest(letters, lexicon, self.series_table)
+        series = mayangoli.suggest(letters, lexicon)
         nearby = keyboard.corrections(letters, lexicon, self.confusion_matrix, ed)
         merged: dict[str, Suggestion] = {}
         for sug in edits.suggest(letters, lexicon, nedits=ed):

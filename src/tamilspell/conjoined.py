@@ -18,16 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .letters import (
-    CONSONANTS,
-    GRANTHA_CONSONANTS,
-    PULLI,
-    VOWEL_SIGNS,
-    LetterKind,
-    join_mei_uyir,
-    split_mei_uyir,
-    tokenize,
-)
+from .letters import MEI_UYIR, LetterKind, join_mei_uyir, split_mei_uyir, tokenize
 
 __all__ = [
     "SplitKind",
@@ -36,14 +27,6 @@ __all__ = [
     "generate_plain_splits",
     "recognize",
 ]
-
-
-# Each uyirmei letter -> the texts of its mei and its uyir (split_mei_uyir).
-_MEI_UYIR = {
-    cons + sign: (cons + PULLI, uyir)
-    for cons in (*CONSONANTS, *GRANTHA_CONSONANTS)
-    for uyir, sign in VOWEL_SIGNS.items()
-}
 
 
 class SplitKind(Enum):
@@ -104,14 +87,16 @@ def generate_plain_splits(word: str) -> list[SplitPair]:
 def recognize(letters: Sequence[str], lexicon) -> list[SplitPair]:
     """Splits whose halves are both lexicon words; plain splits first.
 
-    ``letters`` is the word's letter split.  No (left, right) pair
-    repeats: plain pairs differ in the length of their left half, ottru
-    pairs too, and an ottru pair's halves are longer together than the
-    word.  Split points are walked left to right, stopping at the first
-    letter that leaves the lexicon's prefixes: no left half can be a word
-    after it.  A right half is looked up only behind a left half that is a
-    word, so the work is bounded by the lexicon's depth.
+    ``letters`` is the word's letter split, not its text.  No (left,
+    right) pair repeats: plain pairs differ in the length of their left
+    half, ottru pairs too, and an ottru pair's halves are longer together
+    than the word.  Split points are walked left to right, stopping at
+    the first letter that leaves the lexicon's prefixes: no left half can
+    be a word after it.  A right half is looked up only behind a left
+    half that is a word, so the work is bounded by the lexicon's depth.
     """
+    if isinstance(letters, str):
+        raise TypeError("letters must be the word's letter split, not its text")
     texts = tuple(letters)
     plain: list[SplitPair] = []
     ottru: list[SplitPair] = []
@@ -119,8 +104,8 @@ def recognize(letters: Sequence[str], lexicon) -> list[SplitPair]:
         left = "".join(texts[:i])
         if lexicon.contains_letters(texts[:i]) and lexicon.contains_letters(texts[i:]):
             plain.append(SplitPair(left, "".join(texts[i:]), SplitKind.PLAIN))
-        if text in _MEI_UYIR:
-            mei, uyir = _MEI_UYIR[text]
+        if text in MEI_UYIR:
+            mei, uyir = MEI_UYIR[text]
             right = uyir + "".join(texts[i + 1 :])
             if lexicon.contains_letters(texts[:i] + (mei,)) and lexicon.is_word(right):
                 ottru.append(SplitPair(left + mei, right, SplitKind.OTTRU))

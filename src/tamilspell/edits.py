@@ -100,10 +100,12 @@ def edits_n(word, alphabet=None, nedits: int = 1) -> list[str]:
 def suggest(letters: Sequence[str], lexicon, nedits: int = 2) -> list[Suggestion]:
     """Every lexicon word within ``nedits`` letter edits, the input excluded.
 
-    ``letters`` is the word's letter split.  Scored by letter-level edit
-    distance and ranked (distance, code-point order).  ``lexicon`` is a
-    :class:`tamilspell.lexicon.Lexicon`.
+    ``letters`` is the word's letter split, not its text.  Scored by
+    letter-level edit distance and ranked (distance, code-point order).
+    ``lexicon`` is a :class:`tamilspell.lexicon.Lexicon`.
     """
+    if isinstance(letters, str):
+        raise TypeError("letters must be the word's letter split, not its text")
     if nedits < 1:
         raise ValueError("nedits must be >= 1")
     found = [

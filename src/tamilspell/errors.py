@@ -19,10 +19,6 @@ class MatrixFormatError(TamilSpellError):
     """A confusion matrix file is malformed."""
 
 
-class SeriesTableError(TamilSpellError):
-    """A confusable-series file is malformed."""
-
-
 def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int, str]]:
     """``(name, lineno, line)`` for each line of ``source`` with content.
 

@@ -27,10 +27,10 @@ joined text re-tokenizes to.  Only grantha letters can form such a pair.
 from __future__ import annotations
 
 import unicodedata
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import MatrixFormatError, _data_lines
-from .letters import VOWEL_SIGNS, Letter, LetterKind, letter_texts, tokenize
+from .letters import UYIRMEI, Letter, LetterKind, letter_texts, tokenize
 
 __all__ = [
     "ConfusionMatrix",
@@ -43,34 +43,24 @@ __all__ = [
 class ConfusionMatrix:
     """Letter -> likely-mistyped-neighbour lists.
 
-    Every letter's alternates are resolved once, at construction: the
-    direct entries, and for each mei key the uyirmei fallback of its
-    twelve uyir forms.
+    Every key and neighbour must be one letter, and no key may list
+    itself; a bad entry raises :class:`MatrixFormatError`.  Every
+    letter's alternates are resolved once, at construction: the direct
+    entries, and for each mei key the uyirmei fallback of its twelve uyir
+    forms.
     """
 
     def __init__(self, neighbors: Mapping[str, Sequence[str]]):
-        table: dict[str, tuple[str, ...]] = {}
-        for key, alts in neighbors.items():
-            key = unicodedata.normalize("NFC", key)
-            cleaned = []
-            for alt in alts:
-                alt = unicodedata.normalize("NFC", alt)
-                if alt == key:
-                    raise MatrixFormatError(f"{key!r} lists itself as a neighbour")
-                if alt not in cleaned:
-                    cleaned.append(alt)
-            table[key] = tuple(cleaned)
+        table = dict(_entry(key, alts) for key, alts in neighbors.items())
         self._table = table
         resolved = dict(table)
         for key, alts in table.items():
-            if not _is_mei(key):
+            if key not in UYIRMEI:
                 continue
-            meis = [alt for alt in alts if _is_mei(alt)]
-            for sign in VOWEL_SIGNS.values():
-                # join_mei_uyir, for letters already checked to be mei
-                letter = key[:-1] + sign
+            meis = [alt for alt in alts if alt in UYIRMEI]
+            for uyir, letter in UYIRMEI[key].items():
                 if letter not in table:
-                    resolved[letter] = tuple(mei[:-1] + sign for mei in meis)
+                    resolved[letter] = tuple(UYIRMEI[mei][uyir] for mei in meis)
         self._resolved = resolved
 
     def __len__(self) -> int:
@@ -96,8 +86,21 @@ class ConfusionMatrix:
         return self._resolved.get(text, ())
 
 
-def _is_mei(text: str) -> bool:
-    return tokenize(text) == [Letter(text, LetterKind.MEI)]
+def _entry(key: str, alts: Iterable[str]) -> tuple[str, tuple[str, ...]]:
+    """One matrix entry, NFC-normalized and deduplicated, or MatrixFormatError."""
+    key = _single_token(key)
+    alts = tuple(dict.fromkeys(_single_token(alt) for alt in alts))
+    if key in alts:
+        raise MatrixFormatError(f"{key!r} lists itself as a neighbour")
+    return key, alts
+
+
+def _single_token(field: str) -> str:
+    field = unicodedata.normalize("NFC", field)
+    tokens = tokenize(field)
+    if len(tokens) != 1 or tokens[0].kind is LetterKind.MALFORMED:
+        raise MatrixFormatError(f"not a single letter: {field!r}")
+    return tokens[0].text
 
 
 def load_confusion_matrix(source) -> ConfusionMatrix:
@@ -108,28 +111,17 @@ def load_confusion_matrix(source) -> ConfusionMatrix:
     itself raise :class:`MatrixFormatError` with the line number.
     Repeated keys extend the earlier neighbour list.
     """
-    table: dict[str, list[str]] = {}
+    table: dict[str, tuple[str, ...]] = {}
     for name, lineno, line in _data_lines(source, MatrixFormatError):
         if "\t" not in line:
             raise MatrixFormatError(f"{name}:{lineno}: expected 'letter<TAB>neighbours'")
         key_field, alt_field = line.split("\t", 1)
-        key = _single_token(key_field.strip(), name, lineno)
-        alts = table.setdefault(key, [])
-        for field in alt_field.split():
-            alt = _single_token(field, name, lineno)
-            if alt == key:
-                raise MatrixFormatError(f"{name}:{lineno}: {key!r} lists itself as a neighbour")
-            if alt not in alts:
-                alts.append(alt)
+        try:
+            key, alts = _entry(key_field.strip(), alt_field.split())
+        except MatrixFormatError as exc:
+            raise MatrixFormatError(f"{name}:{lineno}: {exc}") from None
+        table[key] = table.get(key, ()) + alts
     return ConfusionMatrix(table)
-
-
-def _single_token(field: str, name: str, lineno: int) -> str:
-    field = unicodedata.normalize("NFC", field)
-    tokens = tokenize(field)
-    if len(tokens) != 1 or tokens[0].kind is LetterKind.MALFORMED:
-        raise MatrixFormatError(f"{name}:{lineno}: not a single letter: {field!r}")
-    return tokens[0].text
 
 
 def generate_patterns(word: str, matrix: ConfusionMatrix, ed: int = 1) -> list[str]:
@@ -170,9 +162,11 @@ def _alternates(matrix: ConfusionMatrix, letters: Sequence[str]) -> list[tuple[s
 def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: int = 2) -> set[str]:
     """Lexicon words that substitute matrix neighbours at 1..``ed`` positions.
 
-    ``letters`` is the word's letter split; ``ed`` is clamped to its
-    length.
+    ``letters`` is the word's letter split, not its text; ``ed`` is
+    clamped to its length.
     """
+    if isinstance(letters, str):
+        raise TypeError("letters must be the word's letter split, not its text")
     if ed < 1:
         raise ValueError("ed must be >= 1")
     alternates = _alternates(matrix, letters)

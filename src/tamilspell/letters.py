@@ -125,15 +125,23 @@ def has_tamil(text: str) -> bool:
     return _TAMIL_SEARCH(text) is not None
 
 
+# The composition table: every mei -> its uyirmei letters, keyed by uyir
+# (க் -> {அ: க, ஆ: கா, ...}).  MEI_UYIR is its inverse.
+UYIRMEI = {
+    cons + PULLI: {uyir: cons + sign for uyir, sign in VOWEL_SIGNS.items()}
+    for cons in (*CONSONANTS, *GRANTHA_CONSONANTS)
+}
+# Every uyirmei letter -> the texts of its (mei, uyir).
+MEI_UYIR = {letter: (mei, uyir) for mei, row in UYIRMEI.items() for uyir, letter in row.items()}
+
+
 def _letter_table() -> dict[str, Letter]:
     table = {u: Letter(u, LetterKind.UYIR) for u in UYIR_LETTERS}
     table[AYUDHAM] = Letter(AYUDHAM, LetterKind.AYUDHAM)
     for mark in (PULLI, *SIGN_TO_UYIR):
         table[mark] = Letter(mark, LetterKind.MALFORMED)
-    for cons in (*CONSONANTS, *GRANTHA_CONSONANTS):
-        table[cons + PULLI] = Letter(cons + PULLI, LetterKind.MEI)
-        for sign in VOWEL_SIGNS.values():
-            table[cons + sign] = Letter(cons + sign, LetterKind.UYIRMEI)
+    table.update((mei, Letter(mei, LetterKind.MEI)) for mei in UYIRMEI)
+    table.update((letter, Letter(letter, LetterKind.UYIRMEI)) for letter in MEI_UYIR)
     return table
 
 
@@ -190,12 +198,7 @@ def split_mei_uyir(letter: Letter | str) -> tuple[Letter, ...]:
         return (lt,)
     if lt.kind is not LetterKind.UYIRMEI:
         raise ValueError(f"not a Tamil letter: {lt.text!r}")
-    text = lt.text
-    if text[-1] in SIGN_TO_UYIR:
-        base, uyir = text[:-1], SIGN_TO_UYIR[text[-1]]
-    else:
-        base, uyir = text, "அ"
-    return (Letter(base + PULLI, LetterKind.MEI), Letter(uyir, LetterKind.UYIR))
+    return tuple(_LETTERS[part] for part in MEI_UYIR[lt.text])
 
 
 def join_mei_uyir(mei: Letter | str, uyir: Letter | str) -> Letter:
@@ -206,7 +209,7 @@ def join_mei_uyir(mei: Letter | str, uyir: Letter | str) -> Letter:
         raise ValueError(f"not a mei letter: {m.text!r}")
     if u.kind is not LetterKind.UYIR:
         raise ValueError(f"not an uyir letter: {u.text!r}")
-    return Letter(m.text[:-1] + VOWEL_SIGNS[u.text], LetterKind.UYIRMEI)
+    return _LETTERS[UYIRMEI[m.text][u.text]]
 
 
 def _build_alphabet(grantha: bool) -> Alphabet:

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tamilspell.checker
 import tamilspell.letters
+from tamilspell import conjoined, edits, keyboard, mayangoli
 from tamilspell.bundled import bundled_lexicon
 from tamilspell.checker import (
     CheckReport,
@@ -23,11 +24,10 @@ from tamilspell.checker import (
     load_stop_words,
 )
 from tamilspell.edits import letter_edit_distance
-from tamilspell.errors import MatrixFormatError, SeriesTableError, TamilSpellError, WordListError
-from tamilspell.keyboard import load_confusion_matrix
+from tamilspell.errors import MatrixFormatError, TamilSpellError, WordListError
+from tamilspell.keyboard import ConfusionMatrix, load_confusion_matrix
 from tamilspell.letters import alphabet, letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
-from tamilspell.mayangoli import load_series_table
 from tamilspell.suggestion import Strategy, Suggestion
 
 
@@ -78,6 +78,13 @@ def test_series_candidate_beyond_ed_is_scored_by_distance():
     # the series budget is unlimited, so ed=1 does not hide it.
     report = engine(Lexicon(["ழலழ"]), config=EngineConfig(edit_distance=1)).check_word("லழல")
     assert report.suggestions == (Suggestion("ழலழ", Strategy.MAYANGOLI, 2),)
+
+
+def test_bare_mei_is_an_edit_not_a_series_swap():
+    # ல் and ள் share a series, but a bare mei is never substituted, so
+    # கள் is one plain edit away from கல்.
+    eng = engine(Lexicon(["கள்"]), confusion_matrix=ConfusionMatrix({}))
+    assert eng.check_word("கல்").suggestions == (Suggestion("கள்", Strategy.EDIT, 1),)
 
 
 def test_merged_list_is_sorted(fixture_lexicon):
@@ -303,6 +310,24 @@ def test_a_non_word_is_split_once_when_computed(fixture_lexicon, monkeypatch, to
     assert calls.count(token) == 1
 
 
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        lambda text, lex: edits.suggest(text, lex),
+        lambda text, lex: mayangoli.suggest(text, lex),
+        lambda text, lex: keyboard.corrections(text, lex, ConfusionMatrix({"ள்": ["ழ்"]}), 1),
+        lambda text, lex: conjoined.recognize(text, lex),
+    ],
+    ids=["edits.suggest", "mayangoli.suggest", "keyboard.corrections", "conjoined.recognize"],
+)
+def test_strategies_reject_text(fixture_lexicon, strategy):
+    # Text is a sequence of code points, not of letters: பளம் as text would
+    # be five one-code-point "letters" and match nothing.
+    with pytest.raises(TypeError):
+        strategy("பளம்", fixture_lexicon)
+    assert strategy(letter_texts("பளம்"), fixture_lexicon) is not None
+
+
 # ----------------------------------------------------------------- cache
 
 
@@ -409,7 +434,6 @@ def test_load_stop_words(tmp_path):
         (load_confusion_matrix, MatrixFormatError, "க்\tல்"),
         (load_parallel_dict, TamilSpellError, "computer\tகணினி"),
         (load_stop_words, TamilSpellError, "ஒரு"),
-        (load_series_table, SeriesTableError, "ல் ழ்"),
     ],
 )
 def test_loaders_name_the_undecodable_line(tmp_path, loader, error, first_line):

@@ -48,6 +48,13 @@ def test_matrix_rejects_self_neighbour():
         ConfusionMatrix({"க்": ["க்"]})
 
 
+@pytest.mark.parametrize("mapping", [{"க": ["பம"]}, {"கா": ["ொ"]}, {"கல": ["ம"]}])
+def test_matrix_rejects_an_entry_that_is_not_one_letter(mapping):
+    # The loader's rule: one letter, and not a lone vowel sign or pulli.
+    with pytest.raises(MatrixFormatError, match="not a single letter"):
+        ConfusionMatrix(mapping)
+
+
 def test_loader_parses_and_validates(tmp_path):
     table = load_confusion_matrix(io.StringIO("# header\nக்\tல் ம்\n"))
     assert table.alternates_for("க்") == ("ல்", "ம்")

@@ -1,21 +1,15 @@
 from __future__ import annotations
 
-import io
 import random
 
-import pytest
-
 from conftest import random_letter_word
-from tamilspell.errors import SeriesTableError
 from tamilspell.lexicon import Lexicon
 from tamilspell.letters import letter_texts, split_mei_uyir, tokenize
 from tamilspell.mayangoli import (
     DEFAULT_SERIES,
-    SeriesTable,
     find_correspondents,
     find_letter_positions,
     generate_alternates,
-    load_series_table,
     suggest,
 )
 
@@ -93,40 +87,3 @@ def test_suggest_is_validity_agnostic(fixture_lexicon):
 
 def test_suggest_empty_when_no_positions(make_lexicon):
     assert suggest(letter_texts("அது"), make_lexicon("அது")) == set()
-
-
-# --------------------------------------------------------------------- #
-# series table loading and validation
-
-
-def test_load_series_table():
-    table = load_series_table(io.StringIO("# families\nல் ழ் ள்\nர் ற்\n"))
-    assert table.series == (("ல்", "ழ்", "ள்"), ("ர்", "ற்"))
-
-
-def test_load_rejects_single_member():
-    with pytest.raises(SeriesTableError) as err:
-        load_series_table(io.StringIO("ல்\n"))
-    assert ":1:" in str(err.value)
-
-
-def test_load_rejects_non_mei():
-    with pytest.raises(SeriesTableError) as err:
-        load_series_table(io.StringIO("ல ழ\n"))
-    assert ":1:" in str(err.value)
-
-
-def test_load_rejects_duplicate_membership_with_its_line():
-    with pytest.raises(SeriesTableError) as err:
-        load_series_table(io.StringIO("ல் ழ்\n# x\nள் ழ்\n"))
-    assert str(err.value).startswith("<stream>:3: ")
-
-
-def test_table_rejects_duplicate_membership():
-    with pytest.raises(SeriesTableError):
-        SeriesTable((("ல்", "ழ்"), ("ழ்", "ள்")))
-
-
-def test_custom_table_is_honoured():
-    table = SeriesTable((("க்", "ச்"),))
-    assert generate_alternates("கல்", table) == ["சல்"]
