@@ -1,26 +1,33 @@
 """Immutable lexicon keyed by Tamil letters.
 
-A :class:`Lexicon` is built once from all its words and never changes, so
-concurrent readers need no locking.  It keeps two structures:
+A :class:`Lexicon` is built once from all its words and never changes.
+It keeps three structures:
 
 * a ``frozenset`` of the NFC words, which answers membership
   (:meth:`Lexicon.is_word`, ``in``, ``len``) with one hash lookup and no
   letter split, and lists the words (:meth:`Lexicon.words`, in no
   particular order);
 * a trie over whole letters, so that prefix walks line up with the
-  letter-level edit operations.
+  letter-level edit operations;
+* a trie over the words' letters in reverse order, which
+  :meth:`Lexicon.within_distance` walks for its backward half.  The
+  constructor keeps only the code keys it is built from (about 8 bytes a
+  word); the first walk that needs it builds it, so a lexicon that is only
+  probed never pays for it.  Two threads may build it at once: the builds
+  are equal and either one is kept, so the race is harmless and no lock is
+  taken.
 
-Correction candidates come out of the trie by walking it:
+Correction candidates come out of the tries by walking them:
 :meth:`Lexicon.within_distance` gives every word within an edit distance,
 with that distance, and :meth:`Lexicon.substitutions` gives the words that
 swap letters for per-position alternates (confusable series, keyboard
-neighbours).  The trie's layout is private to this module.  It is flat, in
+neighbours).  The tries' layout is private to this module.  It is flat, in
 the spirit of Daciuk et al. 2000: each distinct letter is coded as one
 character, and nodes are numbered breadth-first, so that the child along
 edge ``e`` is node ``e + 1``.  One string holds every edge's letter code,
-sorted within each node; per node, a list holds the offset of its first
-edge (its edges run to the next node's offset) and a byte string marks
-where words end.
+sorted within each node; per node, an ``array('I')`` holds the offset of
+its first edge (its edges run to the next node's offset) and a byte
+string marks where words end.
 """
 
 from __future__ import annotations
@@ -38,10 +45,12 @@ __all__ = ["Lexicon", "load_wordlist"]
 
 _nfc = partial(unicodedata.normalize, "NFC")
 
-# Letter codes are the characters below this one, which codes a query
-# letter the lexicon lacks: it labels no edge.
-_MAX_LETTERS = sys.maxunicode
-_NO_LETTER = chr(_MAX_LETTERS)
+# Letter codes are the characters between these two.  The first separates
+# the code keys kept for the reversed trie; the last codes a query letter
+# the lexicon lacks: it labels no edge.
+_SEP = "\0"
+_MAX_LETTERS = sys.maxunicode - 1
+_NO_LETTER = chr(sys.maxunicode)
 
 
 class _Codes(dict):
@@ -50,21 +59,19 @@ class _Codes(dict):
     def __missing__(self, letter: str) -> str:
         if len(self) >= _MAX_LETTERS:
             raise WordListError(f"more than {_MAX_LETTERS} distinct letters")
-        code = self[letter] = chr(len(self))
+        code = self[letter] = chr(len(self) + 1)
         return code
 
 
-def _build_trie(words: Iterable[str]) -> tuple[dict[str, str], list[int], str, bytes]:
-    """The letter codes, edge offsets, edge labels and word ends of ``words``.
+def _build_trie(keys: list[str]) -> tuple[array, str, bytes]:
+    """The edge offsets, edge labels and word ends of the code ``keys``.
 
-    ``words`` are NFC and non-empty.  Each becomes a key string of letter
-    codes.  Sorted, the keys meet every depth's nodes in breadth-first
-    order: a key adds one node per letter after its common prefix with the
-    key before it, and a word ends at its last node.
+    Each key is a non-empty string of letter codes, one per letter.
+    Sorted, the keys meet every depth's nodes in breadth-first order: a key
+    adds one node per letter after its common prefix with the key before
+    it, and a word ends at its last node.  ``keys`` is sorted in place.
     """
-    codes = _Codes()
-    code = codes.__getitem__
-    keys = sorted(["".join(map(code, letter_texts(word))) for word in words])
+    keys.sort()
     # labels[d]: the codes of the depth d + 1 nodes.  Per depth-d node,
     # starts[d] says where its children start in labels[d], and ends[d]
     # holds 1 when a word ends there.
@@ -88,19 +95,13 @@ def _build_trie(words: Iterable[str]) -> tuple[dict[str, str], list[int], str, b
             ends[d + 1].append(0)
         ends[n][-1] = 1
         prev = key
-    del keys
-    first: list[int] = []
+    first = array("I")
     edges = 0  # edges into depths 1..d, so the first edge into depth d + 1
     for d, level in enumerate(starts):
         first.extend([edges + s for s in level])
         edges += len(labels[d])
     first.append(edges)
-    return (
-        codes,
-        first,
-        "".join(["".join(level) for level in labels]),
-        b"".join(ends),
-    )
+    return first, "".join(["".join(level) for level in labels]), b"".join(ends)
 
 
 class Lexicon:
@@ -108,7 +109,13 @@ class Lexicon:
 
     def __init__(self, words: Iterable[str] = ()):
         self._words = frozenset(filter(None, map(_nfc, words)))
-        codes, self._first, self._labels, self._ends = _build_trie(self._words)
+        codes = _Codes()
+        code = codes.__getitem__
+        keys = ["".join(map(code, letter_texts(w))) for w in self._words]
+        self._forward = _build_trie(keys)
+        # The reversed trie, or until a walk needs it, the code keys it is
+        # built from: reversed as one string, they are the reversed keys.
+        self._backward: tuple[array, str, bytes] | str = _SEP.join(keys)
         self._code = codes.get
         self._letter_of = {c: letter for letter, c in codes.items()}
 
@@ -143,7 +150,7 @@ class Lexicon:
             letters = letter_texts(prefix)
         if not letters:
             return bool(self._words)
-        first, labels, code = self._first, self._labels, self._code
+        (first, labels, _), code = self._forward, self._code
         node = 0
         for letter in letters:
             e = labels.find(code(letter, _NO_LETTER), first[node], first[node + 1])
@@ -156,141 +163,258 @@ class Lexicon:
         """Every word at distance 1..``ed`` from ``letters``, with that distance.
 
         The distance is the unrestricted Damerau-Levenshtein distance on
-        whole letters.  A depth-first walk carries one row of the distance
-        table per trie node (Oflazer 1996), banded to |depth - column| <= ed
-        and capped at ed + 1, and leaves a subtree once no entry is within
-        ``ed``.  A row is "live" at the columns within ``ed``; only a child
-        whose letter is the query letter after a live column can differ from
-        its siblings, so all other children share one row per node (the
-        observation behind Schulz & Mihov's Levenshtein automata).  Once a
-        row's minimum is ``ed`` only those letters can stay in range, so only
-        they are followed, and a node none of whose children can is not
-        entered.
+        whole letters.  A query of m >= 2 * ``ed`` letters is searched by the
+        forward-backward method (Mihov & Schulz 2004), as the union of two
+        walks (:meth:`_walk`) that each cap the cost over part of the query:
+
+        * the forward walk, in the trie, on the query, allows at most
+          ``ed // 2`` over columns 0..b, where b = m // 2 and column j means
+          the first j query letters are consumed;
+        * the backward walk, in the reversed trie, on the reversed query,
+          allows at most ``ceil(ed / 2) - 1`` over its columns below m - b,
+          which are the query's columns after b.
+
+        Every other column allows ``ed``.  Together they miss no word: take
+        an alignment of cost at most ``ed``, and its cost at the last cell it
+        visits in columns 0..b.  If that is at most ``ed // 2``, the forward
+        walk lets it through.  Otherwise what it spends after that cell is at
+        most ``ed - ed // 2 - 1``, and the backward walk, which counts from
+        the other end, lets it through.  The split column b counts on the
+        forward side only; capping it on both sides would lose words.  Each
+        walk reports a word with the cost of its cheapest alignment within
+        its caps, and the union keeps the smaller of the two, which is the
+        distance.
+
+        Neither walk fans out near its root the way one walk with the whole
+        budget does.  A query shorter than 2 * ``ed`` has too little room for
+        the caps to prune, so it takes one forward walk with every column
+        at ``ed``.
         """
-        code = self._code
         query = tuple(letters)
+        m = len(query)
+        if ed < 1:
+            return []
+        if m < 2 * ed:
+            return self._walk(self._forward, query, ed, [ed] * (m + 1), "".join)
+        b = m // 2
+        limit = [ed // 2] * (b + 1) + [ed] * (m - b)
+        found = dict(self._walk(self._forward, query, ed, limit, "".join))
+        backward = self._backward
+        if isinstance(backward, str):
+            keys = list(filter(None, backward[::-1].split(_SEP)))
+            backward = self._backward = _build_trie(keys)
+        limit = [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1)
+        back = self._walk(backward, query[::-1], ed, limit, lambda path: "".join(reversed(path)))
+        for word, distance in back:
+            if distance < found.get(word, ed + 1):
+                found[word] = distance
+        return list(found.items())
+
+    def _walk(
+        self, trie, query: tuple[str, ...], ed: int, limit: list[int], spell
+    ) -> list[tuple[str, int]]:
+        """The words of ``trie`` that align with ``query`` within ``limit``.
+
+        ``limit[j]`` caps an alignment's cost at every cell it visits in
+        column j (the first j query letters consumed).  The limits never fall
+        as j grows, and none exceeds ``ed``.  A word is found, with the
+        cheapest cost of an alignment that keeps within the limits, when one
+        exists.
+
+        A depth-first walk carries one row of the distance table per trie
+        node (Oflazer 1996), banded to |depth - column| <= ed: each cell
+        holds the cheapest cost within the limits, or ed + 1 where there is
+        none.  A Damerau transposition (Lowrance-Wagner: two letters swap
+        places, and what lies between them is deleted or inserted) jumps over
+        the rows between its two letters, and those rows must still be
+        entered.  So each row also carries the transpositions open through
+        it, as (column, the letter that closes it, its cost if that letter
+        comes next); the cost grows by one per row passed.  A node is
+        entered only while its row holds a cell or an open transposition
+        within the limits.
+
+        Only a child whose letter matches the query after a cell, opens a
+        transposition or closes one can differ from its siblings, so all
+        other children share one row per node (the observation behind
+        Schulz & Mihov's Levenshtein automata).  A row is "wide" when a
+        child of any letter keeps within the limits; otherwise only those
+        letters are followed, and a node none of whose children has one is
+        not entered.  ``spell`` joins a path's letters into the word.
+        """
+        first, labels, ends = trie
+        letter_of = self._letter_of
+        code = self._code
         # The rows compare letter codes; the path holds letters, which spell
-        # the words found and locate transpositions.
+        # the words found.
         q = tuple([code(letter, _NO_LETTER) for letter in query])
         m = len(q)
         cap = ed + 1
+        # room[j]: a cell at column j below it keeps a child of any letter
+        # within the limits, by a substitution (or at column m a deletion).
+        room = limit[1:] + limit[-1:]
+        # later[j]: (bound, q[j + d]) where a cell at column j, if at most
+        # bound, lets a child of letter q[j + d] open a transposition (see
+        # opens) although insertions from column j would pass a lower limit
+        # before column j + d, so no cell of the row names that letter.
+        later = []
+        if limit[0] < ed:
+            later = [
+                [
+                    (limit[j + d + 1] - d, q[j + d])
+                    for d in range(1, ed + 1)
+                    if j + d < m
+                    and limit[j + d + 1] - d > min(limit[j + t] - t for t in range(1, d + 1))
+                ]
+                for j in range(m)
+            ]
+
         where: dict[str, list[int]] = {}  # letter -> columns j with q[j - 1] == letter
         for j, letter in enumerate(q, 1):
             where.setdefault(letter, []).append(j)
+        # opens[j]: for each transposition that a child whose letter
+        # matches column j can open, (s, d, q[s]): it starts from the
+        # parent's cell at column s, and q[s], which lies d - 1 query
+        # letters before, is the letter that closes it.
+        opens = [
+            [(j - d - 1, d, q[j - d - 1]) for d in range(1, min(ed, j - 1) + 1)]
+            for j in range(m + 1)
+        ]
         path = [""] * (m + ed + 1)  # path[k - 1]: the letter at depth k
-        rows: list = [None] * (m + ed + 2)  # rows[k]: the row at depth k
 
-        def transposed(y: str, depth: int, col: int, gap: int) -> int:
-            # Lowrance-Wagner: swap the path's last y (at depth k) with the
-            # query letter at ``col``, deleting and inserting what lies
-            # between.  A y more than ``ed`` levels up costs more than ``ed``.
-            for k in range(depth - 1, max(depth - ed, 1) - 1, -1):
-                if path[k - 1] == y:
-                    return rows[k - 1][col - 1] + depth - k + gap
-            return cap
-
-        # A state is (row, minimum of the row, letters after its live columns).
-        def full_row(letter: str | None, depth: int, parent: list[int]) -> tuple:
+        # A state is (row, open transpositions, the letters that can keep a
+        # child within the limits, wide); a node with nothing within the
+        # limits has none.
+        def step(
+            letter: str | None, depth: int, parent: list[int], opened: list, parent_wide: bool
+        ) -> tuple | None:
+            # The child's state.  A match or a closing transposition seeds a
+            # cell; when the parent is wide, every cell of the band also
+            # tries a deletion, a substitution and an insertion.
             row = [cap] * (m + 1)
             nexts = set()
-            low = cap
-            if depth <= ed:
-                row[0] = low = depth
-                if m:
-                    nexts.add(q[0])
-            lo = depth - ed if depth > ed else 1
-            left = row[lo - 1]
-            matched = 0  # last column before j whose query letter is ``letter``
-            for j in range(lo, (depth + ed if depth + ed < m else m) + 1):
-                y = q[j - 1]
-                v = parent[j - 1] if y == letter else parent[j - 1] + 1
-                if parent[j] + 1 < v:
-                    v = parent[j] + 1
-                if left + 1 < v:
-                    v = left + 1
-                if matched and j - matched <= ed:
-                    t = transposed(query[j - 1], depth, matched, j - matched - 1)
-                    if t < v:
-                        v = t
-                if y == letter:
-                    matched = j
-                if v <= ed:
-                    if v < low:
-                        low = v
-                    if j < m:
-                        nexts.add(q[j])
-                    row[j] = left = v
-                else:
-                    left = cap
-            return row, low, nexts
+            wide = False
+            pend = []
+            seeds = []
+            for j, closer, cost in opened:
+                if closer == letter and cost < row[j]:
+                    row[j] = cost
+                    seeds.append(j)
+                if cost < limit[j]:
+                    pend.append((j, closer, cost + 1))
+                    nexts.add(closer)
+                    if cost + 1 < limit[j]:
+                        wide = True
+            for j in where.get(letter, ()):
+                if parent[j - 1] < row[j]:
+                    row[j] = parent[j - 1]
+                    seeds.append(j)
+                for s, d, closer in opens[j]:
+                    cost = parent[s] + d
+                    if cost <= limit[j]:
+                        pend.append((j, closer, cost))
+                        nexts.add(closer)
+                        if cost < limit[j]:
+                            wide = True
+            if parent_wide:
+                if depth <= limit[0]:
+                    row[0] = depth
+                    if depth < room[0]:
+                        wide = True
+                    if m:
+                        nexts.add(q[0])
+                lo = depth - ed if depth > ed else 1
+                left = row[lo - 1]
+                for j in range(lo, (depth + ed if depth + ed < m else m) + 1):
+                    v = parent[j - 1] + 1
+                    if row[j] < v:
+                        v = row[j]
+                    if parent[j] + 1 < v:
+                        v = parent[j] + 1
+                    if left + 1 < v:
+                        v = left + 1
+                    if v <= limit[j]:
+                        row[j] = left = v
+                        if v < room[j]:
+                            wide = True
+                        if j < m:
+                            nexts.add(q[j])
+                            if later:
+                                for bound, x in later[j]:
+                                    if v <= bound:
+                                        nexts.add(x)
+                    else:
+                        left = cap
+            else:
+                # Each seed costs its column's limit, as the parent is not
+                # wide, so an insertion after it stays within the limits
+                # only where the limit steps up.
+                for j in sorted(seeds):
+                    v = row[j]
+                    while True:
+                        if v < room[j]:
+                            wide = True
+                        if j < m:
+                            nexts.add(q[j])
+                            if later:
+                                for bound, x in later[j]:
+                                    if v <= bound:
+                                        nexts.add(x)
+                        j += 1
+                        v += 1
+                        if j > m or v > limit[j] or row[j] <= v:
+                            break
+                        row[j] = v
+            return (row, pend, nexts, wide) if nexts or row[m] < cap else None
 
-        def sparse_row(letter: str, depth: int, parent: list[int]) -> tuple:
-            # The parent's minimum is ed, so an entry can stay within ed only
-            # where ``letter`` matches the query, or one column on, where a
-            # transposition closes; either entry is then exactly ed.
-            row = [cap] * (m + 1)
-            nexts = set()
-            for j in where[letter]:
-                if parent[j - 1] <= ed:
-                    row[j] = ed
-                    if j < m:
-                        nexts.add(q[j])
-                if j < m and transposed(query[j], depth, j, 0) <= ed:
-                    row[j + 1] = ed
-                    if j + 1 < m:
-                        nexts.add(q[j + 1])
-            return row, ed if nexts or row[m] == ed else cap, nexts
-
-        first, labels, ends, letter_of = self._first, self._labels, self._ends, self._letter_of
         found: list[tuple[str, int]] = []
 
         def descend(e: int, x: str, depth: int, kid: tuple) -> None:
-            # The child along edge ``e``, whose row ``kid`` is within ed:
-            # report it if it is a word in range, and queue it if one of its
-            # children can stay in range.
-            r, r_low, r_nexts = kid
+            # The child along edge ``e``, whose state is ``kid``: report it
+            # if it is a word in range, and queue it if one of its children
+            # can stay within the limits.
+            r, _, r_nexts, r_wide = kid
             c = e + 1
             if 0 < r[m] <= ed and ends[c]:
-                found.append(("".join(path[: depth - 1]) + letter_of[x], r[m]))
+                path[depth - 1] = letter_of[x]
+                found.append((spell(path[:depth]), r[m]))
             lo = first[c]
             hi = first[c + 1]
-            if lo < hi and (r_low < ed or not r_nexts.isdisjoint(labels[lo:hi])):
+            if lo < hi and (r_wide or not r_nexts.isdisjoint(labels[lo:hi])):
                 stack.append((lo, hi, depth, x, kid))
 
-        root = [min(j, cap) for j in range(m + 1)]
-        stack = [(first[0], first[1], 0, "", (root, 0, {q[j] for j in range(min(m, cap))}))]
+        stack = [(first[0], first[1], 0, "", step(None, 0, [cap] * (m + 1), [], True))]
         while stack:
-            lo, hi, depth, letter, (row, low, nexts) = stack.pop()
-            rows[depth] = row
+            lo, hi, depth, letter, (row, opened, nexts, wide) = stack.pop()
             if depth:
                 path[depth - 1] = letter_of[letter]
             depth += 1
-            if low < ed:
-                shared = full_row(None, depth, row)
-                s_row, s_low, s_nexts = shared
+            if wide:
+                shared = step(None, depth, row, opened, True)
+                s_row, _, s_nexts, s_wide = shared
                 s_dist = s_row[m] if s_row[m] <= ed else 0
-                if s_low < ed or s_nexts or s_dist:
-                    # Every child: the query's letters get their own row,
+                if s_wide or s_nexts or s_dist:
+                    # Every child: the letters in nexts get their own row,
                     # the others share one.
                     for e, x in enumerate(labels[lo:hi], lo):
                         if x in nexts:
-                            kid = full_row(x, depth, row)
-                            if kid[1] <= ed:
+                            kid = step(x, depth, row, opened, True)
+                            if kid is not None:
                                 descend(e, x, depth, kid)
                             continue
                         c = e + 1
                         if s_dist and ends[c]:
-                            found.append(("".join(path[: depth - 1]) + letter_of[x], s_dist))
+                            path[depth - 1] = letter_of[x]
+                            found.append((spell(path[:depth]), s_dist))
                         lo2 = first[c]
                         hi2 = first[c + 1]
-                        if lo2 < hi2 and (s_low < ed or not s_nexts.isdisjoint(labels[lo2:hi2])):
+                        if lo2 < hi2 and (s_wide or not s_nexts.isdisjoint(labels[lo2:hi2])):
                             stack.append((lo2, hi2, depth, x, shared))
                     continue
             for x in nexts:
                 e = labels.find(x, lo, hi)
                 if e >= 0:
-                    kid = full_row(x, depth, row) if low < ed else sparse_row(x, depth, row)
-                    if kid[1] <= ed:
+                    kid = step(x, depth, row, opened, wide)
+                    if kid is not None:
                         descend(e, x, depth, kid)
         return found
 
@@ -305,7 +429,7 @@ class Lexicon:
         not by the product of the alternates.
         """
         n = len(letters)
-        first, labels, ends, code = self._first, self._labels, self._ends, self._code
+        (first, labels, ends), code = self._forward, self._code
         path = [""] * n
         found: list[tuple[str, int]] = []
         stack = [(0, 0, "", 0)]

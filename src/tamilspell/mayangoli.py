@@ -25,7 +25,7 @@ import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .letters import UYIRMEI, VOWEL_SIGNS, Letter, tokenize
+from .letters import UYIRMEI, VOWEL_SIGNS, letter_texts
 
 __all__ = [
     "DEFAULT_SERIES",
@@ -79,7 +79,7 @@ def find_letter_positions(word) -> list[SeriesMatch]:
     get = _MATCHES.get
     matches: list[SeriesMatch] = []
     for pos, letter in enumerate(_letters(word)):
-        entry = get(letter.text)
+        entry = get(letter)
         if entry is not None:
             matches.append(SeriesMatch(pos, *entry[:3]))
     return matches
@@ -95,13 +95,14 @@ def find_correspondents(word, matches=None) -> list[list[str]]:
     letters = _letters(word)
     if matches is None:
         matches = find_letter_positions(letters)
-    return [list(_MATCHES[letters[m.position].text][3]) for m in matches]
+    return [list(_MATCHES[letters[m.position]][3]) for m in matches]
 
 
-def _letters(word) -> list[Letter]:
+def _letters(word) -> tuple[str, ...]:
+    # Text (normalized here), ``Letter`` objects or letter texts.
     if isinstance(word, str):
-        return tokenize(unicodedata.normalize("NFC", word))
-    return list(word)
+        word = unicodedata.normalize("NFC", word)
+    return letter_texts(word)
 
 
 def generate_alternates(word: str) -> list[str]:
@@ -111,12 +112,12 @@ def generate_alternates(word: str) -> list[str]:
     s1*...*sk - 1 words, in cartesian-product order.
     """
     word = unicodedata.normalize("NFC", word)
-    letters = tokenize(word)
+    letters = letter_texts(word)
     matches = find_letter_positions(letters)
     if not matches:
         return []
     rows = find_correspondents(letters, matches)
-    texts = [lt.text for lt in letters]
+    texts = list(letters)
     alternates: list[str] = []
     for combo in itertools.product(*rows):
         for match, replacement in zip(matches, combo):

@@ -203,6 +203,25 @@ def test_words_with_a_space():
     assert Lexicon(words).within_distance(letter_texts("தென்றல்காற்று"), 1) == [("தென்றல் காற்று", 1)]
 
 
+# A query of at least 2 * ed letters is searched by a forward walk and a
+# walk over the reversed words, split at half its length.  Each case puts
+# its edits where the split cuts them.
+
+
+@pytest.mark.parametrize(
+    ("word", "query", "ed"),
+    [
+        ("கபடல்", ("க", "ட", "ல்"), 1),  # an insertion at the split
+        ("அலிம்", ("லி", "அ", "ம்"), 1),  # a transposition across it
+        ("அஈஆ", ("அ", "ஆ", "இ", "ஈ"), 2),  # a transposition over a gap
+        ("அஊஆஇஉ", ("அ", "ஆ", "இ", "உ", "ஊ", "எ"), 3),
+    ],
+)
+def test_edits_at_the_split_are_found(word, query, ed):
+    assert letter_edit_distance(query, word) == ed
+    assert Lexicon([word]).within_distance(query, ed) == [(word, ed)]
+
+
 # Pieces that tokenize differently alone and joined: a lone vowel sign or
 # pulli fuses with the consonant before it, ெ + ா compose under NFC, and
 # க் + ஷ fuse into the conjunct.
@@ -234,12 +253,15 @@ def test_too_many_distinct_letters_is_a_word_list_error(monkeypatch):
 
 def test_memory_per_word_stays_small():
     # One object per trie node would cost about 1,100 bytes per word here.
+    # The reversed trie, which the first split walk builds, counts too.
     rng = random.Random(20_000)
     words = [random_letter_word(rng, 2, 8) for _ in range(20_000)]
+    query = letter_texts(random_letter_word(rng, 4, 4))
     tracemalloc.start()
     try:
         lex = Lexicon(words)
+        lex.within_distance(query, 2)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained / len(lex) <= 500
+    assert retained / len(lex) <= 250

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from conftest import random_letter_word
 from tamilspell.lexicon import Lexicon
 from tamilspell.letters import letter_texts, split_mei_uyir, tokenize
 from tamilspell.mayangoli import (
     DEFAULT_SERIES,
+    SeriesMatch,
     find_correspondents,
     find_letter_positions,
     generate_alternates,
@@ -39,6 +41,20 @@ def test_bare_mei_is_not_matched():
 def test_find_positions_no_match():
     assert find_letter_positions("அது") == []
     assert find_letter_positions("abc") == []
+
+
+@pytest.mark.parametrize(
+    "as_input", [str, tokenize, letter_texts], ids=["text", "letter objects", "letter texts"]
+)
+def test_series_lookups_take_any_form_of_the_word(as_input):
+    # மழலை matches twice, at ழ and at லை; தென்றல் once, at ற.
+    assert find_letter_positions(as_input("மழலை")) == [
+        SeriesMatch(1, "ழ்", "அ", 0),
+        SeriesMatch(2, "ல்", "ஐ", 0),
+    ]
+    assert find_correspondents(as_input("மழலை")) == [["ல", "ழ", "ள"], ["லை", "ழை", "ளை"]]
+    assert find_correspondents(as_input("தென்றல்")) == [["ர", "ற"]]
+    assert find_letter_positions(as_input("அது")) == []
 
 
 def test_correspondents_preserve_uyir():

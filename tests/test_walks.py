@@ -52,6 +52,26 @@ def test_edit_walk_equals_filtered_enumeration():
     assert checked > 500, "the lexicons must actually hold neighbours"
 
 
+def test_split_edit_walk_equals_brute_force():
+    # Four to nine letters take the forward-backward split at ed 1 and 2,
+    # and from six letters on at ed 3.  Distances to every lexicon word,
+    # by brute force, are the referee.
+    rng = random.Random(2004)
+    checked = 0
+    for _ in range(150):
+        letters = rng.sample(TABLE, rng.randint(2, 5))
+        words = _random_lexicon(rng, letters, 11)
+        query = tuple(rng.choice(letters) for _ in range(rng.randint(4, 9)))
+        distance = {w: letter_edit_distance(query, w) for w in words}
+        lexicon = Lexicon(words)
+        for ed in (1, 2, 3):
+            got = lexicon.within_distance(query, ed)
+            assert len(got) == len(set(got))
+            assert dict(got) == {w: d for w, d in distance.items() if 1 <= d <= ed}, (query, ed)
+            checked += len(got)
+    assert checked > 1000, "the lexicons must actually hold neighbours"
+
+
 def test_keyboard_walk_equals_filtered_patterns():
     # The walk reaches the lattice's lexicon words.  The checker labels an
     # edit candidate KEYBOARD when the walk reaches it and the series
