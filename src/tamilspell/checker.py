@@ -10,15 +10,17 @@ letter tuple.
 
 Conjoined-split recognition outranks confusable-series substitution,
 which outranks keyboard-adjacency patterns, which outrank generic edit
-candidates; within the merged list candidates sort by letter-level edit
-distance to the input (a recognized conjoined pair scores 0), then
-strategy priority, then code-point order.  The edit strategy returns
-every lexicon word within ``edit_distance``, with its distance.  Every
-keyboard candidate and every series candidate within that distance is
-among them, so each candidate is scored once, by the edit walk, and
+candidates.  The strategies return bare words (the edit strategy maps
+each to its distance), and the checker alone ranks them: each candidate
+gets one rank key, (letter-level edit distance to the input, strategy
+priority, candidate), where a recognized conjoined pair scores 0.  The
+edit strategy returns every lexicon word within ``edit_distance``.
+Every keyboard candidate and every series candidate within that distance
+is among them, so each candidate is scored once, by the edit walk, and
 labelled with the highest-priority strategy that proposed it.  Only a
 series candidate beyond ``edit_distance`` (the series budget is
-unlimited) is scored on its own.
+unlimited) is scored on its own.  The ``max_suggestions`` smallest keys
+are kept, and a :class:`Suggestion` is built for those alone.
 
 Suggestion lists are memoized per engine in one LRU memo of
 ``CACHE_SIZE`` words, so a document that repeats a misspelling computes
@@ -30,6 +32,7 @@ may then compute it twice, with equal results.
 from __future__ import annotations
 
 import functools
+import heapq
 import unicodedata
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -55,6 +58,9 @@ __all__ = [
 
 # Distinct non-words an engine keeps suggestion lists for.
 CACHE_SIZE = 4096
+
+# Each strategy, at the index of its priority.
+_BY_PRIORITY = tuple(Strategy)
 
 
 class Verdict(Enum):
@@ -254,25 +260,22 @@ class SpellChecker:
         letters = letter_texts(word)
         series = mayangoli.suggest(letters, lexicon)
         nearby = keyboard.corrections(letters, lexicon, self.confusion_matrix, ed)
-        merged: dict[str, Suggestion] = {}
-        for sug in edits.suggest(letters, lexicon, nedits=ed):
-            if sug.candidate in series:
-                sug = Suggestion(sug.candidate, Strategy.MAYANGOLI, sug.score)
-            elif sug.candidate in nearby:
-                sug = Suggestion(sug.candidate, Strategy.KEYBOARD, sug.score)
-            merged[sug.candidate] = sug
-        for candidate in series.difference(merged):
-            merged[candidate] = Suggestion(
-                candidate, Strategy.MAYANGOLI, letter_edit_distance(letters, candidate)
-            )
+        within = edits.suggest(letters, lexicon, nedits=ed)
+        # Candidate -> rank key.  Each strategy overwrites the ones of lower
+        # priority; every keyboard candidate is an edit candidate.
+        edit = Strategy.EDIT.priority
+        ranks = {candidate: (distance, edit, candidate) for candidate, distance in within.items()}
+        for candidate in nearby:
+            ranks[candidate] = (within[candidate], Strategy.KEYBOARD.priority, candidate)
+        for candidate in series:
+            distance = within.get(candidate) or letter_edit_distance(letters, candidate)
+            ranks[candidate] = (distance, Strategy.MAYANGOLI.priority, candidate)
         for pair in conjoined.recognize(letters, lexicon):
             # Scores 0, below any other strategy's score for the same text.
             candidate = f"{pair.left} {pair.right}"
-            merged[candidate] = Suggestion(candidate, Strategy.CONJOINED, 0)
-        ranked = sorted(
-            merged.values(), key=lambda s: (s.score, s.strategy.priority, s.candidate)
-        )
-        return tuple(ranked[: self.config.max_suggestions])
+            ranks[candidate] = (0, Strategy.CONJOINED.priority, candidate)
+        kept = heapq.nsmallest(self.config.max_suggestions, ranks.values())
+        return tuple([Suggestion(c, _BY_PRIORITY[p], score) for score, p, c in kept])
 
 
 # ---------------------------------------------------------------------- #

@@ -94,6 +94,9 @@ def recognize(letters: Sequence[str], lexicon) -> list[SplitPair]:
     the first letter that leaves the lexicon's prefixes: no left half can
     be a word after it.  A right half is looked up only behind a left
     half that is a word, so the work is bounded by the lexicon's depth.
+    Each half must be exactly a word's letter split: an ottru split's
+    uyir ஒ followed by a lone ௗ is not the word ஔ, although NFC would
+    compose the two.
     """
     if isinstance(letters, str):
         raise TypeError("letters must be the word's letter split, not its text")
@@ -106,9 +109,9 @@ def recognize(letters: Sequence[str], lexicon) -> list[SplitPair]:
             plain.append(SplitPair(left, "".join(texts[i:]), SplitKind.PLAIN))
         if text in MEI_UYIR:
             mei, uyir = MEI_UYIR[text]
-            right = uyir + "".join(texts[i + 1 :])
-            if lexicon.contains_letters(texts[:i] + (mei,)) and lexicon.is_word(right):
-                ottru.append(SplitPair(left + mei, right, SplitKind.OTTRU))
+            right = (uyir,) + texts[i + 1 :]
+            if lexicon.contains_letters(texts[:i] + (mei,)) and lexicon.contains_letters(right):
+                ottru.append(SplitPair(left + mei, "".join(right), SplitKind.OTTRU))
         if not lexicon.prefix_exists(texts[: i + 1]):
             break
     return plain + ottru

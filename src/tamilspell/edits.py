@@ -6,7 +6,9 @@ alphabet (247 standard, 323 with grantha).  ``suggest`` is the contract:
 every lexicon word within letter-level Damerau-Levenshtein distance
 ``nedits`` is a candidate.  It takes the input as its letter split, as
 the checker made it, and takes the candidates from the lexicon by walking
-it, never by generating strings.  ``edit_operations``, ``edits1`` and
+it, never by generating strings.  It maps each candidate to its distance
+and neither labels nor ranks them: the checker does that, for the
+candidates it keeps.  ``edit_operations``, ``edits1`` and
 ``edits_n`` enumerate the neighbourhood itself, level by level; they are
 the reference the walk is tested against.
 """
@@ -17,7 +19,6 @@ import unicodedata
 from collections.abc import Sequence
 
 from .letters import Alphabet, alphabet as default_alphabet, letter_texts
-from .suggestion import Strategy, Suggestion
 
 __all__ = [
     "edit_operations",
@@ -97,23 +98,18 @@ def edits_n(word, alphabet=None, nedits: int = 1) -> list[str]:
     return ["".join(w) for w in seen]
 
 
-def suggest(letters: Sequence[str], lexicon, nedits: int = 2) -> list[Suggestion]:
+def suggest(letters: Sequence[str], lexicon, nedits: int = 2) -> dict[str, int]:
     """Every lexicon word within ``nedits`` letter edits, the input excluded.
 
-    ``letters`` is the word's letter split, not its text.  Scored by
-    letter-level edit distance and ranked (distance, code-point order).
+    ``letters`` is the word's letter split, not its text.  Each word maps
+    to its letter-level edit distance, in no particular order.
     ``lexicon`` is a :class:`tamilspell.lexicon.Lexicon`.
     """
     if isinstance(letters, str):
         raise TypeError("letters must be the word's letter split, not its text")
     if nedits < 1:
         raise ValueError("nedits must be >= 1")
-    found = [
-        Suggestion(candidate, Strategy.EDIT, distance)
-        for candidate, distance in lexicon.within_distance(letters, nedits)
-    ]
-    found.sort(key=lambda s: (s.score, s.candidate))
-    return found
+    return lexicon.within_distance(letters, nedits)
 
 
 def letter_edit_distance(a, b) -> int:

@@ -170,7 +170,4 @@ def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: in
     if ed < 1:
         raise ValueError("ed must be >= 1")
     alternates = _alternates(matrix, letters)
-    return {
-        candidate
-        for candidate, _ in lexicon.substitutions(letters, alternates, min(ed, len(letters)))
-    }
+    return lexicon.substitutions(letters, alternates, min(ed, len(letters)))

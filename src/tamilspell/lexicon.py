@@ -18,8 +18,8 @@ It keeps three structures:
   taken.
 
 Correction candidates come out of the tries by walking them:
-:meth:`Lexicon.within_distance` gives every word within an edit distance,
-with that distance, and :meth:`Lexicon.substitutions` gives the words that
+:meth:`Lexicon.within_distance` maps every word within an edit distance
+to that distance, and :meth:`Lexicon.substitutions` gives the words that
 swap letters for per-position alternates (confusable series, keyboard
 neighbours).  The tries' layout is private to this module.  It is flat, in
 the spirit of Daciuk et al. 2000: each distinct letter is coded as one
@@ -159,8 +159,8 @@ class Lexicon:
             node = e + 1
         return True
 
-    def within_distance(self, letters: Sequence[str], ed: int) -> list[tuple[str, int]]:
-        """Every word at distance 1..``ed`` from ``letters``, with that distance.
+    def within_distance(self, letters: Sequence[str], ed: int) -> dict[str, int]:
+        """Every word at distance 1..``ed`` from ``letters``, mapped to that distance.
 
         The distance is the unrestricted Damerau-Levenshtein distance on
         whole letters.  A query of m >= 2 * ``ed`` letters is searched by the
@@ -182,8 +182,8 @@ class Lexicon:
         the other end, lets it through.  The split column b counts on the
         forward side only; capping it on both sides would lose words.  Each
         walk reports a word with the cost of its cheapest alignment within
-        its caps, and the union keeps the smaller of the two, which is the
-        distance.
+        its caps; both write into one dict, which keeps the smaller of the
+        two, the distance.
 
         Neither walk fans out near its root the way one walk with the whole
         budget does.  A query shorter than 2 * ``ed`` has too little room for
@@ -192,34 +192,33 @@ class Lexicon:
         """
         query = tuple(letters)
         m = len(query)
+        found: dict[str, int] = {}
         if ed < 1:
-            return []
+            return found
         if m < 2 * ed:
-            return self._walk(self._forward, query, ed, [ed] * (m + 1), "".join)
+            self._walk(self._forward, query, ed, [ed] * (m + 1), "".join, found)
+            return found
         b = m // 2
         limit = [ed // 2] * (b + 1) + [ed] * (m - b)
-        found = dict(self._walk(self._forward, query, ed, limit, "".join))
+        self._walk(self._forward, query, ed, limit, "".join, found)
         backward = self._backward
         if isinstance(backward, str):
             keys = list(filter(None, backward[::-1].split(_SEP)))
             backward = self._backward = _build_trie(keys)
         limit = [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1)
-        back = self._walk(backward, query[::-1], ed, limit, lambda path: "".join(reversed(path)))
-        for word, distance in back:
-            if distance < found.get(word, ed + 1):
-                found[word] = distance
-        return list(found.items())
+        self._walk(backward, query[::-1], ed, limit, lambda path: "".join(reversed(path)), found)
+        return found
 
     def _walk(
-        self, trie, query: tuple[str, ...], ed: int, limit: list[int], spell
-    ) -> list[tuple[str, int]]:
-        """The words of ``trie`` that align with ``query`` within ``limit``.
+        self, trie, query: tuple[str, ...], ed: int, limit: list[int], spell, found: dict[str, int]
+    ) -> None:
+        """Put the words of ``trie`` that align with ``query`` within ``limit`` in ``found``.
 
         ``limit[j]`` caps an alignment's cost at every cell it visits in
         column j (the first j query letters consumed).  The limits never fall
         as j grows, and none exceeds ``ed``.  A word is found, with the
         cheapest cost of an alignment that keeps within the limits, when one
-        exists.
+        exists; a word already in ``found`` keeps the smaller cost.
 
         A depth-first walk carries one row of the distance table per trie
         node (Oflazer 1996), banded to |depth - column| <= ed: each cell
@@ -366,8 +365,6 @@ class Lexicon:
                         row[j] = v
             return (row, pend, nexts, wide) if nexts or row[m] < cap else None
 
-        found: list[tuple[str, int]] = []
-
         def descend(e: int, x: str, depth: int, kid: tuple) -> None:
             # The child along edge ``e``, whose state is ``kid``: report it
             # if it is a word in range, and queue it if one of its children
@@ -376,7 +373,9 @@ class Lexicon:
             c = e + 1
             if 0 < r[m] <= ed and ends[c]:
                 path[depth - 1] = letter_of[x]
-                found.append((spell(path[:depth]), r[m]))
+                word = spell(path[:depth])
+                if r[m] < found.get(word, cap):
+                    found[word] = r[m]
             lo = first[c]
             hi = first[c + 1]
             if lo < hi and (r_wide or not r_nexts.isdisjoint(labels[lo:hi])):
@@ -404,7 +403,9 @@ class Lexicon:
                         c = e + 1
                         if s_dist and ends[c]:
                             path[depth - 1] = letter_of[x]
-                            found.append((spell(path[:depth]), s_dist))
+                            word = spell(path[:depth])
+                            if s_dist < found.get(word, cap):
+                                found[word] = s_dist
                         lo2 = first[c]
                         hi2 = first[c + 1]
                         if lo2 < hi2 and (s_wide or not s_nexts.isdisjoint(labels[lo2:hi2])):
@@ -416,12 +417,11 @@ class Lexicon:
                     kid = step(x, depth, row, opened, wide)
                     if kid is not None:
                         descend(e, x, depth, kid)
-        return found
 
     def substitutions(
         self, letters: Sequence[str], alternates: Sequence[Sequence[str]], budget: int
-    ) -> list[tuple[str, int]]:
-        """Words that replace 1..``budget`` positions of ``letters``, with the count.
+    ) -> set[str]:
+        """Words that replace 1..``budget`` positions of ``letters``.
 
         ``alternates[p]`` lists the letters allowed in place of
         ``letters[p]``, the letter itself excluded.  Only paths that spell a
@@ -431,7 +431,7 @@ class Lexicon:
         n = len(letters)
         (first, labels, ends), code = self._forward, self._code
         path = [""] * n
-        found: list[tuple[str, int]] = []
+        found: set[str] = set()
         stack = [(0, 0, "", 0)]
         while stack:
             node, p, letter, changes = stack.pop()
@@ -439,7 +439,7 @@ class Lexicon:
                 path[p - 1] = letter
             if p == n:
                 if ends[node] and changes:
-                    found.append(("".join(path), changes))
+                    found.add("".join(path))
                 continue
             lo = first[node]
             hi = first[node + 1]

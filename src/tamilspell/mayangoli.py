@@ -138,7 +138,4 @@ def suggest(letters: Sequence[str], lexicon) -> set[str]:
         raise TypeError("letters must be the word's letter split, not its text")
     get = _ALTERNATES.get
     alternates = [get(letter, ()) for letter in letters]
-    return {
-        candidate
-        for candidate, _ in lexicon.substitutions(letters, alternates, len(letters))
-    }
+    return lexicon.substitutions(letters, alternates, len(letters))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import unicodedata
 
@@ -29,6 +30,7 @@ from tamilspell.keyboard import ConfusionMatrix, load_confusion_matrix
 from tamilspell.letters import alphabet, letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
 from tamilspell.suggestion import Strategy, Suggestion
+from test_walks import _random_lexicon
 
 
 def engine(lexicon, **kwargs):
@@ -116,6 +118,41 @@ def test_max_suggestions_cap(fixture_lexicon):
     assert len(report.suggestions) == 2
     zero = engine(fixture_lexicon, config=EngineConfig(max_suggestions=0))
     assert zero.check_word("பளம்").suggestions == ()
+
+
+def _suggestions(lexicon, matrix, word, k):
+    config = EngineConfig(max_suggestions=k)
+    return engine(lexicon, config=config, confusion_matrix=matrix).check_word(word).suggestions
+
+
+def test_max_suggestions_keeps_the_head_of_the_ranking():
+    # Dense random lexicons over series letters, a mei and an uyir give
+    # every strategy candidates, many at one distance.  The cut must keep
+    # exactly the head of the uncut ranking.
+    rng = random.Random(1210)
+    pool = ["ல", "ள", "ழ", "லா", "ன", "ண", "ல்", "அ"]
+    dense = 0
+    for _ in range(300):
+        letters = rng.sample(pool, 5)
+        words = _random_lexicon(rng, letters, 4)
+        matrix = ConfusionMatrix(
+            {key: [c for c in rng.sample(letters, 2) if c != key] for key in letters}
+        )
+        lexicon = Lexicon(words)
+        if rng.random() < 0.5:
+            word = "".join(rng.sample(sorted(words), 2))
+        else:
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        if lexicon.is_word(word):
+            continue
+        uncut = _suggestions(lexicon, matrix, word, 10**6)
+        for k in (0, 1, 3, 10):
+            assert _suggestions(lexicon, matrix, word, k) == uncut[:k], (word, k)
+        keys = [(s.score, s.strategy.priority, s.candidate) for s in uncut]
+        assert keys == sorted(keys)
+        assert len({s.candidate for s in uncut}) == len(uncut)
+        dense += len(uncut) > 10
+    assert dense > 40, "the lexicons must give more candidates than the cut keeps"
 
 
 def test_engine_config_validation():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 from conftest import random_letter_word
+from tamilspell.checker import SpellChecker
 from tamilspell.conjoined import (
     SplitKind,
     SplitPair,
@@ -82,6 +83,16 @@ def test_recognize_through_a_letter(fixture_lexicon):
     assert [(p.left, p.right, p.kind) for p in pairs] == [
         ("கண்", "அவன்", SplitKind.OTTRU)
     ]
+
+
+def test_ottru_right_half_is_its_exact_letters(make_lexicon):
+    # Split through கொ, கொௗ gives க் + ஔ.  NFC composes ஒ + ௗ into the
+    # word ஔ, but the right half is two letters, and no word's split.
+    letters = letter_texts("கொௗ")
+    assert letters == ("கொ", "ௗ")
+    lex = make_lexicon("க்", "ஔ")
+    assert recognize(letters, lex) == []
+    assert not SpellChecker(lex).check_word("கொௗ").is_clean
 
 
 def test_recognize_misses_unknown_halves(make_lexicon):
