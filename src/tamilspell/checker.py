@@ -160,7 +160,9 @@ class CheckReport:
 class EngineConfig:
     """Tunables for a :class:`SpellChecker`.
 
-    ``max_suggestions`` caps the merged list handed back per token.
+    ``max_suggestions`` caps the merged list handed back per token.  It
+    is at least 1, so a recognized conjoined pair, which ranks first, is
+    always kept and the token reads clean.
     """
 
     edit_distance: int = 2
@@ -169,8 +171,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.edit_distance < 1:
             raise ValueError("edit_distance must be >= 1")
-        if self.max_suggestions < 0:
-            raise ValueError("max_suggestions must be >= 0")
+        if self.max_suggestions < 1:
+            raise ValueError("max_suggestions must be >= 1")
 
 
 class SpellChecker:

@@ -5,7 +5,8 @@ Two split families are generated.  A plain split cuts between letters:
 because joining word-final mei with word-initial uyir is exactly how such
 compounds fuse: கணவன் -> கண் + அவன் (the ண becomes ண் + அ).  A word the
 lexicon already knows both halves of is reported as a recognized pair
-rather than a misspelling.  ``recognize`` takes the word as its letter
+rather than a misspelling; recognizing one asks the lexicon only whether
+each half is a word.  ``recognize`` takes the word as its letter
 split, as the checker made it; ``generate_plain_splits`` and
 ``generate_ottru_splits`` enumerate every split of a text and are the
 reference it is tested against.
@@ -90,10 +91,11 @@ def recognize(letters: Sequence[str], lexicon) -> list[SplitPair]:
     ``letters`` is the word's letter split, not its text.  No (left,
     right) pair repeats: plain pairs differ in the length of their left
     half, ottru pairs too, and an ottru pair's halves are longer together
-    than the word.  Split points are walked left to right, stopping at
-    the first letter that leaves the lexicon's prefixes: no left half can
-    be a word after it.  A right half is looked up only behind a left
-    half that is a word, so the work is bounded by the lexicon's depth.
+    than the word.  Split points past ``lexicon.longest`` are not walked:
+    a plain left half there has more letters than any word, and an ottru
+    one more still.  A right half is looked up only behind a left half
+    that is a word, so each split point costs at most four membership
+    probes, and a word costs at most 4 * (``lexicon.longest`` + 1).
     Each half must be exactly a word's letter split: an ottru split's
     uyir ஒ followed by a lone ௗ is not the word ஔ, although NFC would
     compose the two.
@@ -103,7 +105,7 @@ def recognize(letters: Sequence[str], lexicon) -> list[SplitPair]:
     texts = tuple(letters)
     plain: list[SplitPair] = []
     ottru: list[SplitPair] = []
-    for i, text in enumerate(texts):
+    for i, text in enumerate(texts[: lexicon.longest + 1]):
         left = "".join(texts[:i])
         if lexicon.contains_letters(texts[:i]) and lexicon.contains_letters(texts[i:]):
             plain.append(SplitPair(left, "".join(texts[i:]), SplitKind.PLAIN))
@@ -112,6 +114,4 @@ def recognize(letters: Sequence[str], lexicon) -> list[SplitPair]:
             right = (uyir,) + texts[i + 1 :]
             if lexicon.contains_letters(texts[:i] + (mei,)) and lexicon.contains_letters(right):
                 ottru.append(SplitPair(left + mei, "".join(right), SplitKind.OTTRU))
-        if not lexicon.prefix_exists(texts[: i + 1]):
-            break
     return plain + ottru

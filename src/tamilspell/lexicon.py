@@ -105,13 +105,18 @@ def _build_trie(keys: list[str]) -> tuple[array, str, bytes]:
 
 
 class Lexicon:
-    """A fixed set of words with letter-wise prefix queries and walks."""
+    """A fixed set of words with letter-wise membership and walks.
+
+    ``longest`` is the letter count of the longest word, 0 when empty.
+    """
 
     def __init__(self, words: Iterable[str] = ()):
         self._words = frozenset(filter(None, map(_nfc, words)))
         codes = _Codes()
         code = codes.__getitem__
         keys = ["".join(map(code, letter_texts(w))) for w in self._words]
+        # Each code key has one code per letter.
+        self.longest = max(map(len, keys), default=0)
         self._forward = _build_trie(keys)
         # The reversed trie, or until a walk needs it, the code keys it is
         # built from: reversed as one string, they are the reversed keys.
@@ -137,27 +142,6 @@ class Lexicon:
         """True when ``letters`` is exactly the letter split of a loaded word."""
         text = "".join(letters)
         return text in self._words and letter_texts(text) == tuple(letters)
-
-    def prefix_exists(self, prefix) -> bool:
-        """True when at least one loaded word starts with ``prefix``.
-
-        Accepts a string or a letter sequence.  The empty prefix exists
-        exactly when the lexicon is non-empty.
-        """
-        if isinstance(prefix, str):
-            letters = letter_texts(_nfc(prefix))
-        else:
-            letters = letter_texts(prefix)
-        if not letters:
-            return bool(self._words)
-        (first, labels, _), code = self._forward, self._code
-        node = 0
-        for letter in letters:
-            e = labels.find(code(letter, _NO_LETTER), first[node], first[node + 1])
-            if e < 0:
-                return False
-            node = e + 1
-        return True
 
     def within_distance(self, letters: Sequence[str], ed: int) -> dict[str, int]:
         """Every word at distance 1..``ed`` from ``letters``, mapped to that distance.

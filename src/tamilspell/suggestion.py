@@ -1,4 +1,4 @@
-"""Suggestion record shared by every correction strategy."""
+"""Suggestion record the checker builds for each kept candidate."""
 
 from __future__ import annotations
 

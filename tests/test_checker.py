@@ -105,19 +105,20 @@ def test_scores_are_letter_edit_distance(fixture_lexicon):
 
 
 def test_conjoined_scores_zero_and_reads_clean(fixture_lexicon):
-    report = engine(fixture_lexicon).check_word("தென்றல்காற்று")
-    assert report.verdict is Verdict.NON_WORD
-    top = report.suggestions[0]
-    assert top == Suggestion("தென்றல் காற்று", Strategy.CONJOINED, 0)
-    assert report.is_clean
+    # At max_suggestions=1 the pair is the single suggestion kept.
+    for k in (1, 10):
+        config = EngineConfig(max_suggestions=k)
+        report = engine(fixture_lexicon, config=config).check_word("தென்றல்காற்று")
+        assert report.verdict is Verdict.NON_WORD
+        top = report.suggestions[0]
+        assert top == Suggestion("தென்றல் காற்று", Strategy.CONJOINED, 0)
+        assert report.is_clean
 
 
 def test_max_suggestions_cap(fixture_lexicon):
     config = EngineConfig(max_suggestions=2)
     report = engine(fixture_lexicon, config=config).check_word("பளம்")
     assert len(report.suggestions) == 2
-    zero = engine(fixture_lexicon, config=EngineConfig(max_suggestions=0))
-    assert zero.check_word("பளம்").suggestions == ()
 
 
 def _suggestions(lexicon, matrix, word, k):
@@ -146,7 +147,7 @@ def test_max_suggestions_keeps_the_head_of_the_ranking():
         if lexicon.is_word(word):
             continue
         uncut = _suggestions(lexicon, matrix, word, 10**6)
-        for k in (0, 1, 3, 10):
+        for k in (1, 3, 10):
             assert _suggestions(lexicon, matrix, word, k) == uncut[:k], (word, k)
         keys = [(s.score, s.strategy.priority, s.candidate) for s in uncut]
         assert keys == sorted(keys)
@@ -158,6 +159,8 @@ def test_max_suggestions_keeps_the_head_of_the_ranking():
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(edit_distance=0)
+    with pytest.raises(ValueError):
+        EngineConfig(max_suggestions=0)
     with pytest.raises(ValueError):
         EngineConfig(max_suggestions=-1)
 

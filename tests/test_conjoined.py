@@ -95,6 +95,16 @@ def test_ottru_right_half_is_its_exact_letters(make_lexicon):
     assert not SpellChecker(lex).check_word("கொௗ").is_clean
 
 
+def test_recognize_reaches_a_left_half_of_the_longest_word(make_lexicon):
+    # தென்றல் has four letters, the most of any word: the split after the
+    # fourth letter is the last one tried, and it must be tried.
+    lex = make_lexicon("தென்றல்", "காற்று")
+    assert lex.longest == 4
+    assert recognize(letter_texts("தென்றல்காற்று"), lex) == [
+        SplitPair("தென்றல்", "காற்று", SplitKind.PLAIN)
+    ]
+
+
 def test_recognize_misses_unknown_halves(make_lexicon):
     assert recognize(letter_texts("தென்றல்காற்று"), make_lexicon("தென்றல்")) == []
 

@@ -28,24 +28,12 @@ def test_membership_basics(make_lexicon):
     assert len(lex) == 2
 
 
-def test_prefixes_are_letters_not_codepoints(make_lexicon):
-    lex = make_lexicon("காடு")
-    # The first letter of காடு is கா; the bare letter க is not a prefix.
-    assert lex.prefix_exists("கா")
-    assert not lex.prefix_exists("க")
-    assert lex.prefix_exists("காடு")
-    assert not lex.prefix_exists("காட்")
-
-
-def test_prefix_accepts_letter_sequences(make_lexicon):
-    lex = make_lexicon("கல்வி")
-    assert lex.prefix_exists(["க", "ல்"])
-    assert lex.prefix_exists(letter_texts("கல்"))
-
-
-def test_empty_prefix_means_nonempty_lexicon(make_lexicon):
-    assert not Lexicon().prefix_exists("")
-    assert make_lexicon("கல்").prefix_exists("")
+def test_longest_counts_letters_not_codepoints(make_lexicon):
+    assert Lexicon().longest == 0
+    assert make_lexicon("தென்றல்", "காற்று").longest == 4
+    # க்ஷ is one letter in three code points.
+    assert make_lexicon("க்ஷ").longest == 1
+    assert make_lexicon("க்ஷமா").longest == 2
 
 
 def test_words_round_trip(make_lexicon):
@@ -117,9 +105,7 @@ def test_membership_matches_set_semantics(seed):
     assert len(lex) == len(reference)
     for word in words:
         assert lex.is_word(word)
-        letters = letter_texts(word)
-        for cut in range(len(letters) + 1):
-            assert lex.prefix_exists(letters[:cut])
+    assert lex.longest == max((len(letter_texts(w)) for w in reference), default=0)
     probe = random_letter_word(rng, 1, 4)
     assert lex.is_word(probe) == (probe in reference)
 
@@ -151,8 +137,7 @@ def _assert_walks_match_tokenized_words(words, queries, rng: random.Random) -> i
                     want.add(w)
         assert lex.substitutions(q, alternates, budget) == want, query
         assert lex.contains_letters(q) == (q in tokenized)
-        for cut in range(len(q) + 1):
-            assert lex.prefix_exists(q[:cut]) == any(t[:cut] == q[:cut] for t in tokenized)
+    assert lex.longest == max(map(len, tokenized), default=0)
     return found
 
 

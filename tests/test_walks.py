@@ -196,10 +196,30 @@ def test_conjoined_walk_equals_filtered_splits():
     assert min(checked.values()) > 100, "the words must actually split both ways"
 
 
+class _CountingLexicon(Lexicon):
+    def __init__(self, words):
+        super().__init__(words)
+        self.probes = 0
+
+    def contains_letters(self, letters):
+        self.probes += 1
+        return super().contains_letters(letters)
+
+
+def test_conjoined_probes_are_bounded_by_the_longest_word(fixture_lexicon):
+    # At most four membership probes per split point, and no split point
+    # past the longest word, however long the token.
+    rng = random.Random(3000)
+    lexicon = _CountingLexicon(fixture_lexicon.words())
+    token = tuple(rng.choice(TABLE) for _ in range(3000))
+    conjoined.recognize(token, lexicon)
+    assert 0 < lexicon.probes <= 4 * (lexicon.longest + 1)
+
+
 def test_long_random_token_is_bounded(fixture_lexicon):
     # Looking both halves of every split up would be quadratic in the
-    # token's length; conjoined recognition stops at the first letter that
-    # leaves the lexicon's prefixes.
+    # token's length; conjoined recognition tries no split whose left half
+    # is longer than the lexicon's longest word.
     rng = random.Random(3000)
     token = "".join(rng.choice(TABLE) for _ in range(3000))
     started = time.perf_counter()
