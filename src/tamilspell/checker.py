@@ -24,7 +24,11 @@ are kept, and a :class:`Suggestion` is built for those alone.
 
 Suggestion lists are memoized per engine in one LRU memo of
 ``CACHE_SIZE`` words, so a document that repeats a misspelling computes
-it once and a long-lived engine stays bounded.  Checking runs serially.
+it once and a long-lived engine stays bounded.  Within one call,
+``check_text`` routes each distinct token of the document once, and
+``CheckReport.to_json`` renders each distinct report once; every
+non-word occurrence still asks the memo, so its counters count
+occurrences.  Nothing else is kept across calls.  Checking runs serially.
 An engine may be shared across threads; concurrent misses on one word
 may then compute it twice, with equal results.
 """
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import re
 import unicodedata
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -139,20 +144,29 @@ class CheckReport:
         score_head = sep + nl[4] + '"score": '
         suggestion_tail = nl[3] + "}"
         suggestions_tail = nl[2] + "]"
+        # Each distinct report is rendered once, keyed by its token and the
+        # identities of its verdict and suggestions (the reports keep them
+        # alive for the call), so the occurrences of a non-word, which share
+        # the memo's tuple, share one text.
+        fragments = {}
         out = []
         for t in self.tokens:
-            if t.suggestions:
-                rendered = "[" + nl[3] + next_suggestion.join([
-                    suggestion_head + quote(s.candidate) + strategy_head
-                    + _QUOTED[s.strategy] + score_head + str(s.score) + suggestion_tail
-                    for s in t.suggestions
-                ]) + suggestions_tail
-            else:
-                rendered = "[]"
-            out.append(
-                token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
-                + suggestions_head + rendered + token_tail
-            )
+            key = (t.token, id(t.verdict), id(t.suggestions))
+            fragment = fragments.get(key)
+            if fragment is None:
+                if t.suggestions:
+                    rendered = "[" + nl[3] + next_suggestion.join([
+                        suggestion_head + quote(s.candidate) + strategy_head
+                        + _QUOTED[s.strategy] + score_head + str(s.score) + suggestion_tail
+                        for s in t.suggestions
+                    ]) + suggestions_tail
+                else:
+                    rendered = "[]"
+                fragment = fragments[key] = (
+                    token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
+                    + suggestions_head + rendered + token_tail
+                )
+            out.append(fragment)
         return "[" + nl[1] + (sep + nl[1]).join(out) + nl[0] + "]"
 
 
@@ -218,8 +232,11 @@ class SpellChecker:
     def check_text(self, text: str) -> CheckReport:
         """Check a document; the report lists every token in order."""
         tokens = _word_tokens(unicodedata.normalize("NFC", text))
+        # Each distinct token is routed once.  Every non-word occurrence asks
+        # the memo, so its counters count occurrences, as check_word's do.
+        routes = {tok: self._route(tok) for tok in dict.fromkeys(tokens)}
         return CheckReport(tuple([
-            self._route(tok) or TokenReport(tok, Verdict.NON_WORD, self._suggestions(tok))
+            routes[tok] or TokenReport(tok, Verdict.NON_WORD, self._suggestions(tok))
             for tok in tokens
         ]))
 
@@ -232,7 +249,12 @@ class SpellChecker:
 
     @property
     def stats(self) -> dict:
-        """Memo counters; evictions are ``cache_misses - cache_size``."""
+        """Memo counters.
+
+        A computation that raises counts as a miss but stores nothing, so
+        ``cache_misses - cache_size`` is the evictions plus the failed
+        computations.
+        """
         info = self._suggestions.cache_info()
         return {
             "cache_hits": info.hits,
@@ -283,25 +305,33 @@ class SpellChecker:
 # ---------------------------------------------------------------------- #
 
 
+def _is_word_char(ch: str) -> bool:
+    return ch in "_\u200c\u200d" or unicodedata.category(ch)[0] in "LMN"
+
+
+# Word characters are letters, marks, digits, _ and the joiners.  The word
+# characters among ASCII, the Tamil block and ZWNJ/ZWJ are classified once
+# here (unassigned Tamil-block points are not word characters); any other
+# code point is classified when a text holds it.
+_WORD_CLASS = re.escape("".join(filter(_is_word_char, map(chr, (
+    *range(0x80), *range(0x0B80, 0x0C00), 0x200C, 0x200D,
+)))))
+_WORD_RUNS = re.compile(f"[{_WORD_CLASS}]+")
+_OTHER_CHARS = re.compile("[^\x00-\x7f\u0b80-\u0bff\u200c\u200d]")
+
+
 def _word_tokens(text: str) -> list[str]:
     """Split text into word tokens: runs of letters, marks, digits, _ or joiners.
 
-    Splitting on Unicode categories (not on a word regex) keeps Tamil
-    combining marks glued to their consonants.  ZWNJ and ZWJ stay inside
-    the word they sit in, so ``check_text`` sees the token ``check_word``
-    would be given.
+    Splitting on Unicode categories (not on ``\\w``) keeps Tamil combining
+    marks glued to their consonants.  ZWNJ and ZWJ stay inside the word
+    they sit in, so ``check_text`` sees the token ``check_word`` would be
+    given.
     """
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if ch in "_\u200c\u200d" or unicodedata.category(ch)[0] in "LMN":
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    extra = "".join(sorted(filter(_is_word_char, set(_OTHER_CHARS.findall(text)))))
+    if not extra:
+        return _WORD_RUNS.findall(text)
+    return re.findall(f"[{_WORD_CLASS}{re.escape(extra)}]+", text)
 
 
 def load_parallel_dict(source) -> dict[str, str]:

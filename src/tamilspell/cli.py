@@ -79,12 +79,15 @@ def build_engine(args: argparse.Namespace) -> SpellChecker:
 
 
 def repl(engine: SpellChecker, in_stream=None, out_stream=None) -> None:
-    """Interactive loop: one word per line, suggestions are numbered.
+    """Interactive loop: words are read a line at a time, suggestions are numbered.
 
-    A word whose verdict is not a non-word and that has no suggestion
-    (valid, a stop word, a non-Tamil token with no parallel-dictionary
-    entry) is reported correct.  Entering an index after a suggestion list
-    echoes that candidate; ``:q`` or end-of-file leaves the loop.
+    A line is split into word tokens as a document is, so each token gets
+    the verdict batch mode gives it, and the tokens are answered in turn; a
+    line with no word token is skipped.  A token whose verdict is not a
+    non-word and that has no suggestion (valid, a stop word, a non-Tamil
+    token with no parallel-dictionary entry) is reported correct.  Entering
+    an index after a suggestion list echoes the last token's candidate;
+    ``:q`` or end-of-file leaves the loop.
     """
     stdin = in_stream if in_stream is not None else sys.stdin
     stdout = out_stream if out_stream is not None else sys.stdout
@@ -100,28 +103,27 @@ def repl(engine: SpellChecker, in_stream=None, out_stream=None) -> None:
         if not line:
             stdout.write("\n")
             break
-        word = line.strip()
-        if not word:
-            continue
-        if word == ":q":
+        entry = line.strip()
+        if entry == ":q":
             break
-        if word.isdigit() and last:
-            index = int(word)
+        if entry.isdigit() and last:
+            index = int(entry)
             if 0 <= index < len(last):
                 say(last[index])
             else:
                 say(f"எண் {index} பட்டியலில் இல்லை")
             continue
-        report = engine.check_word(word)
-        last = [s.candidate for s in report.suggestions]
-        if report.verdict is not Verdict.NON_WORD and not last:
-            say(f'சொல் "{word}" சரி')
-            continue
-        say(f'சொல் "{word}" மாற்றங்கள்')
-        if last:
-            say(", ".join(f"({i}) {cand}" for i, cand in enumerate(last)))
-        else:
-            say("(மாற்றங்கள் இல்லை)")
+        for report in engine.check_text(entry).tokens:
+            word = report.token
+            last = [s.candidate for s in report.suggestions]
+            if report.verdict is not Verdict.NON_WORD and not last:
+                say(f'சொல் "{word}" சரி')
+                continue
+            say(f'சொல் "{word}" மாற்றங்கள்')
+            if last:
+                say(", ".join(f"({i}) {cand}" for i, cand in enumerate(last)))
+            else:
+                say("(மாற்றங்கள் இல்லை)")
 
 
 def _check_files(engine: SpellChecker, files: list[str], as_json: bool, out_stream) -> int:

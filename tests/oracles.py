@@ -2,14 +2,15 @@
 
 Everything here is written the slow, obvious way on purpose: list
 comprehensions over letter tuples, breadth-first search for distances,
-itertools enumeration for lattices, a per-code-point loop for letters.
-No package internals are reused beyond the letter constants and the
-``Letter`` record.
+itertools enumeration for lattices, per-code-point loops for letters and
+for word tokens.  No package internals are reused beyond the letter
+constants and the ``Letter`` record.
 """
 
 from __future__ import annotations
 
 import itertools
+import unicodedata
 
 from tamilspell.letters import (
     AYUDHAM,
@@ -63,6 +64,25 @@ def reference_tokenize(text: str) -> list[Letter]:
         else:
             tokens.append(Letter(ch, LetterKind.OTHER))
             i += 1
+    return tokens
+
+
+def reference_word_tokens(text: str) -> list[str]:
+    """The document split as a per-code-point loop: the reference for the checker's.
+
+    A word token is a maximal run of code points that are letters, marks
+    or digits by their Unicode category, ``_``, ZWNJ or ZWJ.
+    """
+    tokens: list[str] = []
+    current: list[str] = []
+    for ch in text:
+        if ch in "_\u200c\u200d" or unicodedata.category(ch)[0] in "LMN":
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
     return tokens
 
 

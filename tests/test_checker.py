@@ -9,7 +9,7 @@ import random
 import unicodedata
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tamilspell.checker
 import tamilspell.letters
@@ -21,6 +21,7 @@ from tamilspell.checker import (
     SpellChecker,
     TokenReport,
     Verdict,
+    _word_tokens,
     load_parallel_dict,
     load_stop_words,
 )
@@ -30,6 +31,7 @@ from tamilspell.keyboard import ConfusionMatrix, load_confusion_matrix
 from tamilspell.letters import alphabet, letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
 from tamilspell.suggestion import Strategy, Suggestion
+from oracles import reference_word_tokens
 from test_walks import _random_lexicon
 
 
@@ -239,6 +241,61 @@ def test_mixed_script_token_goes_to_lexicon(fixture_lexicon):
     # One Tamil code point is enough to route a token at the lexicon.
     report = engine(fixture_lexicon).check_text("பzழம்")
     assert report.tokens[0].verdict is Verdict.NON_WORD
+
+
+# Code points the word split must classify as the category loop does.
+_SPLIT_CHARS = st.one_of(
+    st.sampled_from([chr(c) for c in range(0x0B80, 0x0C00)]),  # unassigned points too
+    st.characters(max_codepoint=0x7F),
+    st.sampled_from(["\u200c", "\u200d", "\u0301", "\u093e", "\u0660", "\u00a0", "\u3000", "\x1c"]),
+    st.characters(min_codepoint=0x10000),
+    st.characters(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_SPLIT_CHARS, max_size=40))
+@example("க\u0bfb\u0be6\u0b80ா\u0bff_\u200cக\u0301 \u00a0\u3000x\u093e\x1c\u0660😀𝔸")
+def test_word_split_equals_the_category_loop(text):
+    assert _word_tokens(text) == reference_word_tokens(text)
+
+
+def test_check_text_routes_each_distinct_token_once(fixture_lexicon):
+    class Counting(Lexicon):
+        def is_word(self, word):
+            probed.append(word)
+            return super().is_word(word)
+
+    probed = []
+    eng = engine(Counting(fixture_lexicon.words()), stop_words=["கறி"])
+    text = "பழம் பளம் பழம் computer பளம் கறி பழம் computer கறி"
+    first = eng.check_text(text)
+    assert probed == ["பழம்", "பளம்"]  # a stop word or a non-Tamil token is never probed
+    tokens = first.tokens
+    assert tokens[0] is tokens[2] is tokens[6]
+    assert tokens[3] is tokens[7]
+    assert tokens[5] is tokens[8]
+    assert tokens[1].suggestions is tokens[4].suggestions
+    # Nothing is kept across calls.
+    probed.clear()
+    assert eng.check_text(text) == first
+    assert probed == ["பழம்", "பளம்"]
+    assert [eng.check_word(tok) for tok in text.split()] == list(first.tokens)
+
+
+def test_to_json_renders_shared_and_same_text_reports(fixture_lexicon):
+    eng = engine(fixture_lexicon)
+    nonword = eng.check_word("பளம்")
+    valid = eng.check_word("பழம்")
+    # One report object repeated, and two different reports for one token
+    # text, with equal and with different suggestions.
+    other = TokenReport("பளம்", Verdict.NON_WORD, nonword.suggestions[:1])
+    equal = TokenReport("பளம்", Verdict.NON_WORD, tuple(list(nonword.suggestions)))
+    skipped = TokenReport("பழம்", Verdict.SKIPPED, ())
+    assert equal.suggestions is not nonword.suggestions
+    report = CheckReport((valid, nonword, valid, other, nonword, skipped, equal, other, valid))
+    for indent in (None, 0, 2):
+        assert report.to_json(indent) == _dumps(report, indent)
 
 
 def test_to_json_keeps_tamil_readable(fixture_lexicon):

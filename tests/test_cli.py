@@ -96,6 +96,28 @@ def test_repl_reports_what_batch_mode_passes_as_correct():
     )
 
 
+def test_repl_gives_each_token_the_batch_verdict(tmp_path, capsys):
+    # The line is split as a document is: பழம், is the valid word பழம்
+    # followed by punctuation, the verdict batch mode gives the same text.
+    engine = repl_engine("பலம்", "பழம்")
+    got = run_repl(engine, "பழம்,\n\"...\"\nபழம் பளம்!\n1\n:q\n")
+    assert got == (
+        '>> சொல் "பழம்" சரி\n'
+        ">> "  # a line with no word token is skipped
+        '>> சொல் "பழம்" சரி\n'
+        'சொல் "பளம்" மாற்றங்கள்\n'
+        "(0) பலம், (1) பழம்\n"
+        ">> பழம்\n"
+        ">> "
+    )
+    words = tmp_path / "words.txt"
+    words.write_text("பலம்\nபழம்\n", encoding="utf-8")
+    doc = tmp_path / "doc.txt"
+    doc.write_text("பழம்,\n", encoding="utf-8")
+    assert main(["--dict", str(words), str(doc)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 # ----------------------------------------------------------------- batch
 
 
