@@ -15,6 +15,8 @@ from .checker import (
     CheckReport,
     EngineConfig,
     SpellChecker,
+    Strategy,
+    Suggestion,
     TokenReport,
     Verdict,
     load_parallel_dict,
@@ -33,7 +35,6 @@ from .letters import (
     tokenize,
 )
 from .lexicon import Lexicon, load_wordlist
-from .suggestion import Strategy, Suggestion
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,7 @@ Every keyboard candidate and every series candidate within that distance
 is among them, so each candidate is scored once, by the edit walk, and
 labelled with the highest-priority strategy that proposed it.  Only a
 series candidate beyond ``edit_distance`` (the series budget is
-unlimited) is scored on its own.  The ``max_suggestions`` smallest keys
+unlimited) is scored on its own.  The ``MAX_SUGGESTIONS`` smallest keys
 are kept, and a :class:`Suggestion` is built for those alone.
 
 Suggestion lists are memoized per engine in one LRU memo of
@@ -48,13 +48,15 @@ from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
 from .errors import TamilSpellError, _data_lines
 from .letters import has_tamil, letter_texts
-from .suggestion import Strategy, Suggestion
 
 __all__ = [
     "CACHE_SIZE",
     "CheckReport",
     "EngineConfig",
+    "MAX_SUGGESTIONS",
     "SpellChecker",
+    "Strategy",
+    "Suggestion",
     "TokenReport",
     "Verdict",
     "load_parallel_dict",
@@ -64,8 +66,10 @@ __all__ = [
 # Distinct non-words an engine keeps suggestion lists for.
 CACHE_SIZE = 4096
 
-# Each strategy, at the index of its priority.
-_BY_PRIORITY = tuple(Strategy)
+# Suggestions kept per non-word.  It must stay at least 1: a recognized
+# conjoined pair ranks first, and keeping it is what makes the token read
+# clean.
+MAX_SUGGESTIONS = 10
 
 
 class Verdict(Enum):
@@ -73,6 +77,40 @@ class Verdict(Enum):
     NON_WORD = "nonword"
     NON_TAMIL = "nontamil"
     SKIPPED = "skipped"
+
+
+class Strategy(Enum):
+    """Which generator produced a suggestion; order is the merge priority."""
+
+    CONJOINED = "conjoined"
+    MAYANGOLI = "mayangoli"
+    KEYBOARD = "keyboard"
+    EDIT = "edit"
+    FOREIGN = "foreign"
+
+    @property
+    def priority(self) -> int:
+        return _BY_PRIORITY.index(self)
+
+
+# The merge priority, written once: each strategy at the index of its priority.
+_BY_PRIORITY = tuple(Strategy)
+
+
+@dataclass(frozen=True, slots=True)
+class Suggestion:
+    """One candidate correction: the word, its origin, and a distance score."""
+
+    candidate: str
+    strategy: Strategy
+    score: int
+
+    def as_dict(self) -> dict:
+        return {
+            "candidate": self.candidate,
+            "strategy": self.strategy.value,
+            "score": self.score,
+        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,21 +210,13 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tunables for a :class:`SpellChecker`.
-
-    ``max_suggestions`` caps the merged list handed back per token.  It
-    is at least 1, so a recognized conjoined pair, which ranks first, is
-    always kept and the token reads clean.
-    """
+    """Tunables for a :class:`SpellChecker`."""
 
     edit_distance: int = 2
-    max_suggestions: int = 10
 
     def __post_init__(self):
         if self.edit_distance < 1:
             raise ValueError("edit_distance must be >= 1")
-        if self.max_suggestions < 1:
-            raise ValueError("max_suggestions must be >= 1")
 
 
 class SpellChecker:
@@ -298,7 +328,7 @@ class SpellChecker:
             # Scores 0, below any other strategy's score for the same text.
             candidate = f"{pair.left} {pair.right}"
             ranks[candidate] = (0, Strategy.CONJOINED.priority, candidate)
-        kept = heapq.nsmallest(self.config.max_suggestions, ranks.values())
+        kept = heapq.nsmallest(MAX_SUGGESTIONS, ranks.values())
         return tuple([Suggestion(c, _BY_PRIORITY[p], score) for score, p, c in kept])
 
 

@@ -16,7 +16,7 @@ import time
 from json.encoder import encode_basestring
 
 from . import __version__
-from .bundled import bundled_confusion_matrix, bundled_lexicon, bundled_parallel_dict
+from .bundled import bundled_lexicon, bundled_parallel_dict
 from .checker import EngineConfig, SpellChecker, Verdict, load_parallel_dict, load_stop_words
 from .errors import TamilSpellError
 from .keyboard import load_confusion_matrix
@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cm", metavar="PATH", help="keyboard confusion matrix file")
     parser.add_argument("--parallel", metavar="PATH", help="foreign-to-Tamil parallel dictionary")
     parser.add_argument("--stopwords", metavar="PATH", help="stop word list (tokens to skip)")
-    parser.add_argument("--ed", type=int, default=2, metavar="N", help="edit distance budget (default 2)")
+    ed_help = "edit distance budget (default %(default)s)"
+    parser.add_argument("--ed", type=int, default=EngineConfig.edit_distance, metavar="N", help=ed_help)
     parser.add_argument("--json", action="store_true", help="emit a full JSON report for batch mode")
     parser.add_argument("--stats", action="store_true", help="print engine statistics to stderr")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -66,9 +67,9 @@ def build_engine(args: argparse.Namespace) -> SpellChecker:
             raise TamilSpellError("the loaded word lists are empty")
     else:
         lexicon = bundled_lexicon()
-    matrix = load_confusion_matrix(args.cm) if args.cm else bundled_confusion_matrix()
+    matrix = load_confusion_matrix(args.cm) if args.cm else None
     parallel = load_parallel_dict(args.parallel) if args.parallel else bundled_parallel_dict()
-    stop_words = load_stop_words(args.stopwords) if args.stopwords else frozenset()
+    stop_words = load_stop_words(args.stopwords) if args.stopwords else ()
     return SpellChecker(
         lexicon,
         config=EngineConfig(edit_distance=args.ed),
@@ -86,8 +87,8 @@ def repl(engine: SpellChecker, in_stream=None, out_stream=None) -> None:
     line with no word token is skipped.  A token whose verdict is not a
     non-word and that has no suggestion (valid, a stop word, a non-Tamil
     token with no parallel-dictionary entry) is reported correct.  Entering
-    an index after a suggestion list echoes the last token's candidate;
-    ``:q`` or end-of-file leaves the loop.
+    an index (decimal digits) after a suggestion list echoes the last
+    token's candidate; ``:q`` or end-of-file leaves the loop.
     """
     stdin = in_stream if in_stream is not None else sys.stdin
     stdout = out_stream if out_stream is not None else sys.stdout
@@ -106,12 +107,11 @@ def repl(engine: SpellChecker, in_stream=None, out_stream=None) -> None:
         entry = line.strip()
         if entry == ":q":
             break
-        if entry.isdigit() and last:
-            index = int(entry)
-            if 0 <= index < len(last):
-                say(last[index])
-            else:
-                say(f"எண் {index} பட்டியலில் இல்லை")
+        if entry.isdecimal() and last:
+            try:
+                say(last[int(entry)])
+            except (IndexError, ValueError):  # ValueError: more digits than int() takes
+                say(f"எண் {entry} பட்டியலில் இல்லை")
             continue
         for report in engine.check_text(entry).tokens:
             word = report.token

@@ -162,12 +162,12 @@ def _alternates(matrix: ConfusionMatrix, letters: Sequence[str]) -> list[tuple[s
 def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: int = 2) -> set[str]:
     """Lexicon words that substitute matrix neighbours at 1..``ed`` positions.
 
-    ``letters`` is the word's letter split, not its text; ``ed`` is
-    clamped to its length.
+    ``letters`` is the word's letter split, not its text; ``ed`` may
+    exceed its length, as n letters take at most n substitutions.
     """
     if isinstance(letters, str):
         raise TypeError("letters must be the word's letter split, not its text")
     if ed < 1:
         raise ValueError("ed must be >= 1")
     alternates = _alternates(matrix, letters)
-    return lexicon.substitutions(letters, alternates, min(ed, len(letters)))
+    return lexicon.substitutions(letters, alternates, ed)

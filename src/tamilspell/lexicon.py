@@ -180,29 +180,30 @@ class Lexicon:
         if ed < 1:
             return found
         if m < 2 * ed:
-            self._walk(self._forward, query, ed, [ed] * (m + 1), "".join, found)
+            self._walk(self._forward, query, [ed] * (m + 1), "".join, found)
             return found
         b = m // 2
         limit = [ed // 2] * (b + 1) + [ed] * (m - b)
-        self._walk(self._forward, query, ed, limit, "".join, found)
+        self._walk(self._forward, query, limit, "".join, found)
         backward = self._backward
         if isinstance(backward, str):
             keys = list(filter(None, backward[::-1].split(_SEP)))
             backward = self._backward = _build_trie(keys)
         limit = [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1)
-        self._walk(backward, query[::-1], ed, limit, lambda path: "".join(reversed(path)), found)
+        self._walk(backward, query[::-1], limit, lambda path: "".join(reversed(path)), found)
         return found
 
     def _walk(
-        self, trie, query: tuple[str, ...], ed: int, limit: list[int], spell, found: dict[str, int]
+        self, trie, query: tuple[str, ...], limit: list[int], spell, found: dict[str, int]
     ) -> None:
         """Put the words of ``trie`` that align with ``query`` within ``limit`` in ``found``.
 
         ``limit[j]`` caps an alignment's cost at every cell it visits in
         column j (the first j query letters consumed).  The limits never fall
-        as j grows, and none exceeds ``ed``.  A word is found, with the
-        cheapest cost of an alignment that keeps within the limits, when one
-        exists; a word already in ``found`` keeps the smaller cost.
+        as j grows, so the last, ``ed = limit[-1]``, is the most any cell
+        may cost.  A word is found, with the cheapest cost of an alignment
+        that keeps within the limits, when one exists; a word already in
+        ``found`` keeps the smaller cost.
 
         A depth-first walk carries one row of the distance table per trie
         node (Oflazer 1996), banded to |depth - column| <= ed: each cell
@@ -231,6 +232,7 @@ class Lexicon:
         # the words found.
         q = tuple([code(letter, _NO_LETTER) for letter in query])
         m = len(q)
+        ed = limit[-1]
         cap = ed + 1
         # room[j]: a cell at column j below it keeps a child of any letter
         # within the limits, by a substitution (or at column m a deletion).

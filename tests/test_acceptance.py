@@ -16,6 +16,7 @@ import acceptance_report
 import oracles
 from conftest import random_letter_word
 
+from tamilspell import Strategy
 from tamilspell.bundled import bundled_lexicon, bundled_parallel_dict
 from tamilspell.checker import SpellChecker, Verdict
 from tamilspell.conjoined import SplitKind, generate_ottru_splits, recognize
@@ -30,7 +31,6 @@ from tamilspell.letters import (
     letter_texts,
     split_mei_uyir,
 )
-from tamilspell.suggestion import Strategy
 
 
 def detail(criterion: int, text: str) -> None:

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import tamilspell.checker
 import tamilspell.letters
-from tamilspell import conjoined, edits, keyboard, mayangoli
+from tamilspell import Strategy, Suggestion, conjoined, edits, keyboard, mayangoli
 from tamilspell.bundled import bundled_lexicon
 from tamilspell.checker import (
     CheckReport,
@@ -30,7 +30,6 @@ from tamilspell.errors import MatrixFormatError, TamilSpellError, WordListError
 from tamilspell.keyboard import ConfusionMatrix, load_confusion_matrix
 from tamilspell.letters import alphabet, letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
-from tamilspell.suggestion import Strategy, Suggestion
 from oracles import reference_word_tokens
 from test_walks import _random_lexicon
 
@@ -106,29 +105,30 @@ def test_scores_are_letter_edit_distance(fixture_lexicon):
             assert s.score == letter_edit_distance("பளம்", s.candidate)
 
 
-def test_conjoined_scores_zero_and_reads_clean(fixture_lexicon):
-    # At max_suggestions=1 the pair is the single suggestion kept.
+def test_conjoined_scores_zero_and_reads_clean(fixture_lexicon, monkeypatch):
+    # At MAX_SUGGESTIONS=1 the pair is the single suggestion kept.
     for k in (1, 10):
-        config = EngineConfig(max_suggestions=k)
-        report = engine(fixture_lexicon, config=config).check_word("தென்றல்காற்று")
+        monkeypatch.setattr(tamilspell.checker, "MAX_SUGGESTIONS", k)
+        report = engine(fixture_lexicon).check_word("தென்றல்காற்று")
         assert report.verdict is Verdict.NON_WORD
         top = report.suggestions[0]
         assert top == Suggestion("தென்றல் காற்று", Strategy.CONJOINED, 0)
         assert report.is_clean
 
 
-def test_max_suggestions_cap(fixture_lexicon):
-    config = EngineConfig(max_suggestions=2)
-    report = engine(fixture_lexicon, config=config).check_word("பளம்")
-    assert len(report.suggestions) == 2
+def test_max_suggestions_cap(fixture_lexicon, monkeypatch):
+    assert tamilspell.checker.MAX_SUGGESTIONS == 10
+    assert len(engine(fixture_lexicon).check_word("பளம்").suggestions) == 10
+    monkeypatch.setattr(tamilspell.checker, "MAX_SUGGESTIONS", 2)
+    assert len(engine(fixture_lexicon).check_word("பளம்").suggestions) == 2
 
 
-def _suggestions(lexicon, matrix, word, k):
-    config = EngineConfig(max_suggestions=k)
-    return engine(lexicon, config=config, confusion_matrix=matrix).check_word(word).suggestions
+def _suggestions(monkeypatch, lexicon, matrix, word, k):
+    monkeypatch.setattr(tamilspell.checker, "MAX_SUGGESTIONS", k)
+    return engine(lexicon, confusion_matrix=matrix).check_word(word).suggestions
 
 
-def test_max_suggestions_keeps_the_head_of_the_ranking():
+def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch):
     # Dense random lexicons over series letters, a mei and an uyir give
     # every strategy candidates, many at one distance.  The cut must keep
     # exactly the head of the uncut ranking.
@@ -148,9 +148,9 @@ def test_max_suggestions_keeps_the_head_of_the_ranking():
             word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
         if lexicon.is_word(word):
             continue
-        uncut = _suggestions(lexicon, matrix, word, 10**6)
+        uncut = _suggestions(monkeypatch, lexicon, matrix, word, 10**6)
         for k in (1, 3, 10):
-            assert _suggestions(lexicon, matrix, word, k) == uncut[:k], (word, k)
+            assert _suggestions(monkeypatch, lexicon, matrix, word, k) == uncut[:k], (word, k)
         keys = [(s.score, s.strategy.priority, s.candidate) for s in uncut]
         assert keys == sorted(keys)
         assert len({s.candidate for s in uncut}) == len(uncut)
@@ -161,10 +161,6 @@ def test_max_suggestions_keeps_the_head_of_the_ranking():
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(edit_distance=0)
-    with pytest.raises(ValueError):
-        EngineConfig(max_suggestions=0)
-    with pytest.raises(ValueError):
-        EngineConfig(max_suggestions=-1)
 
 
 # ----------------------------------------------------------------- documents
@@ -399,7 +395,8 @@ def test_a_non_word_is_split_once_when_computed(fixture_lexicon, monkeypatch, to
     split = tamilspell.letters._SPLIT
     calls = []
     monkeypatch.setattr(tamilspell.letters, "_SPLIT", lambda text: calls.append(text) or split(text))
-    eng = engine(fixture_lexicon, config=EngineConfig(max_suggestions=10**6))
+    monkeypatch.setattr(tamilspell.checker, "MAX_SUGGESTIONS", 10**6)
+    eng = engine(fixture_lexicon)
     report = eng.check_word(token)
     assert report.verdict is Verdict.NON_WORD
     assert calls.count(token) == 1

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from tamilspell import __version__
+from tamilspell.bundled import bundled_confusion_matrix
 from tamilspell.checker import EngineConfig, SpellChecker
 from tamilspell.cli import _build_parser, build_engine, main, repl
 from tamilspell.keyboard import ConfusionMatrix
@@ -54,6 +55,31 @@ def test_repl_eof_ends_cleanly():
 def test_repl_selection_out_of_range():
     got = run_repl(repl_engine("பலம்", "பழம்"), "பளம்\n7\n:q\n")
     assert "எண் 7 பட்டியலில் இல்லை" in got
+
+
+@pytest.mark.parametrize("entry", ["²", "①"])
+def test_repl_takes_an_index_only_from_decimal_digits(entry):
+    # A digit that is not a decimal digit is no index: it is checked as a
+    # word, and the loop goes on.
+    got = run_repl(repl_engine("பலம்", "பழம்"), f"பளம்\n{entry}\n:q\n")
+    assert got == (
+        '>> சொல் "பளம்" மாற்றங்கள்\n'
+        "(0) பலம், (1) பழம்\n"
+        f'>> சொல் "{entry}" சரி\n'
+        ">> "
+    )
+
+
+def test_repl_index_past_int_digit_limit():
+    entry = "1" * 5000
+    got = run_repl(repl_engine("பலம்", "பழம்"), f"பளம்\n{entry}\n1\n:q\n")
+    assert got == (
+        '>> சொல் "பளம்" மாற்றங்கள்\n'
+        "(0) பலம், (1) பழம்\n"
+        f">> எண் {entry} பட்டியலில் இல்லை\n"
+        ">> பழம்\n"
+        ">> "
+    )
 
 
 def test_repl_no_suggestions():
@@ -317,6 +343,13 @@ def test_dictionaries_merge(tmp_path, capsys):
     doc = write_doc(tmp_path, "doc.txt", "பழம் பலம்\n")
     assert main([doc, "--dict", str(first), "--dict", str(second)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_build_engine_takes_the_engine_defaults():
+    engine = build_engine(_build_parser().parse_args([]))
+    assert engine.config == EngineConfig()
+    assert engine.confusion_matrix is bundled_confusion_matrix()
+    assert engine.stop_words == frozenset()
 
 
 def test_version_flag(capsys):

@@ -15,14 +15,14 @@ import random
 import time
 
 from conftest import random_letter_word
-from tamilspell import conjoined, keyboard, mayangoli
+import tamilspell.checker
+from tamilspell import Strategy, Suggestion, conjoined, keyboard, mayangoli
 from tamilspell.checker import EngineConfig, SpellChecker, Verdict
 from tamilspell.conjoined import SplitKind
 from tamilspell.edits import edits_n, letter_edit_distance, suggest
 from tamilspell.keyboard import ConfusionMatrix
 from tamilspell.letters import alphabet, join_mei_uyir, letter_texts
 from tamilspell.lexicon import Lexicon
-from tamilspell.suggestion import Strategy, Suggestion
 
 TABLE = alphabet().letters
 
@@ -69,11 +69,12 @@ def test_split_edit_walk_equals_brute_force():
     assert checked > 1000, "the lexicons must actually hold neighbours"
 
 
-def test_keyboard_walk_equals_filtered_patterns():
+def test_keyboard_walk_equals_filtered_patterns(monkeypatch):
     # The walk reaches the lattice's lexicon words.  The checker labels an
     # edit candidate KEYBOARD when the walk reaches it and the series
     # strategy does not, so the labelled candidates are those words minus
     # the series ones, each scored by its letter edit distance.
+    monkeypatch.setattr(tamilspell.checker, "MAX_SUGGESTIONS", 10**6)
     rng = random.Random(99)
     checked = 0
     for _ in range(300):
@@ -89,7 +90,7 @@ def test_keyboard_walk_equals_filtered_patterns():
         lexicon = Lexicon(words)
         reached = {c for c in patterns if c in words}
         assert keyboard.corrections(letter_texts(word), lexicon, matrix, ed) == reached
-        config = EngineConfig(edit_distance=ed, max_suggestions=10**6)
+        config = EngineConfig(edit_distance=ed)
         report = SpellChecker(lexicon, config=config, confusion_matrix=matrix).check_word(word)
         got = {s.candidate: s.score for s in report.suggestions if s.strategy is Strategy.KEYBOARD}
         series = mayangoli.suggest(letter_texts(word), lexicon)
