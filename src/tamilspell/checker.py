@@ -4,9 +4,12 @@ Every token takes one route, whether it comes from ``check_word`` or
 ``check_text``: a token with no Tamil code point goes to the parallel
 dictionary, a stop word is skipped, a token the lexicon knows is valid,
 and anything else goes through every correction strategy and the results
-are merged.  The checker is the input boundary: it NFC-normalizes each
-token, and splits a non-word into letters once; every strategy takes that
-letter tuple.
+are merged.  The checker is the input boundary: it NFC-normalizes its
+input, and splits a non-word into letters once; every strategy takes that
+letter tuple.  ``check_text`` normalizes a document only when that could
+change it: a text of ASCII, Tamil-block and joiner code points alone is
+already NFC unless it holds one of four code point pairs that compose
+(``_nfc_document`` says why that is exact).
 
 Conjoined-split recognition outranks confusable-series substitution,
 which outranks keyboard-adjacency patterns, which outrank generic edit
@@ -25,12 +28,15 @@ are kept, and a :class:`Suggestion` is built for those alone.
 Suggestion lists are memoized per engine in one LRU memo of
 ``CACHE_SIZE`` words, so a document that repeats a misspelling computes
 it once and a long-lived engine stays bounded.  Within one call,
-``check_text`` routes each distinct token of the document once, and
-``CheckReport.to_json`` renders each distinct report once; every
-non-word occurrence still asks the memo, so its counters count
-occurrences.  Nothing else is kept across calls.  Checking runs serially.
-An engine may be shared across threads; concurrent misses on one word
-may then compute it twice, with equal results.
+``check_text`` routes each distinct token of the document once and builds
+one report for it, which all its occurrences share; every non-word
+occurrence still asks the memo, so its counters count occurrences.
+``CheckReport.to_json`` renders each distinct report object once, found
+by its identity; reports built apart with the same token and the same
+verdict and suggestion objects are rendered once too.  Nothing else is
+kept across calls.  Checking runs serially.  An engine may be shared
+across threads; concurrent misses on one word may then compute it twice,
+with equal results.
 """
 
 from __future__ import annotations
@@ -160,7 +166,10 @@ class CheckReport:
         """The text of ``json.dumps(self.as_dicts(), ensure_ascii=False, indent=indent)``.
 
         Written directly, without building the dicts.  Strings are escaped,
-        so every newline in the text is layout.
+        so every newline in the text is layout.  Each distinct report object
+        is rendered once and its text looked up by the object's identity;
+        reports built apart that share a token and the same verdict and
+        suggestion objects share one text.  The result is one ``join``.
         """
         if not self.tokens:
             return "[]"
@@ -182,13 +191,10 @@ class CheckReport:
         score_head = sep + nl[4] + '"score": '
         suggestion_tail = nl[3] + "}"
         suggestions_tail = nl[2] + "]"
-        # Each distinct report is rendered once, keyed by its token and the
-        # identities of its verdict and suggestions (the reports keep them
-        # alive for the call), so the occurrences of a non-word, which share
-        # the memo's tuple, share one text.
-        fragments = {}
-        out = []
-        for t in self.tokens:
+        # Keyed by identity: the reports (and their verdicts and suggestion
+        # tuples) stay alive for the call, so no id is reused.
+        texts, fragments = {}, {}
+        for report_id, t in dict(zip(map(id, self.tokens), self.tokens)).items():
             key = (t.token, id(t.verdict), id(t.suggestions))
             fragment = fragments.get(key)
             if fragment is None:
@@ -204,8 +210,12 @@ class CheckReport:
                     token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
                     + suggestions_head + rendered + token_tail
                 )
-            out.append(fragment)
-        return "[" + nl[1] + (sep + nl[1]).join(out) + nl[0] + "]"
+            texts[report_id] = fragment
+        # One join builds the text; the brackets ride on the first and last part.
+        parts = list(map(texts.__getitem__, map(id, self.tokens)))
+        parts[0] = "[" + nl[1] + parts[0]
+        parts[-1] += nl[0] + "]"
+        return (sep + nl[1]).join(parts)
 
 
 @dataclass(frozen=True)
@@ -260,15 +270,25 @@ class SpellChecker:
         return self._route(token) or TokenReport(token, Verdict.NON_WORD, self._suggestions(token))
 
     def check_text(self, text: str) -> CheckReport:
-        """Check a document; the report lists every token in order."""
-        tokens = _word_tokens(unicodedata.normalize("NFC", text))
-        # Each distinct token is routed once.  Every non-word occurrence asks
-        # the memo, so its counters count occurrences, as check_word's do.
+        """Check a document; the report lists every token in order.
+
+        The text is NFC-normalized only when normalizing could change it
+        (see ``_nfc_document``).  Each distinct token is routed once and
+        gets one report, which all its occurrences share; every non-word
+        occurrence still asks the memo, so its counters count occurrences,
+        as ``check_word``'s do.
+        """
+        text, mixed = _nfc_document(text)
+        tokens = _word_tokens(text, mixed)
         routes = {tok: self._route(tok) for tok in dict.fromkeys(tokens)}
-        return CheckReport(tuple([
-            routes[tok] or TokenReport(tok, Verdict.NON_WORD, self._suggestions(tok))
-            for tok in tokens
-        ]))
+        non_words = {tok for tok, report in routes.items() if report is None}
+        for tok in filter(non_words.__contains__, tokens):
+            # The first answer makes the report.  A word evicted mid-pass is
+            # computed again, with an equal result.
+            found = self._suggestions(tok)
+            if routes[tok] is None:
+                routes[tok] = TokenReport(tok, Verdict.NON_WORD, found)
+        return CheckReport(tuple(map(routes.__getitem__, tokens)))
 
     def substitute_foreign(self, token: str) -> Suggestion | None:
         """Parallel-dictionary lookup for a non-Tamil token (case-folded)."""
@@ -339,29 +359,62 @@ def _is_word_char(ch: str) -> bool:
     return ch in "_\u200c\u200d" or unicodedata.category(ch)[0] in "LMN"
 
 
-# Word characters are letters, marks, digits, _ and the joiners.  The word
-# characters among ASCII, the Tamil block and ZWNJ/ZWJ are classified once
-# here (unassigned Tamil-block points are not word characters); any other
-# code point is classified when a text holds it.
-_WORD_CLASS = re.escape("".join(filter(_is_word_char, map(chr, (
-    *range(0x80), *range(0x0B80, 0x0C00), 0x200C, 0x200D,
-)))))
-_WORD_RUNS = re.compile(f"[{_WORD_CLASS}]+")
+# The base code points are ASCII, the Tamil block and ZWNJ/ZWJ; any other
+# code point is "other".
 _OTHER_CHARS = re.compile("[^\x00-\x7f\u0b80-\u0bff\u200c\u200d]")
 
+# The only base pairs NFC changes: each composes to one Tamil code point.
+_COMPOSING_PAIRS = ("\u0bc6\u0bbe", "\u0bc7\u0bbe", "\u0bc6\u0bd7", "\u0b92\u0bd7")
 
-def _word_tokens(text: str) -> list[str]:
+# Word characters are letters, marks, digits, _ and the joiners.  A run is
+# text free of the base code points that are not word characters, which
+# are classified once here (unassigned Tamil-block points are not word
+# characters).  A run may hold other code points that are not word
+# characters either; ``_word_tokens`` cuts those out.
+_WORD_RUNS = re.compile("[^%s]+" % re.escape("".join(
+    ch for ch in map(chr, (*range(0x80), *range(0x0B80, 0x0C00), 0x200C, 0x200D))
+    if not _is_word_char(ch)
+)))
+
+
+def _nfc_document(text: str) -> tuple[str, bool]:
+    """``unicodedata.normalize("NFC", text)``, and whether text holds an other code point.
+
+    A text of base code points alone is normalized only when it holds one
+    of ``_COMPOSING_PAIRS``, since nothing else in it can change: among
+    the base code points only pulli has a non-zero combining class, so
+    nothing reorders; every base code point is its own NFC form; and the
+    second code point of each pair has class 0, so it composes only with
+    the code point just before it.  Composing such a pair gives a Tamil
+    code point, so the result is still of base code points alone.
+    """
+    mixed = _OTHER_CHARS.search(text) is not None
+    if mixed or any(pair in text for pair in _COMPOSING_PAIRS):
+        text = unicodedata.normalize("NFC", text)
+    return text, mixed
+
+
+def _word_tokens(text: str, mixed: bool | None = None) -> list[str]:
     """Split text into word tokens: runs of letters, marks, digits, _ or joiners.
 
     Splitting on Unicode categories (not on ``\\w``) keeps Tamil combining
     marks glued to their consonants.  ZWNJ and ZWJ stay inside the word
     they sit in, so ``check_text`` sees the token ``check_word`` would be
-    given.
+    given.  ``mixed=False`` promises that text holds no other code point;
+    None scans for one.
     """
-    extra = "".join(sorted(filter(_is_word_char, set(_OTHER_CHARS.findall(text)))))
-    if not extra:
+    if mixed is None:
+        mixed = _OTHER_CHARS.search(text) is not None
+    if not mixed:
         return _WORD_RUNS.findall(text)
-    return re.findall(f"[{_WORD_CLASS}{re.escape(extra)}]+", text)
+    # Every other code point that is no word character ends a run.
+    tokens, start = [], 0
+    for other in _OTHER_CHARS.finditer(text):
+        if not _is_word_char(other.group()):
+            tokens += _WORD_RUNS.findall(text, start, other.start())
+            start = other.end()
+    tokens += _WORD_RUNS.findall(text, start)
+    return tokens
 
 
 def load_parallel_dict(source) -> dict[str, str]:

@@ -21,6 +21,7 @@ from tamilspell.checker import (
     SpellChecker,
     TokenReport,
     Verdict,
+    _nfc_document,
     _word_tokens,
     load_parallel_dict,
     load_stop_words,
@@ -256,6 +257,37 @@ def test_word_split_equals_the_category_loop(text):
     assert _word_tokens(text) == reference_word_tokens(text)
 
 
+# ASCII, the Tamil block and the joiners: a text of these alone is
+# normalized only when it holds one of the four composing pairs.
+_BASE_CHARS = [chr(c) for c in (*range(0x80), *range(0x0B80, 0x0C00), 0x200C, 0x200D)]
+
+
+def test_nfc_gate_is_exact_on_every_pair_of_base_code_points():
+    for a in _BASE_CHARS:
+        for b in _BASE_CHARS:
+            assert _nfc_document(a + b) == (unicodedata.normalize("NFC", a + b), False)
+
+
+_NFC_CHARS = st.one_of(
+    st.sampled_from(_BASE_CHARS),
+    # The parts of the composing pairs, and pulli.
+    st.sampled_from(["\u0bc6", "\u0bc7", "\u0b92", "\u0bbe", "\u0bd7", "\u0bcd"]),
+    # Outside the base: = and U+0338 compose, U+0301 sorts after a pulli
+    # that follows it, the Kelvin sign becomes ASCII K, a nukta, and é.
+    st.sampled_from(["=", "e", "\u0338", "\u0301", "\u212a", "\u093c", "\u00e9"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_NFC_CHARS, max_size=40))
+@example("=\u0338 \u0b95\u0bc6\u0bbe \u0b95\u0301\u0bcd \u0b92\u0bd7 \u212a e\u0301")
+def test_nfc_gate_equals_normalize_on_any_text(text):
+    normalized, mixed = _nfc_document(text)
+    assert normalized == unicodedata.normalize("NFC", text)
+    assert _word_tokens(normalized, mixed) == reference_word_tokens(normalized)
+
+
 def test_check_text_routes_each_distinct_token_once(fixture_lexicon):
     class Counting(Lexicon):
         def is_word(self, word):
@@ -482,6 +514,19 @@ def test_cache_is_bounded_and_evicts_least_recent(fixture_lexicon, monkeypatch):
     assert again == first
     assert again is not first  # evicted, then computed afresh
     assert eng.stats == {"cache_hits": 2, "cache_misses": 6, "cache_size": 2}
+
+
+def test_memo_eviction_mid_pass_keeps_each_report(fixture_lexicon, monkeypatch):
+    # With one memo slot, the alternating non-words evict each other, so the
+    # memo hands back a new tuple for every occurrence.
+    monkeypatch.setattr(tamilspell.checker, "CACHE_SIZE", 1)
+    eng = engine(fixture_lexicon)
+    tokens = ["பளம்", "பழம்", "சுவம்", "பழம்"] * 3
+    report = eng.check_text(" ".join(tokens))
+    stats = eng.stats
+    assert stats["cache_hits"] + stats["cache_misses"] == 6
+    assert list(report.tokens) == [eng.check_word(tok) for tok in tokens]
+    assert eng.check_word("பளம்").suggestions is not report.tokens[0].suggestions
 
 
 def test_stats_shape(fixture_lexicon):
