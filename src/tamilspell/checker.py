@@ -7,9 +7,9 @@ and anything else goes through every correction strategy and the results
 are merged.  The checker is the input boundary: it NFC-normalizes its
 input, and splits a non-word into letters once; every strategy takes that
 letter tuple.  ``check_text`` normalizes a document only when that could
-change it: a text of ASCII, Tamil-block and joiner code points alone is
-already NFC unless it holds one of four code point pairs that compose
-(``_nfc_document`` says why that is exact).
+change it: a text of ASCII, Tamil-block, joiner and common punctuation
+code points alone is already NFC unless it holds one of four code point
+pairs that compose (``_nfc_document`` says why that is exact).
 
 Conjoined-split recognition outranks confusable-series substitution,
 which outranks keyboard-adjacency patterns, which outrank generic edit
@@ -359,9 +359,14 @@ def _is_word_char(ch: str) -> bool:
     return ch in "_\u200c\u200d" or unicodedata.category(ch)[0] in "LMN"
 
 
-# The base code points are ASCII, the Tamil block and ZWNJ/ZWJ; any other
-# code point is "other".
-_OTHER_CHARS = re.compile("[^\x00-\x7f\u0b80-\u0bff\u200c\u200d]")
+# The base code points are ASCII, the Tamil block, ZWNJ/ZWJ, and the
+# no-break space and General Punctuation's dashes, quotes, daggers, bullets
+# and leaders (U+2010-U+2027), which typeset Tamil text uses; any other code
+# point is "other".
+_BASE_CODE_POINTS = (
+    *range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D, *range(0x2010, 0x2028)
+)
+_OTHER_CHARS = re.compile("[^%s]" % re.escape("".join(map(chr, _BASE_CODE_POINTS))))
 
 # The only base pairs NFC changes: each composes to one Tamil code point.
 _COMPOSING_PAIRS = ("\u0bc6\u0bbe", "\u0bc7\u0bbe", "\u0bc6\u0bd7", "\u0b92\u0bd7")
@@ -372,8 +377,7 @@ _COMPOSING_PAIRS = ("\u0bc6\u0bbe", "\u0bc7\u0bbe", "\u0bc6\u0bd7", "\u0b92\u0bd
 # characters).  A run may hold other code points that are not word
 # characters either; ``_word_tokens`` cuts those out.
 _WORD_RUNS = re.compile("[^%s]+" % re.escape("".join(
-    ch for ch in map(chr, (*range(0x80), *range(0x0B80, 0x0C00), 0x200C, 0x200D))
-    if not _is_word_char(ch)
+    ch for ch in map(chr, _BASE_CODE_POINTS) if not _is_word_char(ch)
 )))
 
 
@@ -381,12 +385,13 @@ def _nfc_document(text: str) -> tuple[str, bool]:
     """``unicodedata.normalize("NFC", text)``, and whether text holds an other code point.
 
     A text of base code points alone is normalized only when it holds one
-    of ``_COMPOSING_PAIRS``, since nothing else in it can change: among
-    the base code points only pulli has a non-zero combining class, so
-    nothing reorders; every base code point is its own NFC form; and the
-    second code point of each pair has class 0, so it composes only with
-    the code point just before it.  Composing such a pair gives a Tamil
-    code point, so the result is still of base code points alone.
+    of ``_COMPOSING_PAIRS``, since nothing else in it can change (a test
+    checks every pair against ``unicodedata``): among the base code points
+    only pulli has a non-zero combining class, so nothing reorders; every
+    base code point is its own NFC form; no two compose but those pairs;
+    and the second code point of each pair has class 0, so it composes
+    only with the code point just before it.  Composing such a pair gives
+    a Tamil code point, so the result is still of base code points alone.
     """
     mixed = _OTHER_CHARS.search(text) is not None
     if mixed or any(pair in text for pair in _COMPOSING_PAIRS):

@@ -35,6 +35,7 @@ from __future__ import annotations
 import sys
 import unicodedata
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 
@@ -223,7 +224,17 @@ class Lexicon:
         Schulz & Mihov's Levenshtein automata).  A row is "wide" when a
         child of any letter keeps within the limits; otherwise only those
         letters are followed, and a node none of whose children has one is
-        not entered.  ``spell`` joins a path's letters into the word.
+        not entered.
+
+        A node's state (its row, open transpositions and the letters worth
+        following) is a pure function of its parent's state and its own
+        letter, and a shared state is carried by many nodes.  So each state
+        carries its transitions: the child state along each letter, and the
+        one its non-matching children share, is computed once and looked up
+        for every other node that carries the state.  The walk thus builds
+        the query's Levenshtein automaton lazily, only where the trie goes,
+        and drops it when the walk ends.  ``spell`` joins a path's letters
+        into the word.
         """
         first, labels, ends = trie
         letter_of = self._letter_of
@@ -267,8 +278,10 @@ class Lexicon:
         path = [""] * (m + ed + 1)  # path[k - 1]: the letter at depth k
 
         # A state is (row, open transpositions, the letters that can keep a
-        # child within the limits, wide); a node with nothing within the
-        # limits has none.
+        # child within the limits, wide, kids); a node with nothing within
+        # the limits has none.  kids maps a child's letter, or None for the
+        # children that share a state, to the child's state (None when the
+        # child has none), once computed.
         def step(
             letter: str | None, depth: int, parent: list[int], opened: list, parent_wide: bool
         ) -> tuple | None:
@@ -289,7 +302,11 @@ class Lexicon:
                     nexts.add(closer)
                     if cost + 1 < limit[j]:
                         wide = True
-            for j in where.get(letter, ()):
+            # A parent cell within the limits lies in the parent's band, and
+            # a transposition opened from outside the band would cost more
+            # than ed, so only the band's columns can match or open one.
+            cols = where.get(letter, ())
+            for j in cols[bisect_left(cols, depth - ed) : bisect_right(cols, depth + ed)]:
                 if parent[j - 1] < row[j]:
                     row[j] = parent[j - 1]
                     seeds.append(j)
@@ -349,13 +366,13 @@ class Lexicon:
                         if j > m or v > limit[j] or row[j] <= v:
                             break
                         row[j] = v
-            return (row, pend, nexts, wide) if nexts or row[m] < cap else None
+            return (row, pend, nexts, wide, {}) if nexts or row[m] < cap else None
 
         def descend(e: int, x: str, depth: int, kid: tuple) -> None:
             # The child along edge ``e``, whose state is ``kid``: report it
             # if it is a word in range, and queue it if one of its children
             # can stay within the limits.
-            r, _, r_nexts, r_wide = kid
+            r, _, r_nexts, r_wide, _ = kid
             c = e + 1
             if 0 < r[m] <= ed and ends[c]:
                 path[depth - 1] = letter_of[x]
@@ -369,20 +386,24 @@ class Lexicon:
 
         stack = [(first[0], first[1], 0, "", step(None, 0, [cap] * (m + 1), [], True))]
         while stack:
-            lo, hi, depth, letter, (row, opened, nexts, wide) = stack.pop()
+            lo, hi, depth, letter, (row, opened, nexts, wide, kids) = stack.pop()
             if depth:
                 path[depth - 1] = letter_of[letter]
             depth += 1
             if wide:
-                shared = step(None, depth, row, opened, True)
-                s_row, _, s_nexts, s_wide = shared
+                shared = kids.get(None, False)
+                if shared is False:
+                    shared = kids[None] = step(None, depth, row, opened, True)
+                s_row, _, s_nexts, s_wide, _ = shared
                 s_dist = s_row[m] if s_row[m] <= ed else 0
                 if s_wide or s_nexts or s_dist:
                     # Every child: the letters in nexts get their own row,
                     # the others share one.
                     for e, x in enumerate(labels[lo:hi], lo):
                         if x in nexts:
-                            kid = step(x, depth, row, opened, True)
+                            kid = kids.get(x, False)
+                            if kid is False:
+                                kid = kids[x] = step(x, depth, row, opened, True)
                             if kid is not None:
                                 descend(e, x, depth, kid)
                             continue
@@ -400,7 +421,9 @@ class Lexicon:
             for x in nexts:
                 e = labels.find(x, lo, hi)
                 if e >= 0:
-                    kid = step(x, depth, row, opened, wide)
+                    kid = kids.get(x, False)
+                    if kid is False:
+                        kid = kids[x] = step(x, depth, row, opened, wide)
                     if kid is not None:
                         descend(e, x, depth, kid)
 

@@ -257,9 +257,13 @@ def test_word_split_equals_the_category_loop(text):
     assert _word_tokens(text) == reference_word_tokens(text)
 
 
-# ASCII, the Tamil block and the joiners: a text of these alone is
-# normalized only when it holds one of the four composing pairs.
-_BASE_CHARS = [chr(c) for c in (*range(0x80), *range(0x0B80, 0x0C00), 0x200C, 0x200D)]
+# ASCII, the Tamil block, the joiners, the no-break space and U+2010-U+2027:
+# a text of these alone is normalized only when it holds one of the four
+# composing pairs.
+_BASE_CHARS = [
+    chr(c)
+    for c in (*range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D, *range(0x2010, 0x2028))
+]
 
 
 def test_nfc_gate_is_exact_on_every_pair_of_base_code_points():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import random
 import string
+import sys
 import tracemalloc
 import unicodedata
 
@@ -247,3 +248,59 @@ def test_memory_per_word_stays_small():
     finally:
         tracemalloc.stop()
     assert retained / len(lex) <= 250
+
+
+def test_dense_lexicons_walk_exactly():
+    # Three or four letters and hundreds of words: most prefixes are in the
+    # trie, so one walk state is shared by many siblings and its children
+    # are reached again at several depths, and several walks run on each
+    # lexicon.  Brute-force distances to every word are the referee.
+    rng = random.Random(1717)
+    table = alphabet().letters
+    found = 0
+    for _ in range(8):
+        letters = rng.sample(table, rng.randint(3, 4))
+        words = {
+            "".join(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+            for _ in range(rng.randint(300, 1500))
+        }
+        lex = Lexicon(words)
+        tokenized = {w: letter_texts(w) for w in words}
+        for _ in range(6):
+            query = tuple(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+            distance = {w: letter_edit_distance(query, t) for w, t in tokenized.items()}
+            for ed in (1, 2, 3):
+                want = {w: d for w, d in distance.items() if 1 <= d <= ed}
+                assert lex.within_distance(query, ed) == want, (query, ed)
+                found += len(want)
+    assert found > 5_000, "the lexicons must actually be dense"
+
+
+def test_walk_work_per_step_does_not_grow_with_the_query(fixture_lexicon):
+    # A step looks only at the query columns of its row's band, so the
+    # Python work per step stays bounded however often the query repeats
+    # the step's letter.  Counted in traced lines, not timed.
+    per_step = []
+    for m in (1_000, 10_000):
+        counts = {"calls": 0, "lines": 0}
+
+        def local(frame, event, arg):
+            if event == "line":
+                counts["lines"] += 1
+            return local
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_name == "step" and frame.f_code.co_filename == lexicon_module.__file__:
+                counts["calls"] += 1
+                return local
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            fixture_lexicon.within_distance(("க",) * m, 2)
+        finally:
+            sys.settrace(previous)
+        assert counts["calls"] > 0
+        per_step.append(counts["lines"] / counts["calls"])
+    assert max(per_step) < 200, per_step
