@@ -32,9 +32,7 @@ it once and a long-lived engine stays bounded.  Within one call,
 one report for it, which all its occurrences share; every non-word
 occurrence still asks the memo, so its counters count occurrences.
 ``CheckReport.to_json`` renders each distinct report object once, found
-by its identity; reports built apart with the same token and the same
-verdict and suggestion objects are rendered once too.  Nothing else is
-kept across calls.  Checking runs serially.  An engine may be shared
+by its identity.  Nothing else is kept across calls.  Checking runs serially.  An engine may be shared
 across threads; concurrent misses on one word may then compute it twice,
 with equal results.
 """
@@ -167,9 +165,8 @@ class CheckReport:
 
         Written directly, without building the dicts.  Strings are escaped,
         so every newline in the text is layout.  Each distinct report object
-        is rendered once and its text looked up by the object's identity;
-        reports built apart that share a token and the same verdict and
-        suggestion objects share one text.  The result is one ``join``.
+        is rendered once and its text looked up by the object's identity.
+        The result is one ``join``.
         """
         if not self.tokens:
             return "[]"
@@ -191,26 +188,22 @@ class CheckReport:
         score_head = sep + nl[4] + '"score": '
         suggestion_tail = nl[3] + "}"
         suggestions_tail = nl[2] + "]"
-        # Keyed by identity: the reports (and their verdicts and suggestion
-        # tuples) stay alive for the call, so no id is reused.
-        texts, fragments = {}, {}
+        # Keyed by identity: the reports stay alive for the call, so no id
+        # is reused.
+        texts = {}
         for report_id, t in dict(zip(map(id, self.tokens), self.tokens)).items():
-            key = (t.token, id(t.verdict), id(t.suggestions))
-            fragment = fragments.get(key)
-            if fragment is None:
-                if t.suggestions:
-                    rendered = "[" + nl[3] + next_suggestion.join([
-                        suggestion_head + quote(s.candidate) + strategy_head
-                        + _QUOTED[s.strategy] + score_head + str(s.score) + suggestion_tail
-                        for s in t.suggestions
-                    ]) + suggestions_tail
-                else:
-                    rendered = "[]"
-                fragment = fragments[key] = (
-                    token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
-                    + suggestions_head + rendered + token_tail
-                )
-            texts[report_id] = fragment
+            if t.suggestions:
+                rendered = "[" + nl[3] + next_suggestion.join([
+                    suggestion_head + quote(s.candidate) + strategy_head
+                    + _QUOTED[s.strategy] + score_head + str(s.score) + suggestion_tail
+                    for s in t.suggestions
+                ]) + suggestions_tail
+            else:
+                rendered = "[]"
+            texts[report_id] = (
+                token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
+                + suggestions_head + rendered + token_tail
+            )
         # One join builds the text; the brackets ride on the first and last part.
         parts = list(map(texts.__getitem__, map(id, self.tokens)))
         parts[0] = "[" + nl[1] + parts[0]

@@ -27,7 +27,8 @@ def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int
     ending included, so that a tab at either end still separates fields;
     blank lines and ``#`` comments are skipped.  Bytes are decoded as UTF-8
     line by line, and undecodable ones raise ``error`` as ``name:lineno:
-    undecodable bytes: <codec message>``.
+    undecodable bytes: <codec message>``.  One byte order mark (U+FEFF) at
+    the start of line 1 is dropped, whether it came as bytes or as text.
     """
     with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as stream:
         name = getattr(stream, "name", "<stream>")
@@ -37,6 +38,8 @@ def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int
                     line = line.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise error(f"{name}:{lineno}: undecodable bytes: {exc}") from exc
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
             content = line.strip()
             if content and not content.startswith("#"):
                 yield name, lineno, line

@@ -226,15 +226,26 @@ class Lexicon:
         letters are followed, and a node none of whose children has one is
         not entered.
 
-        A node's state (its row, open transpositions and the letters worth
-        following) is a pure function of its parent's state and its own
-        letter, and a shared state is carried by many nodes.  So each state
-        carries its transitions: the child state along each letter, and the
-        one its non-matching children share, is computed once and looked up
-        for every other node that carries the state.  The walk thus builds
-        the query's Levenshtein automaton lazily, only where the trie goes,
-        and drops it when the walk ends.  ``spell`` joins a path's letters
-        into the word.
+        Every step seeds the cells a match or a closing transposition
+        reaches, then runs the recurrence over the band.  Below a parent that
+        is not wide that loses nothing: each of its cells at column j costs
+        at least ``limit[j + 1]``, so only the seeds and their insertions
+        keep within the limits.  A cell (j, v) opens a transposition for a
+        child of letter ``q[j + d]`` at cost v + d, held to
+        ``limit[j + d + 1]``, so the step names that letter.  Where the
+        insertions from (j, v) reach column j + d, the cell there names it
+        too; only where a capped walk's lower limit cuts them short is the
+        letter new, and without it that walk misses words.
+
+        A node's state (its row, open transpositions, the letters worth
+        following and whether it is wide) is a pure function of its parent's
+        state and its own letter, and a shared state is carried by many
+        nodes.  So each state carries its transitions: the child state along
+        each letter, and the one its non-matching children share, is
+        computed once and looked up for every other node that carries the
+        state.  The walk thus builds the query's Levenshtein automaton
+        lazily, only where the trie goes, and drops it when the walk ends.
+        ``spell`` joins a path's letters into the word.
         """
         first, labels, ends = trie
         letter_of = self._letter_of
@@ -248,55 +259,28 @@ class Lexicon:
         # room[j]: a cell at column j below it keeps a child of any letter
         # within the limits, by a substitution (or at column m a deletion).
         room = limit[1:] + limit[-1:]
-        # later[j]: (bound, q[j + d]) where a cell at column j, if at most
-        # bound, lets a child of letter q[j + d] open a transposition (see
-        # opens) although insertions from column j would pass a lower limit
-        # before column j + d, so no cell of the row names that letter.
-        later = []
-        if limit[0] < ed:
-            later = [
-                [
-                    (limit[j + d + 1] - d, q[j + d])
-                    for d in range(1, ed + 1)
-                    if j + d < m
-                    and limit[j + d + 1] - d > min(limit[j + t] - t for t in range(1, d + 1))
-                ]
-                for j in range(m)
-            ]
-
         where: dict[str, list[int]] = {}  # letter -> columns j with q[j - 1] == letter
         for j, letter in enumerate(q, 1):
             where.setdefault(letter, []).append(j)
-        # opens[j]: for each transposition that a child whose letter
-        # matches column j can open, (s, d, q[s]): it starts from the
-        # parent's cell at column s, and q[s], which lies d - 1 query
-        # letters before, is the letter that closes it.
-        opens = [
-            [(j - d - 1, d, q[j - d - 1]) for d in range(1, min(ed, j - 1) + 1)]
-            for j in range(m + 1)
-        ]
         path = [""] * (m + ed + 1)  # path[k - 1]: the letter at depth k
 
-        # A state is (row, open transpositions, the letters that can keep a
-        # child within the limits, wide, kids); a node with nothing within
-        # the limits has none.  kids maps a child's letter, or None for the
-        # children that share a state, to the child's state (None when the
-        # child has none), once computed.
-        def step(
-            letter: str | None, depth: int, parent: list[int], opened: list, parent_wide: bool
-        ) -> tuple | None:
+        # A state is (row, pend, nexts, wide, kids): the row, the open
+        # transpositions as (column, closing letter, cost if it comes next),
+        # the letters worth following, whether any letter is, and the child
+        # state along each letter, or along None for the children sharing
+        # one, once computed.  A node with nothing within the limits has no
+        # state (None).
+        def step(letter: str | None, depth: int, parent: list[int], opened: list) -> tuple | None:
             # The child's state.  A match or a closing transposition seeds a
-            # cell; when the parent is wide, every cell of the band also
-            # tries a deletion, a substitution and an insertion.
+            # cell, and every cell of the band tries a deletion, a
+            # substitution and an insertion.
             row = [cap] * (m + 1)
             nexts = set()
             wide = False
             pend = []
-            seeds = []
             for j, closer, cost in opened:
                 if closer == letter and cost < row[j]:
                     row[j] = cost
-                    seeds.append(j)
                 if cost < limit[j]:
                     pend.append((j, closer, cost + 1))
                     nexts.add(closer)
@@ -304,68 +288,53 @@ class Lexicon:
                         wide = True
             # A parent cell within the limits lies in the parent's band, and
             # a transposition opened from outside the band would cost more
-            # than ed, so only the band's columns can match or open one.
+            # than ed, so only the band's columns can match or open one.  A
+            # child matching column j opens, from the parent's cell at column
+            # s = j - d - 1, a transposition that q[s] closes d rows on.
             cols = where.get(letter, ())
             for j in cols[bisect_left(cols, depth - ed) : bisect_right(cols, depth + ed)]:
                 if parent[j - 1] < row[j]:
                     row[j] = parent[j - 1]
-                    seeds.append(j)
-                for s, d, closer in opens[j]:
+                for d in range(1, (ed if ed < j else j - 1) + 1):
+                    s = j - d - 1
                     cost = parent[s] + d
                     if cost <= limit[j]:
-                        pend.append((j, closer, cost))
-                        nexts.add(closer)
+                        pend.append((j, q[s], cost))
+                        nexts.add(q[s])
                         if cost < limit[j]:
                             wide = True
-            if parent_wide:
-                if depth <= limit[0]:
-                    row[0] = depth
-                    if depth < room[0]:
-                        wide = True
-                    if m:
-                        nexts.add(q[0])
-                lo = depth - ed if depth > ed else 1
-                left = row[lo - 1]
-                for j in range(lo, (depth + ed if depth + ed < m else m) + 1):
-                    v = parent[j - 1] + 1
-                    if row[j] < v:
-                        v = row[j]
-                    if parent[j] + 1 < v:
-                        v = parent[j] + 1
-                    if left + 1 < v:
-                        v = left + 1
-                    if v <= limit[j]:
-                        row[j] = left = v
-                        if v < room[j]:
-                            wide = True
-                        if j < m:
-                            nexts.add(q[j])
-                            if later:
-                                for bound, x in later[j]:
-                                    if v <= bound:
-                                        nexts.add(x)
-                    else:
-                        left = cap
-            else:
-                # Each seed costs its column's limit, as the parent is not
-                # wide, so an insertion after it stays within the limits
-                # only where the limit steps up.
-                for j in sorted(seeds):
+            # depth <= limit[0] only below a parent whose column 0 cell,
+            # depth - 1, is under room[0], so a wide one.
+            if depth <= limit[0]:
+                row[0] = depth
+                if depth < room[0]:
+                    wide = True
+                if m:
+                    nexts.add(q[0])
+            lo = depth - ed if depth > ed else 1
+            left = row[lo - 1]
+            for j in range(lo, (depth + ed if depth + ed < m else m) + 1):
+                v = parent[j - 1] + 1
+                if row[j] < v:
                     v = row[j]
-                    while True:
-                        if v < room[j]:
-                            wide = True
-                        if j < m:
-                            nexts.add(q[j])
-                            if later:
-                                for bound, x in later[j]:
-                                    if v <= bound:
-                                        nexts.add(x)
-                        j += 1
-                        v += 1
-                        if j > m or v > limit[j] or row[j] <= v:
-                            break
-                        row[j] = v
+                if parent[j] + 1 < v:
+                    v = parent[j] + 1
+                if left + 1 < v:
+                    v = left + 1
+                if v <= limit[j]:
+                    row[j] = left = v
+                    if v < room[j]:
+                        wide = True
+                    if j < m:
+                        nexts.add(q[j])
+                        # The opener letters: a child of letter q[j + d]
+                        # opens a transposition from this cell at cost
+                        # v + d (see the docstring).
+                        for d in range(1, ed - v + 1):
+                            if j + d < m and v + d <= limit[j + d + 1]:
+                                nexts.add(q[j + d])
+                else:
+                    left = cap
             return (row, pend, nexts, wide, {}) if nexts or row[m] < cap else None
 
         def descend(e: int, x: str, depth: int, kid: tuple) -> None:
@@ -384,7 +353,7 @@ class Lexicon:
             if lo < hi and (r_wide or not r_nexts.isdisjoint(labels[lo:hi])):
                 stack.append((lo, hi, depth, x, kid))
 
-        stack = [(first[0], first[1], 0, "", step(None, 0, [cap] * (m + 1), [], True))]
+        stack = [(first[0], first[1], 0, "", step(None, 0, [cap] * (m + 1), []))]
         while stack:
             lo, hi, depth, letter, (row, opened, nexts, wide, kids) = stack.pop()
             if depth:
@@ -393,7 +362,7 @@ class Lexicon:
             if wide:
                 shared = kids.get(None, False)
                 if shared is False:
-                    shared = kids[None] = step(None, depth, row, opened, True)
+                    shared = kids[None] = step(None, depth, row, opened)
                 s_row, _, s_nexts, s_wide, _ = shared
                 s_dist = s_row[m] if s_row[m] <= ed else 0
                 if s_wide or s_nexts or s_dist:
@@ -403,7 +372,7 @@ class Lexicon:
                         if x in nexts:
                             kid = kids.get(x, False)
                             if kid is False:
-                                kid = kids[x] = step(x, depth, row, opened, True)
+                                kid = kids[x] = step(x, depth, row, opened)
                             if kid is not None:
                                 descend(e, x, depth, kid)
                             continue
@@ -423,7 +392,7 @@ class Lexicon:
                 if e >= 0:
                     kid = kids.get(x, False)
                     if kid is False:
-                        kid = kids[x] = step(x, depth, row, opened, wide)
+                        kid = kids[x] = step(x, depth, row, opened)
                     if kid is not None:
                         descend(e, x, depth, kid)
 

@@ -591,6 +591,26 @@ def test_loaders_name_the_undecodable_line(tmp_path, loader, error, first_line):
         assert "can't decode byte 0xff" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "loader, text, view, want",
+    [
+        (load_wordlist, "பழம்\nகல்\n", lambda lex: set(lex.words()), {"பழம்", "கல்"}),
+        (load_confusion_matrix, "க்\tல்\n", lambda cm: (len(cm), cm.alternates_for("க்")), (1, ("ல்",))),
+        (load_parallel_dict, "computer\tகணினி\n", dict, {"computer": "கணினி"}),
+        (load_stop_words, "ஒரு\nஅந்த\n", set, {"ஒரு", "அந்த"}),
+    ],
+    ids=["wordlist", "matrix", "parallel", "stop-words"],
+)
+def test_loaders_drop_a_leading_byte_order_mark(tmp_path, loader, text, view, want):
+    # Editors that save "UTF-8 with BOM" put U+FEFF before the first line;
+    # it must not become part of the first word or key.
+    data = ("\ufeff" + text).encode()
+    path = tmp_path / "bom.txt"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data), io.StringIO("\ufeff" + text)):
+        assert view(loader(source)) == want
+
+
 def test_bundled_parallel_dict_used_by_default(fixture_lexicon, fixture_parallel):
     eng = SpellChecker(fixture_lexicon, parallel_dict=fixture_parallel)
     token = eng.check_text("internet").tokens[0]

@@ -176,6 +176,14 @@ def test_batch_clean_file(tmp_path, wordlist, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_wordlist_saved_with_a_byte_order_mark(tmp_path, capsys):
+    words = tmp_path / "bom.txt"
+    words.write_bytes("\ufeffபழம்\n".encode())
+    doc = write_doc(tmp_path, "doc.txt", "பழம்\n")
+    assert main([doc, "--dict", str(words)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_batch_conjoined_finding_still_exits_zero(tmp_path, wordlist, capsys):
     doc = write_doc(tmp_path, "doc.txt", "தென்றல்காற்று\n")
     status = main([doc, "--dict", wordlist])

@@ -304,3 +304,70 @@ def test_walk_work_per_step_does_not_grow_with_the_query(fixture_lexicon):
         assert counts["calls"] > 0
         per_step.append(counts["lines"] / counts["calls"])
     assert max(per_step) < 200, per_step
+
+
+def test_walk_setup_stays_linear_in_the_query(fixture_lexicon):
+    # A walk's per-query setup is O(m): the query's codes, the columns of
+    # each letter, the limits and the path.  A long random token enters
+    # few trie nodes, so setup is most of its work.  Counted in traced
+    # lines of this module, not timed; the reversed trie is built first.
+    fixture_lexicon.within_distance(("க",) * 4, 2)
+    rng = random.Random(10_000)
+    query = tuple(rng.choice(alphabet().letters) for _ in range(10_000))
+    counts = {"lines": 0}
+
+    def local(frame, event, arg):
+        if event == "line":
+            counts["lines"] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == lexicon_module.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fixture_lexicon.within_distance(query, 2)
+    finally:
+        sys.settrace(previous)
+    assert counts["lines"] / len(query) < 10, counts
+
+
+def _split_halves(words, query: tuple[str, ...], ed: int) -> tuple[dict, dict]:
+    # The two walks of within_distance, each on its own, with its limits.
+    lex = Lexicon(words)
+    lex.within_distance(query, ed)  # builds the reversed trie
+    m = len(query)
+    b = m // 2
+    forward: dict[str, int] = {}
+    backward: dict[str, int] = {}
+    lex._walk(lex._forward, query, [ed // 2] * (b + 1) + [ed] * (m - b), "".join, forward)
+    lex._walk(
+        lex._backward,
+        query[::-1],
+        [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1),
+        lambda path: "".join(reversed(path)),
+        backward,
+    )
+    return forward, backward
+
+
+@pytest.mark.parametrize(
+    "word, query, ed, half, cost",
+    [
+        ("ஃஃஙங", "ஙஙஃங", 2, 0, 2),
+        ("டொஙஙங", "ஙஙடொடொஙங", 3, 0, 3),
+        ("ஆறஆஆ", "ஆஆறறஆ", 2, 1, 2),
+        ("மஊஊமம", "ஊமஊமஊஊ", 3, 1, 3),
+        ("அகஅமபமக", "அகஅமபக", 2, 1, 2),
+    ],
+    ids=["forward-ed2", "forward-ed3", "backward-ed2", "backward-ed3", "backward-above-distance"],
+)
+def test_each_split_half_keeps_its_opener_letters(word, query, ed, half, cost):
+    # A cell whose insertions pass a lower limit before column j + d can
+    # still open a transposition that a child of letter q[j + d] starts,
+    # so that letter must be followed.  The union of the halves hides a
+    # miss (the other half finds the word), so each half is run alone.
+    query = letter_texts(query)
+    assert _split_halves([word], query, ed)[half] == {word: cost}
+    assert cost >= letter_edit_distance(query, letter_texts(word))
