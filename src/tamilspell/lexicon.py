@@ -232,10 +232,11 @@ class Lexicon:
         at least ``limit[j + 1]``, so only the seeds and their insertions
         keep within the limits.  A cell (j, v) opens a transposition for a
         child of letter ``q[j + d]`` at cost v + d, held to
-        ``limit[j + d + 1]``, so the step names that letter.  Where the
-        insertions from (j, v) reach column j + d, the cell there names it
-        too; only where a capped walk's lower limit cuts them short is the
-        letter new, and without it that walk misses words.
+        ``limit[j + d + 1]``, so the step names that letter, the column 0
+        cell included.  Where the insertions from (j, v) reach column j + d,
+        the cell there names it too; only where a capped walk's lower limit
+        cuts them short is the letter new, and without it that walk misses
+        words.
 
         A node's state (its row, open transpositions, the letters worth
         following and whether it is wide) is a pure function of its parent's
@@ -245,6 +246,19 @@ class Lexicon:
         computed once and looked up for every other node that carries the
         state.  The walk thus builds the query's Levenshtein automaton
         lazily, only where the trie goes, and drops it when the walk ends.
+
+        Below a wide node whose shared state is not wide, most children
+        lead nowhere: only those with a child along a letter the shared
+        state follows do.  So the walk does not visit those children one by
+        one.  Nodes are numbered breadth-first, so the children of a node
+        with edges lo..hi - 1 are the nodes lo + 1..hi, and their own edges
+        are the one run ``first[lo + 1]`` to ``first[hi + 1]`` of the edge
+        labels.  The walk scans that band for each letter the shared state
+        follows and enters the grandchildren it finds directly, with their
+        state from the shared state's transitions.  Below any wide node, the
+        shared children that end words are found by scanning their word
+        ends.
+
         ``spell`` joins a path's letters into the word.
         """
         first, labels, ends = trie
@@ -311,6 +325,11 @@ class Lexicon:
                     wide = True
                 if m:
                     nexts.add(q[0])
+                    # The column 0 cell names its opener letters as the
+                    # band's cells do.
+                    for d in range(1, min(ed - depth, m - 1) + 1):
+                        if depth + d <= limit[d + 1]:
+                            nexts.add(q[d])
             lo = depth - ed if depth > ed else 1
             left = row[lo - 1]
             for j in range(lo, (depth + ed if depth + ed < m else m) + 1):
@@ -337,13 +356,16 @@ class Lexicon:
                     left = cap
             return (row, pend, nexts, wide, {}) if nexts or row[m] < cap else None
 
-        def descend(e: int, x: str, depth: int, kid: tuple) -> None:
-            # The child along edge ``e``, whose state is ``kid``: report it
-            # if it is a word in range, and queue it if one of its children
-            # can stay within the limits.
+        def descend(e: int, x: str, depth: int, kid: tuple, up: str = "") -> None:
+            # The node along edge ``e``, whose state is ``kid``: report it if
+            # it is a word in range, and queue it if one of its children can
+            # stay within the limits.  ``up`` is its parent's letter when the
+            # walk stepped over the parent, which then is not in the path.
             r, _, r_nexts, r_wide, _ = kid
             c = e + 1
             if 0 < r[m] <= ed and ends[c]:
+                if up:
+                    path[depth - 2] = letter_of[up]
                 path[depth - 1] = letter_of[x]
                 word = spell(path[:depth])
                 if r[m] < found.get(word, cap):
@@ -351,42 +373,66 @@ class Lexicon:
             lo = first[c]
             hi = first[c + 1]
             if lo < hi and (r_wide or not r_nexts.isdisjoint(labels[lo:hi])):
-                stack.append((lo, hi, depth, x, kid))
+                stack.append((lo, hi, depth, up, x, kid))
 
-        stack = [(first[0], first[1], 0, "", step(None, 0, [cap] * (m + 1), []))]
+        stack = [(first[0], first[1], 0, "", "", step(None, 0, [cap] * (m + 1), []))]
         while stack:
-            lo, hi, depth, letter, (row, opened, nexts, wide, kids) = stack.pop()
+            lo, hi, depth, up, letter, (row, opened, nexts, wide, kids) = stack.pop()
+            if up:
+                path[depth - 2] = letter_of[up]
             if depth:
                 path[depth - 1] = letter_of[letter]
             depth += 1
+            # The children are the nodes lo + 1..hi.  Those whose letter is
+            # in nexts get their own state (the loop at the end); below a
+            # wide node, the others share one.
             if wide:
                 shared = kids.get(None, False)
                 if shared is False:
                     shared = kids[None] = step(None, depth, row, opened)
-                s_row, _, s_nexts, s_wide, _ = shared
+                s_row, s_opened, s_nexts, s_wide, s_kids = shared
                 s_dist = s_row[m] if s_row[m] <= ed else 0
-                if s_wide or s_nexts or s_dist:
-                    # Every child: the letters in nexts get their own row,
-                    # the others share one.
-                    for e, x in enumerate(labels[lo:hi], lo):
-                        if x in nexts:
-                            kid = kids.get(x, False)
-                            if kid is False:
-                                kid = kids[x] = step(x, depth, row, opened)
-                            if kid is not None:
-                                descend(e, x, depth, kid)
-                            continue
-                        c = e + 1
-                        if s_dist and ends[c]:
+                if s_dist:
+                    # The children sharing the state that end words.
+                    c = ends.find(1, lo + 1, hi + 1)
+                    while c >= 0:
+                        x = labels[c - 1]
+                        if x not in nexts:
                             path[depth - 1] = letter_of[x]
                             word = spell(path[:depth])
                             if s_dist < found.get(word, cap):
                                 found[word] = s_dist
-                        lo2 = first[c]
-                        hi2 = first[c + 1]
-                        if lo2 < hi2 and (s_wide or not s_nexts.isdisjoint(labels[lo2:hi2])):
-                            stack.append((lo2, hi2, depth, x, shared))
-                    continue
+                        c = ends.find(1, c + 1, hi + 1)
+                if s_wide:
+                    # Every child sharing the state is entered.
+                    for c, x in enumerate(labels[lo:hi], lo + 1):
+                        if x not in nexts and first[c] < first[c + 1]:
+                            stack.append((first[c], first[c + 1], depth, "", x, shared))
+                else:
+                    # Most children sharing the state lead nowhere, so they
+                    # are stepped over (see the docstring): their live
+                    # children are found by scanning the band of their
+                    # edges for each letter s_nexts follows.  A hit i hangs
+                    # below the child c whose edges hold it, and no other
+                    # edge of c has its letter.
+                    band_lo = first[lo + 1]
+                    band_hi = first[hi + 1]
+                    if band_lo < band_hi:
+                        for y in s_nexts:
+                            i = labels.find(y, band_lo, band_hi)
+                            if i < 0:
+                                continue
+                            kid = s_kids.get(y, False)
+                            while i >= 0:
+                                c = bisect_right(first, i, lo + 1, hi + 1) - 1
+                                x = labels[c - 1]
+                                if x not in nexts:
+                                    if kid is False:
+                                        kid = s_kids[y] = step(y, depth + 1, s_row, s_opened)
+                                    if kid is None:
+                                        break
+                                    descend(i, y, depth + 1, kid, x)
+                                i = labels.find(y, first[c + 1], band_hi)
             for x in nexts:
                 e = labels.find(x, lo, hi)
                 if e >= 0:

@@ -158,3 +158,38 @@ def substitution_lattice(letters: tuple, alternates: list, ed: int) -> set[tuple
                 out.add(tuple(cand))
     out.discard(tuple(letters))
     return out
+
+
+def capped_distance(word: tuple, query: tuple, limit: list[int]) -> int | None:
+    """The cheapest alignment of ``word`` with ``query`` that keeps within ``limit``.
+
+    The Lowrance-Wagner table of the unrestricted Damerau-Levenshtein
+    distance, with row i for the first i letters of ``word`` and column j
+    for the first j of ``query``.  A cell in column j that costs more than
+    ``limit[j]`` is dropped: no alignment passes through it.  A
+    transposition of ``word[k-1:i]`` with ``query[l-1:j]``, whose end
+    letters swap places, moves from cell (k - 1, l - 1) to (i, j) at once
+    and costs one plus the letters between its ends on both sides; every
+    such k and l is tried, not only the nearest.  None when the last cell
+    is dropped.
+    """
+    n, m = len(word), len(query)
+    table = [[None] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(m + 1):
+            options = [0] if i == j == 0 else []
+            if i and table[i - 1][j] is not None:
+                options.append(table[i - 1][j] + 1)
+            if j and table[i][j - 1] is not None:
+                options.append(table[i][j - 1] + 1)
+            if i and j and table[i - 1][j - 1] is not None:
+                options.append(table[i - 1][j - 1] + (word[i - 1] != query[j - 1]))
+            for k in range(1, i):
+                for l in range(1, j):
+                    before = table[k - 1][l - 1]
+                    if word[k - 1] == query[j - 1] and word[i - 1] == query[l - 1] and before is not None:
+                        options.append(before + (i - k - 1) + 1 + (j - l - 1))
+            cost = min(options, default=None)
+            if cost is not None and cost <= limit[j]:
+                table[i][j] = cost
+    return table[n][m]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_letter_word
+from oracles import capped_distance
 from tamilspell import lexicon as lexicon_module
 from tamilspell.edits import letter_edit_distance
 from tamilspell.errors import WordListError
@@ -360,14 +361,130 @@ def _split_halves(words, query: tuple[str, ...], ed: int) -> tuple[dict, dict]:
         ("ஆறஆஆ", "ஆஆறறஆ", 2, 1, 2),
         ("மஊஊமம", "ஊமஊமஊஊ", 3, 1, 3),
         ("அகஅமபமக", "அகஅமபக", 2, 1, 2),
+        ("கம", "மக", 1, 0, 1),
+        ("கமதப", "மகபத", 2, 1, 2),
     ],
-    ids=["forward-ed2", "forward-ed3", "backward-ed2", "backward-ed3", "backward-above-distance"],
+    ids=[
+        "forward-ed2",
+        "forward-ed3",
+        "backward-ed2",
+        "backward-ed3",
+        "backward-above-distance",
+        "forward-column-0",
+        "backward-column-0",
+    ],
 )
 def test_each_split_half_keeps_its_opener_letters(word, query, ed, half, cost):
     # A cell whose insertions pass a lower limit before column j + d can
     # still open a transposition that a child of letter q[j + d] starts,
-    # so that letter must be followed.  The union of the halves hides a
-    # miss (the other half finds the word), so each half is run alone.
+    # so that letter must be followed.  That holds for the column 0 cell
+    # too.  The union of the halves hides a miss (the other half finds the
+    # word), so each half is run alone.
     query = letter_texts(query)
     assert _split_halves([word], query, ed)[half] == {word: cost}
     assert cost >= letter_edit_distance(query, letter_texts(word))
+
+
+def test_each_split_half_equals_its_capped_oracle():
+    # Each half alone against the capped Lowrance-Wagner table of
+    # tests/oracles.py, so a half that misses a word, or reports one at
+    # the wrong cost, shows even when the other half finds it.
+    rng = random.Random(2002)
+    checked = 0
+    for _ in range(150):
+        letters = rng.sample(alphabet().letters, rng.randint(2, 5))
+        words = {
+            "".join(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+            for _ in range(rng.randint(5, 40))
+        }
+        tokenized = {w: letter_texts(w) for w in words}
+        for ed in (1, 2, 3):
+            query = tuple(rng.choice(letters) for _ in range(rng.randint(2 * ed, 2 * ed + 4)))
+            m = len(query)
+            b = m // 2
+            forward, backward = _split_halves(words, query, ed)
+            for got, limit, way in (
+                (forward, [ed // 2] * (b + 1) + [ed] * (m - b), 1),
+                (backward, [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1), -1),
+            ):
+                costs = {w: capped_distance(t[::way], query[::way], limit) for w, t in tokenized.items()}
+                want = {w: cost for w, cost in costs.items() if cost}
+                assert got == want, (query, ed, way)
+                checked += len(want)
+    assert checked > 1_000, "the lexicons must actually hold neighbours"
+
+
+def test_capped_oracle_halves_give_the_distance():
+    # The oracle's own check: the cheaper of the two halves is the distance
+    # whenever that is within ed (the forward-backward argument), and
+    # neither half reaches a word beyond ed.
+    rng = random.Random(2004)
+    for _ in range(600):
+        letters = rng.sample(alphabet().letters, rng.randint(2, 4))
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+        query = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+        distance = letter_edit_distance(query, word)
+        m = len(query)
+        assert capped_distance(word, query, [m + len(word)] * (m + 1)) == distance
+        for ed in range(1, m // 2 + 1):
+            b = m // 2
+            forward = capped_distance(word, query, [ed // 2] * (b + 1) + [ed] * (m - b))
+            backward = capped_distance(
+                word[::-1], query[::-1], [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1)
+            )
+            costs = [c for c in (forward, backward) if c is not None]
+            if distance <= ed:
+                assert min(costs) == distance, (word, query, ed)
+            else:
+                assert not costs, (word, query, ed)
+
+
+def test_wide_nodes_walk_exactly():
+    # Forty letters and 2,000 short words: the upper trie nodes have dozens
+    # of children, most of which the walk steps over.  Brute-force
+    # distances to every word are the referee.
+    rng = random.Random(4040)
+    letters = rng.sample(alphabet().letters, 40)
+    words = set()
+    while len(words) < 2_000:
+        words.add("".join(rng.choice(letters) for _ in range(rng.choice((1, 2, 2, 3, 3, 4, 5, 6)))))
+    lex = Lexicon(words)
+    tokenized = {w: letter_texts(w) for w in words}
+    found = 0
+    for n in (1, 1, 2, 2, 3, 3, 4, 5, 6) * 2:
+        query = tuple(rng.choice(letters) for _ in range(n))
+        distance = {w: letter_edit_distance(query, t) for w, t in tokenized.items()}
+        for ed in (1, 2, 3):
+            want = {w: d for w, d in distance.items() if 1 <= d <= ed}
+            assert lex.within_distance(query, ed) == want, (query, ed)
+            found += len(want)
+    assert found > 10_000, "the lexicon must actually be dense"
+
+
+def test_walk_work_does_not_grow_with_dead_children():
+    # The root is wide, and its k children that the query letter does not
+    # match share one state, which is neither wide nor a word at its
+    # distance.  No child is a word, and no grandchild is worth entering, so
+    # the walk finds nothing whatever k is, and its work must not grow with
+    # k.  Counted in traced lines of this module, not timed.
+    lines = []
+    for k in (40, 400):
+        lex = Lexicon(chr(0x4E00 + i) + "ம" for i in range(k))
+        counts = {"lines": 0}
+
+        def local(frame, event, arg):
+            if event == "line":
+                counts["lines"] += 1
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code.co_filename == lexicon_module.__file__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            assert lex.within_distance(("அ",), 1) == {}
+        finally:
+            sys.settrace(previous)
+        lines.append(counts["lines"])
+    assert lines[1] <= lines[0] + 10, lines
