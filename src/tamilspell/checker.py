@@ -25,16 +25,21 @@ series candidate beyond ``edit_distance`` (the series budget is
 unlimited) is scored on its own.  The ``MAX_SUGGESTIONS`` smallest keys
 are kept, and a :class:`Suggestion` is built for those alone.
 
-Suggestion lists are memoized per engine in one LRU memo of
-``CACHE_SIZE`` words, so a document that repeats a misspelling computes
-it once and a long-lived engine stays bounded.  Within one call,
+Reports are named tuples, so building one costs little.  Each engine
+keeps one LRU memo of ``CACHE_SIZE`` non-words that maps a non-word to
+its finished report, so a document that repeats a misspelling computes
+it once, ``check_word`` and ``check_text`` hand out the same report
+object for it, and a long-lived engine stays bounded.  Within one call,
 ``check_text`` routes each distinct token of the document once and builds
 one report for it, which all its occurrences share; every non-word
 occurrence still asks the memo, so its counters count occurrences.
-``CheckReport.to_json`` renders each distinct report object once, found
-by its identity.  Nothing else is kept across calls.  Checking runs serially.  An engine may be shared
-across threads; concurrent misses on one word may then compute it twice,
-with equal results.
+``CheckReport.to_json`` renders each distinct report object once per
+call, found by its identity, and takes the text of a suggestion list
+from one module-wide LRU memo of ``CACHE_SIZE`` entries keyed by the
+list and the layout, so a memoized non-word's list is rendered once per
+layout, not once per pass.  Nothing else is kept across calls.  Checking
+runs serially.  An engine may be shared across threads; concurrent
+misses on one word may then compute it twice, with equal results.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
@@ -67,7 +73,8 @@ __all__ = [
     "load_stop_words",
 ]
 
-# Distinct non-words an engine keeps suggestion lists for.
+# Distinct non-words an engine keeps reports for, and suggestion lists
+# whose JSON text is kept.
 CACHE_SIZE = 4096
 
 # Suggestions kept per non-word.  It must stay at least 1: a recognized
@@ -82,6 +89,10 @@ class Verdict(Enum):
     NON_TAMIL = "nontamil"
     SKIPPED = "skipped"
 
+    # Members compare by identity, so they may hash by it; Enum's own hash
+    # is Python code, and every report hash and JSON lookup pays for it.
+    __hash__ = object.__hash__
+
 
 class Strategy(Enum):
     """Which generator produced a suggestion; order is the merge priority."""
@@ -92,6 +103,8 @@ class Strategy(Enum):
     EDIT = "edit"
     FOREIGN = "foreign"
 
+    __hash__ = object.__hash__
+
     @property
     def priority(self) -> int:
         return _BY_PRIORITY.index(self)
@@ -101,8 +114,7 @@ class Strategy(Enum):
 _BY_PRIORITY = tuple(Strategy)
 
 
-@dataclass(frozen=True, slots=True)
-class Suggestion:
+class Suggestion(NamedTuple):
     """One candidate correction: the word, its origin, and a distance score."""
 
     candidate: str
@@ -117,8 +129,7 @@ class Suggestion:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class TokenReport:
+class TokenReport(NamedTuple):
     """Outcome for one token, in document order."""
 
     token: str
@@ -144,6 +155,29 @@ class TokenReport:
 _QUOTED = {member: encode_basestring(member.value) for member in (*Verdict, *Strategy)}
 
 
+def _layout(indent: str | None) -> tuple[str, tuple[str, ...]]:
+    """The item separator, and the line break before an item at each depth 0-4."""
+    if indent is None:
+        return ", ", ("",) * 5
+    return ",", tuple("\n" + indent * k for k in range(5))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _suggestions_json(suggestions: tuple[Suggestion, ...], indent: str | None) -> str:
+    """The JSON text of a non-empty suggestion list as a report's value, in a layout."""
+    sep, nl = _layout(indent)
+    quote = encode_basestring
+    candidate_head = "{" + nl[4] + '"candidate": '
+    strategy_head = sep + nl[4] + '"strategy": '
+    score_head = sep + nl[4] + '"score": '
+    tail = nl[3] + "}"
+    return "[" + nl[3] + (sep + nl[3]).join([
+        candidate_head + quote(s.candidate) + strategy_head + _QUOTED[s.strategy]
+        + score_head + str(s.score) + tail
+        for s in suggestions
+    ]) + nl[2] + "]"
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Every token of a checked document, in order."""
@@ -165,45 +199,28 @@ class CheckReport:
 
         Written directly, without building the dicts.  Strings are escaped,
         so every newline in the text is layout.  Each distinct report object
-        is rendered once and its text looked up by the object's identity.
-        The result is one ``join``.
+        is rendered once and its text looked up by the object's identity;
+        a suggestion list's text comes from the render memo.  The result is
+        one ``join``.
         """
         if not self.tokens:
             return "[]"
-        if indent is None:
-            sep, nl = ", ", ("",) * 5
-        else:
-            if not isinstance(indent, str):
-                indent = " " * indent
-            sep = ","
-            nl = tuple("\n" + indent * k for k in range(5))
-        quote = encode_basestring
-        next_suggestion = sep + nl[3]
+        if indent is not None and not isinstance(indent, str):
+            indent = " " * indent
+        sep, nl = _layout(indent)
+        quote, render = encode_basestring, _suggestions_json
         token_head = "{" + nl[2] + '"token": '
         verdict_head = sep + nl[2] + '"verdict": '
         suggestions_head = sep + nl[2] + '"suggestions": '
         token_tail = nl[1] + "}"
-        suggestion_head = "{" + nl[4] + '"candidate": '
-        strategy_head = sep + nl[4] + '"strategy": '
-        score_head = sep + nl[4] + '"score": '
-        suggestion_tail = nl[3] + "}"
-        suggestions_tail = nl[2] + "]"
         # Keyed by identity: the reports stay alive for the call, so no id
         # is reused.
-        texts = {}
-        for report_id, t in dict(zip(map(id, self.tokens), self.tokens)).items():
-            if t.suggestions:
-                rendered = "[" + nl[3] + next_suggestion.join([
-                    suggestion_head + quote(s.candidate) + strategy_head
-                    + _QUOTED[s.strategy] + score_head + str(s.score) + suggestion_tail
-                    for s in t.suggestions
-                ]) + suggestions_tail
-            else:
-                rendered = "[]"
-            texts[report_id] = (
-                token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
-                + suggestions_head + rendered + token_tail
-            )
+        texts = {
+            report_id: token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
+            + suggestions_head + (render(t.suggestions, indent) if t.suggestions else "[]")
+            + token_tail
+            for report_id, t in dict(zip(map(id, self.tokens), self.tokens)).items()
+        }
         # One join builds the text; the brackets ride on the first and last part.
         parts = list(map(texts.__getitem__, map(id, self.tokens)))
         parts[0] = "[" + nl[1] + parts[0]
@@ -253,14 +270,14 @@ class SpellChecker:
         self.stop_words = frozenset(
             unicodedata.normalize("NFC", w) for w in stop_words
         )
-        self._suggestions = functools.lru_cache(maxsize=CACHE_SIZE)(self._compute_suggestions)
+        self._reports = functools.lru_cache(maxsize=CACHE_SIZE)(self._non_word)
 
     # ------------------------------------------------------------------ #
 
     def check_word(self, word: str) -> TokenReport:
         """Check one token, with the verdict ``check_text`` would give it."""
         token = unicodedata.normalize("NFC", word)
-        return self._route(token) or TokenReport(token, Verdict.NON_WORD, self._suggestions(token))
+        return self._route(token) or self._reports(token)
 
     def check_text(self, text: str) -> CheckReport:
         """Check a document; the report lists every token in order.
@@ -276,11 +293,11 @@ class SpellChecker:
         routes = {tok: self._route(tok) for tok in dict.fromkeys(tokens)}
         non_words = {tok for tok, report in routes.items() if report is None}
         for tok in filter(non_words.__contains__, tokens):
-            # The first answer makes the report.  A word evicted mid-pass is
+            # The first answer is the report.  A word evicted mid-pass is
             # computed again, with an equal result.
-            found = self._suggestions(tok)
+            found = self._reports(tok)
             if routes[tok] is None:
-                routes[tok] = TokenReport(tok, Verdict.NON_WORD, found)
+                routes[tok] = found
         return CheckReport(tuple(map(routes.__getitem__, tokens)))
 
     def substitute_foreign(self, token: str) -> Suggestion | None:
@@ -298,7 +315,7 @@ class SpellChecker:
         ``cache_misses - cache_size`` is the evictions plus the failed
         computations.
         """
-        info = self._suggestions.cache_info()
+        info = self._reports.cache_info()
         return {
             "cache_hits": info.hits,
             "cache_misses": info.misses,
@@ -321,6 +338,9 @@ class SpellChecker:
         if self.lexicon.is_word(token):
             return TokenReport(token, Verdict.VALID, ())
         return None
+
+    def _non_word(self, word: str) -> TokenReport:
+        return TokenReport(word, Verdict.NON_WORD, self._compute_suggestions(word))
 
     def _compute_suggestions(self, word: str) -> tuple[Suggestion, ...]:
         lexicon, ed = self.lexicon, self.config.edit_distance

@@ -122,7 +122,8 @@ _TAMIL_SEARCH = re.compile("[ஂ-௺]").search
 
 def has_tamil(text: str) -> bool:
     """True when any code point of ``text`` is Tamil."""
-    return _TAMIL_SEARCH(text) is not None
+    # A Tamil first code point answers without starting the regex engine.
+    return "ஂ" <= text[:1] <= "௺" or _TAMIL_SEARCH(text) is not None
 
 
 # The composition table: every mei -> its uyirmei letters, keyed by uyir

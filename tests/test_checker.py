@@ -330,6 +330,16 @@ def test_to_json_renders_shared_and_same_text_reports(fixture_lexicon):
         assert report.to_json(indent) == _dumps(report, indent)
 
 
+def test_to_json_on_a_warm_engine_follows_each_layout(fixture_lexicon):
+    # The same suggestion lists come back on every pass, in a new layout each
+    # time, and last in the first layout again.
+    eng = engine(fixture_lexicon)
+    text = "பளம் பழம் சுவம் பளம் computer தென்றல்காற்று"
+    for indent in (None, 2, "\t", 0, None):
+        report = eng.check_text(text)
+        assert report.to_json(indent) == _dumps(report, indent)
+
+
 def test_to_json_keeps_tamil_readable(fixture_lexicon):
     report = engine(fixture_lexicon).check_text("பளம்")
     text = report.to_json()
@@ -533,6 +543,16 @@ def test_memo_eviction_mid_pass_keeps_each_report(fixture_lexicon, monkeypatch):
     assert eng.check_word("பளம்").suggestions is not report.tokens[0].suggestions
 
 
+def test_a_repeated_non_word_shares_one_report(fixture_lexicon):
+    eng = engine(fixture_lexicon)
+    report = eng.check_text("பளம் பழம் பளம்")
+    assert report.tokens[0] is report.tokens[2]
+    assert eng.check_word("பளம்") is report.tokens[0]
+    assert eng.check_text("பளம்").tokens[0] is report.tokens[0]
+    # Every occurrence is counted: two in the document, then two more.
+    assert eng.stats == {"cache_hits": 3, "cache_misses": 1, "cache_size": 1}
+
+
 def test_stats_shape(fixture_lexicon):
     eng = engine(fixture_lexicon)
     eng.check_word("பளம்")
@@ -621,3 +641,28 @@ def test_token_report_is_frozen(fixture_lexicon):
     report = engine(fixture_lexicon).check_word("பழம்")
     with pytest.raises(AttributeError):
         report.verdict = Verdict.NON_WORD
+    non_word = engine(fixture_lexicon).check_word("பளம்")
+    fields = {
+        non_word: ("token", "verdict", "suggestions"),
+        non_word.suggestions[0]: ("candidate", "strategy", "score"),
+    }
+    for obj, names in fields.items():
+        for name in (*names, "extra"):  # no field is settable and none can be added
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+
+
+def test_equal_reports_hash_equal_and_keep_their_repr(fixture_lexicon):
+    first = engine(fixture_lexicon).check_word("பளம்")
+    second = engine(fixture_lexicon).check_word("பளம்")
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    assert len({first, second, *first.suggestions, *second.suggestions}) == 1 + len(first.suggestions)
+    report = TokenReport("பளம்", Verdict.NON_WORD, (Suggestion("பழம்", Strategy.MAYANGOLI, 1),))
+    assert repr(report) == (
+        "TokenReport(token='பளம்', verdict=<Verdict.NON_WORD: 'nonword'>, suggestions="
+        "(Suggestion(candidate='பழம்', strategy=<Strategy.MAYANGOLI: 'mayangoli'>, score=1),))"
+    )
+    assert repr(TokenReport("x", Verdict.VALID)) == (
+        "TokenReport(token='x', verdict=<Verdict.VALID: 'valid'>, suggestions=())"
+    )

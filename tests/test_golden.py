@@ -1,12 +1,16 @@
 """Golden outputs: a walk change must leave every suggestion list as it was.
 
-Two fixtures under ``tests/golden/`` hold the output of an earlier commit,
-which every later walk change must reproduce byte for byte:
+The fixtures under ``tests/golden/`` hold the output of an earlier commit,
+which every later change to the walks or the reports must reproduce byte
+for byte:
 
 * ``document.txt``, a seeded document of valid words and about 150
   typos (one and two edits, 1-3-letter tokens, confusable-series swaps,
   keyboard neighbours, conjoined pairs), and ``document.tsv``, the
   ``tamilspell`` batch output for it over the bundled lexicon;
+* ``document.json``, the compact ``CheckReport.to_json()`` text of that
+  document over the bundled lexicon, and ``document.cli.json``, the
+  ``tamilspell --json`` output for it;
 * ``dense.sha256``, the digest of the ``check_word`` reports for seeded
   typos over a seeded dense lexicon that :func:`dense_case` builds, whose
   trie nodes have dozens of children.
@@ -149,21 +153,36 @@ def dense_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _batch_output() -> str:
+def _batch_output(*options: str) -> str:
     """The ``tamilspell`` output for the golden document, run in its folder."""
     out = io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
         with contextlib.redirect_stdout(out):
-            main([DOCUMENT])
+            main([*options, DOCUMENT])
     finally:
         os.chdir(cwd)
     return out.getvalue()
 
 
+def _json_report() -> str:
+    """The compact JSON report of the golden document over the bundled lexicon."""
+    text = (GOLDEN / DOCUMENT).read_text(encoding="utf-8")
+    return SpellChecker(bundled_lexicon()).check_text(text).to_json()
+
+
 def test_document_output_is_golden():
     assert _batch_output() == (GOLDEN / "document.tsv").read_text(encoding="utf-8")
+
+
+def test_document_json_report_is_golden():
+    assert _json_report() == (GOLDEN / "document.json").read_text(encoding="utf-8")
+
+
+def test_document_cli_json_output_is_golden():
+    expected = (GOLDEN / "document.cli.json").read_text(encoding="utf-8")
+    assert _batch_output("--json") == expected
 
 
 def test_dense_lexicon_reports_are_golden():
@@ -174,4 +193,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / DOCUMENT).write_text(golden_document(), encoding="utf-8")
     (GOLDEN / "document.tsv").write_text(_batch_output(), encoding="utf-8")
+    (GOLDEN / "document.json").write_text(_json_report(), encoding="utf-8")
+    (GOLDEN / "document.cli.json").write_text(_batch_output("--json"), encoding="utf-8")
     (GOLDEN / "dense.sha256").write_text(dense_digest() + "\n", encoding="ascii")

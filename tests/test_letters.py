@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import reference_tokenize
 from tamilspell.letters import (
@@ -56,6 +56,24 @@ def test_has_tamil():
     # The block edges agree with is_tamil_codepoint.
     assert has_tamil("x\u0b82") and has_tamil("\u0bfa")
     assert not has_tamil("\u0b81\u0bfb")
+
+
+# The code points on each side of the Tamil block's two edges.
+_BLOCK_EDGES = "\u0b81\u0b82\u0bfa\u0bfb"
+
+
+@given(
+    st.one_of(st.sampled_from(_BLOCK_EDGES), st.characters(min_codepoint=0x10000), st.characters()),
+    st.text(st.one_of(st.sampled_from(_BLOCK_EDGES + "க"), st.characters()), max_size=12),
+)
+@example("\u0b81", "x")
+@example("\u0bfb", "\U0001f600")
+@example("\U0001f600", "\u0bfa")
+def test_has_tamil_equals_the_code_point_loop(first, rest):
+    # The first code point is drawn apart, since has_tamil decides on it alone
+    # when it is Tamil.
+    text = first + rest
+    assert has_tamil(text) == any(is_tamil_codepoint(c) for c in text)
 
 
 # --------------------------------------------------------------------- #
