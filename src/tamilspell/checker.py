@@ -25,6 +25,15 @@ series candidate beyond ``edit_distance`` (the series budget is
 unlimited) is scored on its own.  The ``MAX_SUGGESTIONS`` smallest keys
 are kept, and a :class:`Suggestion` is built for those alone.
 
+The kept list is the head of that ranking, and a short non-word in a
+dense lexicon fills it without the whole edit ball: with at least
+``DENSE_LEXICON`` words and at most ``edit_distance`` + 2 letters, the
+lexicon is first walked within ``edit_distance`` - 1.  Every candidate
+that walk leaves out scores ``edit_distance``, so when the cut falls below
+that score the ranking of the walk's candidates has the same head, and
+the full walk is skipped.  A token too long for any candidate (see
+``SpellChecker.__init__``) gets no suggestions and no strategy runs.
+
 Reports are named tuples, so building one costs little.  Each engine
 keeps one LRU memo of ``CACHE_SIZE`` non-words that maps a non-word to
 its finished report, so a document that repeats a misspelling computes
@@ -62,6 +71,7 @@ from .letters import has_tamil, letter_texts
 __all__ = [
     "CACHE_SIZE",
     "CheckReport",
+    "DENSE_LEXICON",
     "EngineConfig",
     "MAX_SUGGESTIONS",
     "SpellChecker",
@@ -81,6 +91,11 @@ CACHE_SIZE = 4096
 # conjoined pair ranks first, and keeping it is what makes the token read
 # clean.
 MAX_SUGGESTIONS = 10
+
+# Lexicon words from which a non-word of at most ed + 2 letters is first
+# searched within ed - 1 (see ``_compute_suggestions``): in a lexicon this
+# dense such a walk often fills the cut, and then the ed walk is skipped.
+DENSE_LEXICON = 10_000
 
 
 class Verdict(Enum):
@@ -271,6 +286,15 @@ class SpellChecker:
             unicodedata.normalize("NFC", w) for w in stop_words
         )
         self._reports = functools.lru_cache(maxsize=CACHE_SIZE)(self._non_word)
+        # A word within ed of an m-letter token has at least m - ed letters,
+        # a keyboard or series candidate has m and a conjoined pair's halves
+        # are words, so no candidate matches a token of more than
+        # max(L + ed, 2 * L) letters, L the longest word's.  A letter spans
+        # at most four code points (க்ஷா), so a token longer than four times
+        # that many is answered without a letter split and kept out of the
+        # memo, which holds no longer token.
+        longest = lexicon.longest
+        self._longest_matchable = 4 * max(longest + self.config.edit_distance, 2 * longest)
 
     # ------------------------------------------------------------------ #
 
@@ -328,7 +352,9 @@ class SpellChecker:
         """The report of a token no strategy needs to see, else None.
 
         A token without a Tamil code point goes to the parallel
-        dictionary, a stop word is skipped and a known word is valid.
+        dictionary, a stop word is skipped and a known word is valid.  A
+        token too long for any strategy to match is a non-word without
+        suggestions, and is not memoized.
         """
         if not has_tamil(token):
             sub = self.substitute_foreign(token)
@@ -337,6 +363,8 @@ class SpellChecker:
             return TokenReport(token, Verdict.SKIPPED, ())
         if self.lexicon.is_word(token):
             return TokenReport(token, Verdict.VALID, ())
+        if len(token) > self._longest_matchable:
+            return TokenReport(token, Verdict.NON_WORD, ())
         return None
 
     def _non_word(self, word: str) -> TokenReport:
@@ -347,22 +375,42 @@ class SpellChecker:
         letters = letter_texts(word)
         series = mayangoli.suggest(letters, lexicon)
         nearby = keyboard.corrections(letters, lexicon, self.confusion_matrix, ed)
+        pairs = conjoined.recognize(letters, lexicon)
+        if ed > 1 and len(letters) <= ed + 2 and len(lexicon) >= DENSE_LEXICON:
+            # Every candidate the ed - 1 walk leaves out scores ed, so when
+            # the cut falls below ed the ed walk could not change the head.
+            head = _head(letters, lexicon.within_distance(letters, ed - 1), nearby, series, pairs)
+            if len(head) == MAX_SUGGESTIONS and head[-1].score < ed:
+                return head
         within = edits.suggest(letters, lexicon, nedits=ed)
-        # Candidate -> rank key.  Each strategy overwrites the ones of lower
-        # priority; every keyboard candidate is an edit candidate.
-        edit = Strategy.EDIT.priority
-        ranks = {candidate: (distance, edit, candidate) for candidate, distance in within.items()}
-        for candidate in nearby:
-            ranks[candidate] = (within[candidate], Strategy.KEYBOARD.priority, candidate)
-        for candidate in series:
-            distance = within.get(candidate) or letter_edit_distance(letters, candidate)
-            ranks[candidate] = (distance, Strategy.MAYANGOLI.priority, candidate)
-        for pair in conjoined.recognize(letters, lexicon):
-            # Scores 0, below any other strategy's score for the same text.
-            candidate = f"{pair.left} {pair.right}"
-            ranks[candidate] = (0, Strategy.CONJOINED.priority, candidate)
-        kept = heapq.nsmallest(MAX_SUGGESTIONS, ranks.values())
-        return tuple([Suggestion(c, _BY_PRIORITY[p], score) for score, p, c in kept])
+        return _head(letters, within, nearby, series, pairs)
+
+
+def _head(letters, within, nearby, series, pairs) -> tuple[Suggestion, ...]:
+    """The ``MAX_SUGGESTIONS`` best candidates, each under its highest-priority label.
+
+    ``within`` maps the edit candidates to their distances.  A keyboard
+    candidate it lacks is left out: the keyboard strategy substitutes at
+    most ``ed`` letters, so that happens only when ``within`` is an
+    ``ed - 1`` walk's, and then the candidate scores ``ed``.
+    """
+    # Candidate -> rank key.  Each strategy overwrites the ones of lower
+    # priority.
+    edit = Strategy.EDIT.priority
+    ranks = {candidate: (distance, edit, candidate) for candidate, distance in within.items()}
+    for candidate in nearby:
+        distance = within.get(candidate)
+        if distance:
+            ranks[candidate] = (distance, Strategy.KEYBOARD.priority, candidate)
+    for candidate in series:
+        distance = within.get(candidate) or letter_edit_distance(letters, candidate)
+        ranks[candidate] = (distance, Strategy.MAYANGOLI.priority, candidate)
+    for pair in pairs:
+        # Scores 0, below any other strategy's score for the same text.
+        candidate = f"{pair.left} {pair.right}"
+        ranks[candidate] = (0, Strategy.CONJOINED.priority, candidate)
+    kept = heapq.nsmallest(MAX_SUGGESTIONS, ranks.values())
+    return tuple([Suggestion(c, _BY_PRIORITY[p], score) for score, p, c in kept])
 
 
 # ---------------------------------------------------------------------- #

@@ -7,6 +7,7 @@ import json
 import random
 
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -33,6 +34,8 @@ from tamilspell.letters import alphabet, letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
 from oracles import reference_word_tokens
 from test_walks import _random_lexicon
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def engine(lexicon, **kwargs):
@@ -132,7 +135,14 @@ def _suggestions(monkeypatch, lexicon, matrix, word, k):
 def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch):
     # Dense random lexicons over series letters, a mei and an uyir give
     # every strategy candidates, many at one distance.  The cut must keep
-    # exactly the head of the uncut ranking.
+    # exactly the head of the uncut ranking, also with DENSE_LEXICON at 0,
+    # where a non-word of up to ed + 2 letters is first walked within
+    # ed - 1 and the ed walk is skipped when that fills the cut.
+    walks = []
+    suggest = edits.suggest
+    monkeypatch.setattr(edits, "suggest", lambda *args, **kw: walks.append(1) or suggest(*args, **kw))
+    default = tamilspell.checker.DENSE_LEXICON
+    skipped = 0
     rng = random.Random(1210)
     pool = ["ல", "ள", "ழ", "லா", "ன", "ண", "ல்", "அ"]
     dense = 0
@@ -150,13 +160,72 @@ def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch):
         if lexicon.is_word(word):
             continue
         uncut = _suggestions(monkeypatch, lexicon, matrix, word, 10**6)
-        for k in (1, 3, 10):
-            assert _suggestions(monkeypatch, lexicon, matrix, word, k) == uncut[:k], (word, k)
+        for gate in (default, 0):
+            monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", gate)
+            for k in (1, 3, 10):
+                before = len(walks)
+                assert _suggestions(monkeypatch, lexicon, matrix, word, k) == uncut[:k], (word, k, gate)
+                if len(walks) == before:
+                    assert gate == 0, "a lexicon this small takes the ed walk"
+                    skipped += 1
         keys = [(s.score, s.strategy.priority, s.candidate) for s in uncut]
         assert keys == sorted(keys)
         assert len({s.candidate for s in uncut}) == len(uncut)
         dense += len(uncut) > 10
     assert dense > 40, "the lexicons must give more candidates than the cut keeps"
+    assert skipped > 100, "the ed - 1 walk must fill the cut often"
+
+
+def test_the_early_out_counts_a_candidate_two_strategies_propose_once(monkeypatch):
+    # அ க is a lexicon word one letter (the space) from அக, so the ed - 1
+    # walk finds it, and it is also அக's conjoined pair: one rank key.
+    # Counted twice, the three keys under ed would read as a full cut of
+    # four and lose இஈ, two edits away.
+    lexicon = Lexicon(["அ", "க", "அ க", "இஈ"])
+    monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
+    ranked = _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "அக", 10**6)
+    assert ranked == (
+        Suggestion("அ க", Strategy.CONJOINED, 0),
+        Suggestion("அ", Strategy.EDIT, 1),
+        Suggestion("க", Strategy.EDIT, 1),
+        Suggestion("இஈ", Strategy.EDIT, 2),
+    )
+    for k in range(1, 6):
+        assert _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "அக", k) == ranked[:k]
+
+
+def test_the_early_out_needs_the_whole_cut_below_ed(monkeypatch):
+    # ழழழ is three series swaps from லலல, distance 3.  With the cut at two,
+    # லலலம் (one edit) and ழழழ fill it after the ed - 1 walk, but லம், two
+    # edits away, outranks ழழழ, so the ed walk must still run.
+    lexicon = Lexicon(["லலலம்", "லம்", "ழழழ"])
+    monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
+    ranked = _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "லலல", 10**6)
+    assert ranked == (
+        Suggestion("லலலம்", Strategy.EDIT, 1),
+        Suggestion("லம்", Strategy.EDIT, 2),
+        Suggestion("ழழழ", Strategy.MAYANGOLI, 3),
+    )
+    assert _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "லலல", 2) == ranked[:2]
+
+
+def test_a_small_lexicon_takes_one_edit_walk_per_non_word(fixture_lexicon):
+    # Under DENSE_LEXICON words, every non-word takes the ed walk alone,
+    # as it did before the early-out existed.
+    budgets = []
+
+    class Recording(Lexicon):
+        def within_distance(self, letters, ed):
+            budgets.append(ed)
+            return super().within_distance(letters, ed)
+
+    lexicon = Recording(fixture_lexicon.words())
+    assert len(lexicon) < tamilspell.checker.DENSE_LEXICON
+    eng = engine(lexicon)
+    eng.check_text((GOLDEN / "document.txt").read_text(encoding="utf-8"))
+    for word in ("பளம்", "ஙொ", "கறக", "மலழ"):
+        eng.check_word(word)
+    assert budgets == [2] * eng.stats["cache_misses"]
 
 
 def test_engine_config_validation():
@@ -232,6 +301,56 @@ def test_empty_text_is_clean(fixture_lexicon):
     report = engine(fixture_lexicon).check_text("")
     assert report.tokens == ()
     assert report.clean
+
+
+def test_a_token_too_long_for_any_candidate_runs_no_strategy(fixture_lexicon, monkeypatch):
+    # No candidate of the bundled lexicon (longest word L = 6 letters) can
+    # match a token of more than max(L + 2, 2 * L) letters, so a 10^5-letter
+    # one is answered at once and is not memoized.
+    calls = []
+    for module, name in (
+        (edits, "suggest"),
+        (mayangoli, "suggest"),
+        (keyboard, "corrections"),
+        (conjoined, "recognize"),
+        (tamilspell.checker, "letter_texts"),
+    ):
+        original = getattr(module, name)
+
+        def recorded(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    eng = engine(fixture_lexicon)
+    token = "க" * 100_000
+    report = eng.check_word(token)
+    assert report == TokenReport(token, Verdict.NON_WORD, ())
+    assert eng.check_text(f"பழம் {token} பழம்").tokens[1] == report
+    assert calls == []
+    assert eng.stats == {"cache_hits": 0, "cache_misses": 0, "cache_size": 0}
+    eng.check_word("பளம்")
+    assert set(calls) == {"suggest", "corrections", "recognize", "letter_texts"}
+
+
+@pytest.mark.parametrize(
+    ("words", "ed", "letters"),
+    [
+        (["க்ஷா"], 2, 3),  # L + ed letters, L = 1: an edit candidate
+        (["க்ஷா", "க்ஷாக்ஷா"], 1, 4),  # 2 * L letters, L = 2: a conjoined pair
+    ],
+)
+def test_the_length_bound_agrees_with_the_strategies_at_its_edge(words, ed, letters):
+    # க்ஷா is one letter of four code points, the most one letter spans, so
+    # a token of its copies is as short in code points as its letters allow.
+    lexicon = Lexicon(words)
+    assert max(lexicon.longest + ed, 2 * lexicon.longest) == letters
+    eng = engine(lexicon, config=EngineConfig(edit_distance=ed))
+    for token in ("க்ஷா" * letters, "க்ஷா" * (letters + 1), "க" * (4 * letters + 1)):
+        unbounded = TokenReport(token, Verdict.NON_WORD, eng._compute_suggestions(token))
+        assert eng.check_word(token) == unbounded, token
+    assert eng.check_word("க்ஷா" * letters).suggestions
+    assert eng.stats["cache_misses"] == 1
 
 
 def test_mixed_script_token_goes_to_lexicon(fixture_lexicon):

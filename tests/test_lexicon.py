@@ -187,9 +187,10 @@ def test_words_with_a_space():
     assert Lexicon(words).within_distance(letter_texts("தென்றல்காற்று"), 1) == {"தென்றல் காற்று": 1}
 
 
-# A query of at least 2 * ed letters is searched by a forward walk and a
-# walk over the reversed words, split at half its length.  Each case puts
-# its edits where the split cuts them.
+# A query of more than ed letters is searched by a forward walk and a walk
+# over the reversed words, split at half its length.  Each case puts its
+# edits where the split cuts them; at m = ed + 1 one case of each ed needs
+# the backward walk and one the forward walk.
 
 
 @pytest.mark.parametrize(
@@ -199,11 +200,39 @@ def test_words_with_a_space():
         ("அலிம்", ("லி", "அ", "ம்"), 1),  # a transposition across it
         ("அஈஆ", ("அ", "ஆ", "இ", "ஈ"), 2),  # a transposition over a gap
         ("அஊஆஇஉ", ("அ", "ஆ", "இ", "உ", "ஊ", "எ"), 3),
+        ("ஊஅஇஅ", ("எ", "இ", "அ"), 2),
+        ("ஊஎஉஊ", ("ஈ", "எ", "உ"), 2),
+        ("அஊஊ", ("ஈ", "உ", "ஊ", "அ"), 3),
+        ("ஊஉஅஈ", ("அ", "ஊ", "உ", "ஆ"), 3),
     ],
 )
 def test_edits_at_the_split_are_found(word, query, ed):
     assert letter_edit_distance(query, word) == ed
     assert Lexicon([word]).within_distance(query, ed) == {word: ed}
+
+
+def test_every_query_length_around_the_split_walks_exactly():
+    # Lengths 1..ed take one walk and ed + 1 up the split pair; every length
+    # through 2 * ed + 1 is checked at ed 1-3 against brute force.
+    rng = random.Random(2004)
+    found = 0
+    for ed in (1, 2, 3):
+        for m in range(1, 2 * ed + 2):
+            for _ in range(4):
+                letters = rng.sample(alphabet().letters, 4)
+                words = {
+                    "".join(rng.choice(letters) for _ in range(rng.randint(1, m + ed)))
+                    for _ in range(rng.randint(50, 300))
+                }
+                tokenized = {w: letter_texts(w) for w in words}
+                lex = Lexicon(words)
+                for _ in range(3):
+                    query = tuple(rng.choice(letters) for _ in range(m))
+                    distance = {w: letter_edit_distance(query, t) for w, t in tokenized.items()}
+                    want = {w: d for w, d in distance.items() if 1 <= d <= ed}
+                    assert lex.within_distance(query, ed) == want, (query, ed)
+                    found += len(want)
+    assert found > 2_000, "the lexicons must hold neighbours at every length"
 
 
 # Pieces that tokenize differently alone and joined: a lone vowel sign or
@@ -399,7 +428,7 @@ def test_each_split_half_equals_its_capped_oracle():
         }
         tokenized = {w: letter_texts(w) for w in words}
         for ed in (1, 2, 3):
-            query = tuple(rng.choice(letters) for _ in range(rng.randint(2 * ed, 2 * ed + 4)))
+            query = tuple(rng.choice(letters) for _ in range(rng.randint(ed + 1, 2 * ed + 4)))
             m = len(query)
             b = m // 2
             forward, backward = _split_halves(words, query, ed)
