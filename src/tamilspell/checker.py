@@ -25,13 +25,18 @@ series candidate beyond ``edit_distance`` (the series budget is
 unlimited) is scored on its own.  The ``MAX_SUGGESTIONS`` smallest keys
 are kept, and a :class:`Suggestion` is built for those alone.
 
-The kept list is the head of that ranking, and a short non-word in a
-dense lexicon fills it without the whole edit ball: with at least
-``DENSE_LEXICON`` words and at most ``edit_distance`` + 2 letters, the
-lexicon is first walked within ``edit_distance`` - 1.  Every candidate
-that walk leaves out scores ``edit_distance``, so when the cut falls below
-that score the ranking of the walk's candidates has the same head, and
-the full walk is skipped.  A token too long for any candidate (see
+The kept list is the head of that ranking, and on a lexicon of at least
+``DENSE_LEXICON`` words it is found without listing the whole edit ball.
+The lexicon is first walked within ``edit_distance`` - 1, and those words
+are ranked with the other strategies' candidates.  An edit word that walk
+leaves out, and that no other strategy proposed, scores
+``edit_distance`` under the EDIT label, so its key ranks after every other
+key within that distance, and such keys differ in their text alone.  Of
+them the cut can keep only as many as it has slots left, the
+text-smallest: ``Lexicon.first_at_distance`` finds those, skipping every
+trie node whose prefix text sorts after the last word it keeps, since
+every word below a node starts with its prefix.  When no slot is left,
+that search is skipped.  A token too long for any candidate (see
 ``SpellChecker.__init__``) gets no suggestions and no strategy runs.
 
 Reports are named tuples, so building one costs little.  Each engine
@@ -92,9 +97,12 @@ CACHE_SIZE = 4096
 # clean.
 MAX_SUGGESTIONS = 10
 
-# Lexicon words from which a non-word of at most ed + 2 letters is first
-# searched within ed - 1 (see ``_compute_suggestions``): in a lexicon this
-# dense such a walk often fills the cut, and then the ed walk is skipped.
+# Lexicon words from which a non-word is first searched within ed - 1, and
+# then only for the distance-ed edit words the cut can still take, the
+# text-smallest (see ``_compute_suggestions``).  In a lexicon this dense a
+# short non-word has hundreds of words at distance ed, and that search
+# skips every trie node whose prefix text sorts after the last word kept:
+# every word below the node starts with the prefix, so sorts after it too.
 DENSE_LEXICON = 10_000
 
 
@@ -376,32 +384,39 @@ class SpellChecker:
         series = mayangoli.suggest(letters, lexicon)
         nearby = keyboard.corrections(letters, lexicon, self.confusion_matrix, ed)
         pairs = conjoined.recognize(letters, lexicon)
-        if ed > 1 and len(letters) <= ed + 2 and len(lexicon) >= DENSE_LEXICON:
-            # Every candidate the ed - 1 walk leaves out scores ed, so when
-            # the cut falls below ed the ed walk could not change the head.
-            head = _head(letters, lexicon.within_distance(letters, ed - 1), nearby, series, pairs)
-            if len(head) == MAX_SUGGESTIONS and head[-1].score < ed:
-                return head
-        within = edits.suggest(letters, lexicon, nedits=ed)
-        return _head(letters, within, nearby, series, pairs)
+        dense = len(lexicon) >= DENSE_LEXICON
+        if dense:
+            within = lexicon.within_distance(letters, ed - 1)
+        else:
+            within = edits.suggest(letters, lexicon, nedits=ed)
+        ranks = _ranks(letters, within, ed, nearby, series, pairs)
+        if dense:
+            # The edit words at distance ed left to rank have keys
+            # (ed, EDIT, word), after every other key within ed, so the cut
+            # takes the text-smallest of them into the slots it has left.
+            bar = (ed, Strategy.EDIT.priority)
+            need = MAX_SUGGESTIONS - sum(key < bar for key in ranks.values())
+            if need > 0:
+                for candidate in lexicon.first_at_distance(letters, ed, need, ranks):
+                    ranks[candidate] = (*bar, candidate)
+        return _head(ranks)
 
 
-def _head(letters, within, nearby, series, pairs) -> tuple[Suggestion, ...]:
-    """The ``MAX_SUGGESTIONS`` best candidates, each under its highest-priority label.
+def _ranks(letters, within, ed, nearby, series, pairs) -> dict[str, tuple[int, int, str]]:
+    """Each candidate's rank key, under its highest-priority label.
 
-    ``within`` maps the edit candidates to their distances.  A keyboard
-    candidate it lacks is left out: the keyboard strategy substitutes at
-    most ``ed`` letters, so that happens only when ``within`` is an
-    ``ed - 1`` walk's, and then the candidate scores ``ed``.
+    ``within`` maps edit candidates to their distances: every word within
+    ``ed``, or on a dense lexicon every word within ``ed - 1``.  A keyboard
+    candidate it lacks scores ``ed``: the keyboard strategy substitutes at
+    most ``ed`` letters, so the candidate is within ``ed``, and it is not
+    within ``ed - 1`` since ``within`` holds that whole ball.
     """
     # Candidate -> rank key.  Each strategy overwrites the ones of lower
     # priority.
     edit = Strategy.EDIT.priority
     ranks = {candidate: (distance, edit, candidate) for candidate, distance in within.items()}
     for candidate in nearby:
-        distance = within.get(candidate)
-        if distance:
-            ranks[candidate] = (distance, Strategy.KEYBOARD.priority, candidate)
+        ranks[candidate] = (within.get(candidate, ed), Strategy.KEYBOARD.priority, candidate)
     for candidate in series:
         distance = within.get(candidate) or letter_edit_distance(letters, candidate)
         ranks[candidate] = (distance, Strategy.MAYANGOLI.priority, candidate)
@@ -409,6 +424,17 @@ def _head(letters, within, nearby, series, pairs) -> tuple[Suggestion, ...]:
         # Scores 0, below any other strategy's score for the same text.
         candidate = f"{pair.left} {pair.right}"
         ranks[candidate] = (0, Strategy.CONJOINED.priority, candidate)
+    return ranks
+
+
+def _head(ranks: dict[str, tuple[int, int, str]]) -> tuple[Suggestion, ...]:
+    """The ``MAX_SUGGESTIONS`` smallest rank keys, as suggestions.
+
+    On a dense lexicon ``ranks`` holds, of the keys that score ``ed`` with
+    the EDIT label, only the text-smallest ones the cut can take.  Those
+    keys differ by text alone and rank after every other key within
+    ``ed``, so the ones left out could only have come after the cut.
+    """
     kept = heapq.nsmallest(MAX_SUGGESTIONS, ranks.values())
     return tuple([Suggestion(c, _BY_PRIORITY[p], score) for score, p, c in kept])
 

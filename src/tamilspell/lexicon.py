@@ -19,15 +19,16 @@ It keeps three structures:
 
 Correction candidates come out of the tries by walking them:
 :meth:`Lexicon.within_distance` maps every word within an edit distance
-to that distance, and :meth:`Lexicon.substitutions` gives the words that
-swap letters for per-position alternates (confusable series, keyboard
-neighbours).  The tries' layout is private to this module.  It is flat, in
-the spirit of Daciuk et al. 2000: each distinct letter is coded as one
-character, and nodes are numbered breadth-first, so that the child along
-edge ``e`` is node ``e + 1``.  One string holds every edge's letter code,
-sorted within each node; per node, an ``array('I')`` holds the offset of
-its first edge (its edges run to the next node's offset) and a byte
-string marks where words end.
+to that distance, :meth:`Lexicon.first_at_distance` gives only the few
+text-smallest words at one distance, and :meth:`Lexicon.substitutions`
+gives the words that swap letters for per-position alternates
+(confusable series, keyboard neighbours).  The tries' layout is private
+to this module.  It is flat, in the spirit of Daciuk et al. 2000: each
+distinct letter is coded as one character, and nodes are numbered
+breadth-first, so that the child along edge ``e`` is node ``e + 1``.  One
+string holds every edge's letter code, sorted within each node; per node,
+an ``array('I')`` holds the offset of its first edge (its edges run to the
+next node's offset) and a byte string marks where words end.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from __future__ import annotations
 import sys
 import unicodedata
 from array import array
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Container, Iterable, Iterator, Sequence
 from functools import partial
 
 from .errors import WordListError, _data_lines
@@ -105,8 +106,43 @@ def _build_trie(keys: list[str]) -> tuple[array, str, bytes]:
     return first, "".join(["".join(level) for level in labels]), b"".join(ends)
 
 
+class _Smallest(dict):
+    """The ``count`` text-smallest words reported to it that ``exclude`` lacks.
+
+    A walk reports into it as into its dict of word -> cost.  A kept word
+    maps to 0, so it is not reported twice.  ``order`` lists the kept words
+    in text order, and ``last`` is the largest of them once ``count`` are
+    kept, None before: no word after it can be kept any more.
+    """
+
+    def __init__(self, count: int, exclude: Container[str]):
+        super().__init__()
+        self.count = count
+        self.exclude = exclude
+        self.order: list[str] = []
+        self.last: str | None = None
+
+    def __setitem__(self, word: str, cost: int) -> None:
+        if word in self.exclude or (self.last is not None and word > self.last):
+            return
+        insort(self.order, word)
+        super().__setitem__(word, 0)
+        if len(self.order) > self.count:
+            del self[self.order.pop()]
+        if len(self.order) == self.count:
+            self.last = self.order[-1]
+
+
 class Lexicon:
     """A fixed set of words with letter-wise membership and walks.
+
+    :meth:`within_distance` lists every word within an edit distance, and
+    :meth:`first_at_distance` only the few text-smallest words at one
+    distance.  The second walk can stop early: every word below a trie
+    node starts with the node's prefix text, so it sorts after it, and a
+    node whose prefix sorts after the last word kept holds none that could
+    be kept.  That compares text, not letter codes, so it holds whatever
+    order the codes were given in.
 
     ``longest`` is the letter count of the longest word, 0 when empty.
     """
@@ -178,27 +214,67 @@ class Lexicon:
         and m = 5).  So a query of at most ``ed`` letters takes one forward
         walk with every column at ``ed``.
         """
-        query = tuple(letters)
-        m = len(query)
         found: dict[str, int] = {}
+        self._search(tuple(letters), ed, found)
+        return found
+
+    def first_at_distance(
+        self, letters: Sequence[str], ed: int, count: int, exclude: Container[str]
+    ) -> list[str]:
+        """The ``count`` text-smallest words at distance ``ed`` that ``exclude`` lacks, sorted.
+
+        ``exclude`` must hold every word within ``ed - 1`` of ``letters``;
+        then a word the walks report within ``ed`` is at distance exactly
+        ``ed`` unless ``exclude`` holds it.  The search is the one of
+        :meth:`within_distance`, with its backward half, when there is one,
+        run first and in full.  Once ``count`` words are kept, the forward
+        walk skips every node whose prefix text sorts at or after the last
+        kept word: every word below the node starts with that prefix, so it
+        sorts after it, and its nearer words are already in ``exclude``.
+        That holds for any order of the letter codes, since it compares the
+        text itself.
+        """
+        query = tuple(letters)
+        if count < 1 or ed > max(len(query), self.longest):
+            return []
+        kept = _Smallest(count, exclude)
+        self._search(query, ed, kept, prune=True)
+        return kept.order
+
+    def _search(self, query: tuple[str, ...], ed: int, found: dict, prune: bool = False) -> None:
+        """Put the words within ``ed`` of ``query`` in ``found``, as :meth:`within_distance` does.
+
+        No word is farther from the query than max(m, ``longest``) letters,
+        so a larger ``ed`` is lowered to that: the walks' work and memory
+        then depend on the query and the lexicon alone.  ``prune`` bounds
+        the forward walk by ``found``, a :class:`_Smallest` (see
+        :meth:`_walk`).
+        """
+        m = len(query)
+        ed = min(ed, max(m, self.longest))
         if ed < 1:
-            return found
+            return
         if m <= ed:
-            self._walk(self._forward, query, [ed] * (m + 1), "".join, found)
-            return found
+            self._walk(self._forward, query, [ed] * (m + 1), "".join, found, prune)
+            return
         b = m // 2
-        limit = [ed // 2] * (b + 1) + [ed] * (m - b)
-        self._walk(self._forward, query, limit, "".join, found)
         backward = self._backward
         if isinstance(backward, str):
             keys = list(filter(None, backward[::-1].split(_SEP)))
             backward = self._backward = _build_trie(keys)
         limit = [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1)
         self._walk(backward, query[::-1], limit, lambda path: "".join(reversed(path)), found)
-        return found
+        limit = [ed // 2] * (b + 1) + [ed] * (m - b)
+        self._walk(self._forward, query, limit, "".join, found, prune)
 
     def _walk(
-        self, trie, query: tuple[str, ...], limit: list[int], spell, found: dict[str, int]
+        self,
+        trie,
+        query: tuple[str, ...],
+        limit: list[int],
+        spell,
+        found: dict[str, int],
+        prune: bool = False,
     ) -> None:
         """Put the words of ``trie`` that align with ``query`` within ``limit`` in ``found``.
 
@@ -262,7 +338,10 @@ class Lexicon:
         shared children that end words are found by scanning their word
         ends.
 
-        ``spell`` joins a path's letters into the word.
+        ``spell`` joins a path's letters into the word.  With ``prune``,
+        ``found`` is a :class:`_Smallest`, and once it is full the walk skips
+        a node whose prefix text sorts at or after its ``last`` word: every
+        word below the node starts with the prefix, so none could be kept.
         """
         first, labels, ends = trie
         letter_of = self._letter_of
@@ -352,8 +431,8 @@ class Lexicon:
                         # The opener letters: a child of letter q[j + d]
                         # opens a transposition from this cell at cost
                         # v + d (see the docstring).
-                        for d in range(1, ed - v + 1):
-                            if j + d < m and v + d <= limit[j + d + 1]:
+                        for d in range(1, (ed - v if ed - v < m - 1 - j else m - 1 - j) + 1):
+                            if v + d <= limit[j + d + 1]:
                                 nexts.add(q[j + d])
                 else:
                     left = cap
@@ -385,6 +464,8 @@ class Lexicon:
                 path[depth - 2] = letter_of[up]
             if depth:
                 path[depth - 1] = letter_of[letter]
+            if prune and found.last is not None and spell(path[:depth]) >= found.last:
+                continue
             depth += 1
             # The children are the nodes lo + 1..hi.  Those whose letter is
             # in nexts get their own state (the loop at the end); below a

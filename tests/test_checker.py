@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 import random
-
+import time
 import unicodedata
 from pathlib import Path
 
@@ -127,20 +127,25 @@ def test_max_suggestions_cap(fixture_lexicon, monkeypatch):
     assert len(engine(fixture_lexicon).check_word("பளம்").suggestions) == 2
 
 
-def _suggestions(monkeypatch, lexicon, matrix, word, k):
+def _suggestions(monkeypatch, lexicon, matrix, word, k, ed=2):
     monkeypatch.setattr(tamilspell.checker, "MAX_SUGGESTIONS", k)
-    return engine(lexicon, confusion_matrix=matrix).check_word(word).suggestions
+    config = EngineConfig(edit_distance=ed)
+    return engine(lexicon, confusion_matrix=matrix, config=config).check_word(word).suggestions
 
 
-def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch):
+@pytest.mark.parametrize("ed", [1, 2, 3])
+def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch, ed):
     # Dense random lexicons over series letters, a mei and an uyir give
     # every strategy candidates, many at one distance.  The cut must keep
     # exactly the head of the uncut ranking, also with DENSE_LEXICON at 0,
-    # where a non-word of up to ed + 2 letters is first walked within
-    # ed - 1 and the ed walk is skipped when that fills the cut.
-    walks = []
-    suggest = edits.suggest
-    monkeypatch.setattr(edits, "suggest", lambda *args, **kw: walks.append(1) or suggest(*args, **kw))
+    # where a non-word is first walked within ed - 1 and then searched for
+    # only the distance-ed edit words the cut can still take, or not at all
+    # when the cut is already full.
+    searches = []
+    search = Lexicon.first_at_distance
+    monkeypatch.setattr(
+        Lexicon, "first_at_distance", lambda *args: searches.append(args[3]) or search(*args)
+    )
     default = tamilspell.checker.DENSE_LEXICON
     skipped = 0
     rng = random.Random(1210)
@@ -159,21 +164,29 @@ def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch):
             word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
         if lexicon.is_word(word):
             continue
-        uncut = _suggestions(monkeypatch, lexicon, matrix, word, 10**6)
+        # The uncut ranking comes from the ed walk.
+        monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", default)
+        uncut = _suggestions(monkeypatch, lexicon, matrix, word, 10**6, ed)
         for gate in (default, 0):
             monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", gate)
             for k in (1, 3, 10):
-                before = len(walks)
-                assert _suggestions(monkeypatch, lexicon, matrix, word, k) == uncut[:k], (word, k, gate)
-                if len(walks) == before:
-                    assert gate == 0, "a lexicon this small takes the ed walk"
+                before = len(searches)
+                assert _suggestions(monkeypatch, lexicon, matrix, word, k, ed) == uncut[:k], (word, k, gate)
+                if gate:
+                    assert len(searches) == before, "a lexicon this small takes the ed walk"
+                elif len(searches) == before:
                     skipped += 1
+                else:
+                    assert 0 < searches[-1] <= k
         keys = [(s.score, s.strategy.priority, s.candidate) for s in uncut]
         assert keys == sorted(keys)
         assert len({s.candidate for s in uncut}) == len(uncut)
-        dense += len(uncut) > 10
+        # Few lexicons hold more than ten candidates within one edit, so at
+        # ed 1 the cut at three is the one that must bite.
+        dense += len(uncut) > (3 if ed == 1 else 10)
     assert dense > 40, "the lexicons must give more candidates than the cut keeps"
-    assert skipped > 100, "the ed - 1 walk must fill the cut often"
+    assert skipped > 100, "the ed - 1 walk and the other strategies must fill the cut often"
+    assert len(searches) > 100, "the bounded search must run often"
 
 
 def test_the_early_out_counts_a_candidate_two_strategies_propose_once(monkeypatch):
@@ -197,7 +210,7 @@ def test_the_early_out_counts_a_candidate_two_strategies_propose_once(monkeypatc
 def test_the_early_out_needs_the_whole_cut_below_ed(monkeypatch):
     # ழழழ is three series swaps from லலல, distance 3.  With the cut at two,
     # லலலம் (one edit) and ழழழ fill it after the ed - 1 walk, but லம், two
-    # edits away, outranks ழழழ, so the ed walk must still run.
+    # edits away, outranks ழழழ, so the search at distance ed must still run.
     lexicon = Lexicon(["லலலம்", "லம்", "ழழழ"])
     monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
     ranked = _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "லலல", 10**6)
@@ -226,6 +239,21 @@ def test_a_small_lexicon_takes_one_edit_walk_per_non_word(fixture_lexicon):
     for word in ("பளம்", "ஙொ", "கறக", "மலழ"):
         eng.check_word(word)
     assert budgets == [2] * eng.stats["cache_misses"]
+
+
+def test_an_edit_distance_beyond_every_word_answers_quickly(fixture_lexicon, monkeypatch):
+    # No word is farther than max(m, L) letters from an m-letter token, so
+    # any larger edit distance gives the same report, in the same time, on
+    # either path.
+    for gate in (tamilspell.checker.DENSE_LEXICON, 0):
+        monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", gate)
+        for word in ("கடலா", "பளம்", "ஙொ"):
+            top = max(len(letter_texts(word)), fixture_lexicon.longest)
+            at_top = engine(fixture_lexicon, config=EngineConfig(edit_distance=top)).check_word(word)
+            started = time.perf_counter()
+            far = engine(fixture_lexicon, config=EngineConfig(edit_distance=10**6)).check_word(word)
+            assert time.perf_counter() - started < 2.0
+            assert far == at_top
 
 
 def test_engine_config_validation():

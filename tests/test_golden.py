@@ -32,7 +32,6 @@ import unicodedata
 from pathlib import Path
 
 import tamilspell.checker
-from tamilspell import edits
 from tamilspell.bundled import bundled_confusion_matrix, bundled_lexicon
 from tamilspell.checker import SpellChecker
 from tamilspell.cli import main
@@ -191,29 +190,32 @@ def test_dense_lexicon_reports_are_golden():
     assert dense_digest() == (GOLDEN / "dense.sha256").read_text(encoding="ascii").strip()
 
 
-def _count_edit_walks(monkeypatch) -> list:
-    """Force the early-out open, and record each ed walk the engine runs."""
-    walks: list = []
-    suggest = edits.suggest
-    monkeypatch.setattr(edits, "suggest", lambda *args, **kw: walks.append(1) or suggest(*args, **kw))
+def _count_bounded_searches(monkeypatch) -> list:
+    """Force the dense path open, and record each bounded distance-ed search it runs."""
+    searches: list = []
+    search = Lexicon.first_at_distance
+    monkeypatch.setattr(
+        Lexicon, "first_at_distance", lambda *args: searches.append(1) or search(*args)
+    )
     monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
-    return walks
+    return searches
 
 
 def test_document_json_report_is_golden_with_the_early_out_forced(monkeypatch):
     # The bundled lexicon is below DENSE_LEXICON, so its reports come from
-    # the ed walk; with the gate forced open a few non-words skip it.
-    walks = _count_edit_walks(monkeypatch)
+    # the ed walk; with the gate forced open a few non-words skip the
+    # distance-ed search, and the others take the bounded one.
+    searches = _count_bounded_searches(monkeypatch)
     text = (GOLDEN / DOCUMENT).read_text(encoding="utf-8")
     report = SpellChecker(bundled_lexicon()).check_text(text)
     assert report.to_json() == (GOLDEN / "document.json").read_text(encoding="utf-8")
-    assert 0 < len(walks) < len({t.token for t in report.non_words()})
+    assert 0 < len(searches) < len({t.token for t in report.non_words()})
 
 
 def test_dense_lexicon_reports_are_golden_with_the_early_out_forced(monkeypatch):
-    walks = _count_edit_walks(monkeypatch)
+    searches = _count_bounded_searches(monkeypatch)
     assert dense_digest() == (GOLDEN / "dense.sha256").read_text(encoding="ascii").strip()
-    assert 0 < len(walks) < 160, "the early-out must skip some of the 200 ed walks"
+    assert 0 < len(searches) < 160, "a full cut must skip some of the 200 distance-ed searches"
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import io
 import random
 import string
 import sys
+import time
 import tracemalloc
 import unicodedata
 
@@ -239,6 +240,33 @@ def test_every_query_length_around_the_split_walks_exactly():
 # pulli fuses with the consonant before it, ெ + ா compose under NFC, and
 # க் + ஷ fuse into the conjunct.
 _PIECES = ("க", "ா", "்", "கா", "க்", "ஷ", "க்ஷ", "ெ", "கொ", "ம", "ி", "அ", " ", "a")
+
+
+def _peak_bytes(walk) -> int:
+    tracemalloc.start()
+    try:
+        walk()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_budget_beyond_every_word_is_lowered(fixture_lexicon):
+    # No word is farther than max(m, L) letters from an m-letter query, so a
+    # larger ed finds the same words: every word, at its distance.  The walk
+    # at 10**6 costs the time and memory of the walk at max(m, L).
+    rng = random.Random(6)
+    words = list(fixture_lexicon.words())
+    queries = ["கடலா", "க", rng.choice(words) + rng.choice(words), "க" * 20]
+    for query in map(letter_texts, queries):
+        top = max(len(query), fixture_lexicon.longest)
+        want = {w: d for w in words if (d := letter_edit_distance(query, w))}
+        assert fixture_lexicon.within_distance(query, top) == want
+        started = time.perf_counter()
+        assert fixture_lexicon.within_distance(query, 10**6) == want
+        assert time.perf_counter() - started < 2.0
+        at_top = _peak_bytes(lambda: fixture_lexicon.within_distance(query, top))
+        assert _peak_bytes(lambda: fixture_lexicon.within_distance(query, 10**6)) < 2 * at_top
 
 
 @given(

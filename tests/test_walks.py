@@ -69,6 +69,35 @@ def test_split_edit_walk_equals_brute_force():
     assert checked > 1000, "the lexicons must actually hold neighbours"
 
 
+def test_bounded_search_equals_brute_force():
+    # Every query length 1..2 * ed + 1, so single and split walks, and every
+    # count up to beyond the words available.  The exclude set is the
+    # ed - 1 ball and some of the distance-ed words, as the checker's
+    # candidates from the other strategies would be.
+    rng = random.Random(2204)
+    pruned = 0
+    for _ in range(25):
+        letters = rng.sample(TABLE, rng.randint(2, 4))
+        words = {
+            "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+            for _ in range(rng.randint(40, 200))
+        }
+        lexicon = Lexicon(words)
+        for ed in (1, 2, 3):
+            for m in range(1, 2 * ed + 2):
+                query = tuple(rng.choice(letters) for _ in range(m))
+                distance = {w: letter_edit_distance(query, w) for w in words}
+                at_ed = sorted(w for w, d in distance.items() if d == ed)
+                exclude = {w for w, d in distance.items() if d < ed}
+                exclude.update(w for w in at_ed if rng.random() < 0.3)
+                want = [w for w in at_ed if w not in exclude]
+                for count in range(13):
+                    got = lexicon.first_at_distance(query, ed, count, exclude)
+                    assert got == want[:count], (query, ed, count)
+                    pruned += count < len(want)
+    assert pruned > 2000, "the cut must leave distance-ed words out"
+
+
 def test_keyboard_walk_equals_filtered_patterns(monkeypatch):
     # The walk reaches the lattice's lexicon words.  The checker labels an
     # edit candidate KEYBOARD when the walk reaches it and the series
