@@ -5,11 +5,12 @@ Every token takes one route, whether it comes from ``check_word`` or
 dictionary, a stop word is skipped, a token the lexicon knows is valid,
 and anything else goes through every correction strategy and the results
 are merged.  The checker is the input boundary: it NFC-normalizes its
-input, and splits a non-word into letters once; every strategy takes that
-letter tuple.  ``check_text`` normalizes a document only when that could
-change it: a text of ASCII, Tamil-block, joiner and common punctuation
-code points alone is already NFC unless it holds one of four code point
-pairs that compose (``_nfc_document`` says why that is exact).
+input once, and the lexicon answers a token it holds with one lookup,
+normalizing only a token it lacks.  A non-word is split into letters
+once; every strategy takes that letter tuple.  ``check_text`` normalizes
+a document only when that could change it: a text of ASCII, Tamil-block,
+joiner and common punctuation code points alone is already NFC unless it
+holds one of four composing pairs (``_nfc_document`` says why).
 
 Conjoined-split recognition outranks confusable-series substitution,
 which outranks keyboard-adjacency patterns, which outrank generic edit
@@ -486,17 +487,15 @@ def _nfc_document(text: str) -> tuple[str, bool]:
     return text, mixed
 
 
-def _word_tokens(text: str, mixed: bool | None = None) -> list[str]:
+def _word_tokens(text: str, mixed: bool) -> list[str]:
     """Split text into word tokens: runs of letters, marks, digits, _ or joiners.
 
     Splitting on Unicode categories (not on ``\\w``) keeps Tamil combining
     marks glued to their consonants.  ZWNJ and ZWJ stay inside the word
     they sit in, so ``check_text`` sees the token ``check_word`` would be
-    given.  ``mixed=False`` promises that text holds no other code point;
-    None scans for one.
+    given.  ``mixed`` is ``_nfc_document``'s answer: False promises that
+    text holds no other code point.
     """
-    if mixed is None:
-        mixed = _OTHER_CHARS.search(text) is not None
     if not mixed:
         return _WORD_RUNS.findall(text)
     # Every other code point that is no word character ends a run.

@@ -172,8 +172,9 @@ class Lexicon:
         return iter(self._words)
 
     def is_word(self, word: str) -> bool:
-        """True when ``word`` (a string) was loaded into the lexicon."""
-        return _nfc(word) in self._words
+        """True when ``word`` (a string) was loaded: a loaded word is NFC and
+        takes one lookup, and only input the lexicon lacks is normalized."""
+        return word in self._words or _nfc(word) in self._words
 
     def contains_letters(self, letters: Sequence[str]) -> bool:
         """True when ``letters`` is exactly the letter split of a loaded word."""

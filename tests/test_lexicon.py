@@ -31,6 +31,25 @@ def test_membership_basics(make_lexicon):
     assert len(lex) == 2
 
 
+def test_a_loaded_word_is_answered_without_normalizing(make_lexicon, monkeypatch):
+    lex = make_lexicon("கொடு", "கல்")
+    calls = []
+
+    def counting_nfc(word):
+        calls.append(word)
+        return unicodedata.normalize("NFC", word)
+
+    monkeypatch.setattr(lexicon_module, "_nfc", counting_nfc)
+    assert lex.is_word("கொடு") and "கொடு" in lex
+    assert calls == []
+    # ொ is a two-part vowel sign: NFD spells it U+0BC6 U+0BBE.
+    nfd = unicodedata.normalize("NFD", "கொடு")
+    assert nfd != "கொடு"
+    assert lex.is_word(nfd) and nfd in lex
+    assert not lex.is_word("கொடி") and "கொடி" not in lex
+    assert calls == [nfd, nfd, "கொடி", "கொடி"]
+
+
 def test_longest_counts_letters_not_codepoints(make_lexicon):
     assert Lexicon().longest == 0
     assert make_lexicon("தென்றல்", "காற்று").longest == 4
