@@ -333,13 +333,6 @@ class SpellChecker:
                 routes[tok] = found
         return CheckReport(tuple(map(routes.__getitem__, tokens)))
 
-    def substitute_foreign(self, token: str) -> Suggestion | None:
-        """Parallel-dictionary lookup for a non-Tamil token (case-folded)."""
-        replacement = self.parallel_dict.get(token.casefold())
-        if replacement is None:
-            return None
-        return Suggestion(replacement, Strategy.FOREIGN, 0)
-
     @property
     def stats(self) -> dict:
         """Memo counters.
@@ -360,14 +353,15 @@ class SpellChecker:
     def _route(self, token: str) -> TokenReport | None:
         """The report of a token no strategy needs to see, else None.
 
-        A token without a Tamil code point goes to the parallel
-        dictionary, a stop word is skipped and a known word is valid.  A
-        token too long for any strategy to match is a non-word without
-        suggestions, and is not memoized.
+        A token without a Tamil code point is looked up, case-folded, in the
+        parallel dictionary, a stop word is skipped and a known word is
+        valid.  A token too long for any strategy to match is a non-word
+        without suggestions, and is not memoized.
         """
         if not has_tamil(token):
-            sub = self.substitute_foreign(token)
-            return TokenReport(token, Verdict.NON_TAMIL, (sub,) if sub else ())
+            sub = self.parallel_dict.get(token.casefold())
+            subs = () if sub is None else (Suggestion(sub, Strategy.FOREIGN, 0),)
+            return TokenReport(token, Verdict.NON_TAMIL, subs)
         if token in self.stop_words:
             return TokenReport(token, Verdict.SKIPPED, ())
         if self.lexicon.is_word(token):

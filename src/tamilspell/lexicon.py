@@ -312,11 +312,10 @@ class Lexicon:
         at least ``limit[j + 1]``, so only the seeds and their insertions
         keep within the limits.  A cell (j, v) opens a transposition for a
         child of letter ``q[j + d]`` at cost v + d, held to
-        ``limit[j + d + 1]``, so the step names that letter, the column 0
-        cell included.  Where the insertions from (j, v) reach column j + d,
-        the cell there names it too; only where a capped walk's lower limit
-        cuts them short is the letter new, and without it that walk misses
-        words.
+        ``limit[j + d + 1]``, so the step names that letter.  Where the
+        insertions from (j, v) reach column j + d, the cell there names it
+        too; only where a capped walk's lower limit cuts them short is the
+        letter new, and without it that walk misses words.
 
         A node's state (its row, open transpositions, the letters worth
         following and whether it is wide) is a pure function of its parent's
@@ -365,13 +364,18 @@ class Lexicon:
         # transpositions as (column, closing letter, cost if it comes next),
         # the letters worth following, whether any letter is, and the child
         # state along each letter, or along None for the children sharing
-        # one, once computed.  A node with nothing within the limits has no
-        # state (None).
-        def step(letter: str | None, depth: int, parent: list[int], opened: list) -> tuple | None:
+        # one, once computed.  Every column runs the band's rule, and only
+        # the root's column 0 is seeded.  A step along a followed letter, or
+        # into a wide node's shared children, always keeps a cell or an open
+        # transposition within the limits, so every step has a state.
+        def step(letter: str | None, depth: int, parent: list[int], opened: list) -> tuple:
             # The child's state.  A match or a closing transposition seeds a
             # cell, and every cell of the band tries a deletion, a
-            # substitution and an insertion.
-            row = [cap] * (m + 1)
+            # substitution and an insertion.  The row's trailing cell stays
+            # at cap, so column 0 reads it as its column -1.
+            row = [cap] * (m + 2)
+            if not depth:
+                row[0] = 0
             nexts = set()
             wide = False
             pend = []
@@ -400,20 +404,7 @@ class Lexicon:
                         nexts.add(q[s])
                         if cost < limit[j]:
                             wide = True
-            # depth <= limit[0] only below a parent whose column 0 cell,
-            # depth - 1, is under room[0], so a wide one.
-            if depth <= limit[0]:
-                row[0] = depth
-                if depth < room[0]:
-                    wide = True
-                if m:
-                    nexts.add(q[0])
-                    # The column 0 cell names its opener letters as the
-                    # band's cells do.
-                    for d in range(1, min(ed - depth, m - 1) + 1):
-                        if depth + d <= limit[d + 1]:
-                            nexts.add(q[d])
-            lo = depth - ed if depth > ed else 1
+            lo = depth - ed if depth > ed else 0
             left = row[lo - 1]
             for j in range(lo, (depth + ed if depth + ed < m else m) + 1):
                 v = parent[j - 1] + 1
@@ -437,7 +428,7 @@ class Lexicon:
                                 nexts.add(q[j + d])
                 else:
                     left = cap
-            return (row, pend, nexts, wide, {}) if nexts or row[m] < cap else None
+            return (row, pend, nexts, wide, {})
 
         def descend(e: int, x: str, depth: int, kid: tuple, up: str = "") -> None:
             # The node along edge ``e``, whose state is ``kid``: report it if
@@ -458,7 +449,7 @@ class Lexicon:
             if lo < hi and (r_wide or not r_nexts.isdisjoint(labels[lo:hi])):
                 stack.append((lo, hi, depth, up, x, kid))
 
-        stack = [(first[0], first[1], 0, "", "", step(None, 0, [cap] * (m + 1), []))]
+        stack = [(first[0], first[1], 0, "", "", step(None, 0, [cap] * (m + 2), []))]
         while stack:
             lo, hi, depth, up, letter, (row, opened, nexts, wide, kids) = stack.pop()
             if up:
@@ -472,8 +463,8 @@ class Lexicon:
             # in nexts get their own state (the loop at the end); below a
             # wide node, the others share one.
             if wide:
-                shared = kids.get(None, False)
-                if shared is False:
+                shared = kids.get(None)
+                if shared is None:
                     shared = kids[None] = step(None, depth, row, opened)
                 s_row, s_opened, s_nexts, s_wide, s_kids = shared
                 s_dist = s_row[m] if s_row[m] <= ed else 0
@@ -507,25 +498,22 @@ class Lexicon:
                             i = labels.find(y, band_lo, band_hi)
                             if i < 0:
                                 continue
-                            kid = s_kids.get(y, False)
+                            kid = s_kids.get(y)
                             while i >= 0:
                                 c = bisect_right(first, i, lo + 1, hi + 1) - 1
                                 x = labels[c - 1]
                                 if x not in nexts:
-                                    if kid is False:
-                                        kid = s_kids[y] = step(y, depth + 1, s_row, s_opened)
                                     if kid is None:
-                                        break
+                                        kid = s_kids[y] = step(y, depth + 1, s_row, s_opened)
                                     descend(i, y, depth + 1, kid, x)
                                 i = labels.find(y, first[c + 1], band_hi)
             for x in nexts:
                 e = labels.find(x, lo, hi)
                 if e >= 0:
-                    kid = kids.get(x, False)
-                    if kid is False:
+                    kid = kids.get(x)
+                    if kid is None:
                         kid = kids[x] = step(x, depth, row, opened)
-                    if kid is not None:
-                        descend(e, x, depth, kid)
+                    descend(e, x, depth, kid)
 
     def substitutions(
         self, letters: Sequence[str], alternates: Sequence[Sequence[str]], budget: int

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +175,24 @@ def test_batch_clean_file(tmp_path, wordlist, capsys):
     status = main([doc, "--dict", wordlist])
     assert status == 0
     assert capsys.readouterr().out == ""
+
+
+def test_readme_examples_print_what_they_say(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    # The library example: each print's comment is what it prints.
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    printed = capsys.readouterr().out.splitlines()
+    said = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert said[:3] == ["nonword", "['பலம்', 'பழம்']", "False"]
+    assert printed[:3] == said[:3]
+    # The command line example, with the bundled data, up to its "...".
+    shown = readme.split("$ tamilspell letter.txt\n", 1)[1].split("...", 1)[0]
+    assert shown == "letter.txt\tபளம்\tபலம் (mayangoli:1); பழம் (mayangoli:1); களம் (keyboard:1); "
+    write_doc(tmp_path, "letter.txt", "பளம்\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["letter.txt"]) == 1
+    assert capsys.readouterr().out.startswith(shown)
 
 
 def test_wordlist_saved_with_a_byte_order_mark(tmp_path, capsys):

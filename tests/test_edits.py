@@ -26,6 +26,9 @@ def test_edit_operations_counts_and_examples():
     assert ops["transposes"] == ["அக"]
     assert len(ops["replaces"]) == 2 * 2
     assert len(ops["inserts"]) == 3 * 2
+    default = edit_operations("கஅ")
+    assert len(default["replaces"]) == 2 * len(alphabet().letters)
+    assert len(default["inserts"]) == 3 * len(alphabet().letters)
 
 
 def test_edits1_known_superset():
@@ -68,6 +71,8 @@ def test_edits_n_level_one_equals_edits1():
 def test_edits_n_validates_nedits():
     with pytest.raises(ValueError):
         edits_n("கஅ", AK, nedits=0)
+    with pytest.raises(ValueError):
+        suggest(letter_texts("பள"), Lexicon(["பல"]), nedits=0)
 
 
 def test_edits_n_matches_oracle_small():

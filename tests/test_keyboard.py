@@ -35,12 +35,17 @@ def test_direct_uyirmei_entry_wins():
     matrix = ConfusionMatrix({"கா": ["பா"], "க்": ["ல்"]})
     assert matrix.alternates_for("கா") == ("பா",)
     assert matrix.alternates_for("கீ") == ("லீ",)  # falls back to க்
+    # Membership asks the table itself, not the fallback.
+    assert "கா" in matrix and "க்" in matrix
+    assert "கீ" not in matrix
 
 
 def test_unmapped_letter_has_no_alternates():
     matrix = ConfusionMatrix({"க்": ["ல்"]})
     assert matrix.alternates_for("ம") == ()
     assert matrix.alternates_for("ஆ") == ()
+    with pytest.raises(ValueError):
+        matrix.alternates_for("கம")
 
 
 def test_matrix_rejects_self_neighbour():
