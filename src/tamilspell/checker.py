@@ -259,6 +259,8 @@ class EngineConfig:
     edit_distance: int = 2
 
     def __post_init__(self):
+        if not isinstance(self.edit_distance, int):
+            raise TypeError(f"edit_distance must be an int, not {type(self.edit_distance).__name__}")
         if self.edit_distance < 1:
             raise ValueError("edit_distance must be >= 1")
 
@@ -288,12 +290,9 @@ class SpellChecker:
         self.confusion_matrix = (
             confusion_matrix if confusion_matrix is not None else bundled_confusion_matrix()
         )
-        self.parallel_dict = {
-            k.casefold(): v for k, v in (parallel_dict or {}).items()
-        }
-        self.stop_words = frozenset(
-            unicodedata.normalize("NFC", w) for w in stop_words
-        )
+        nfc = functools.partial(unicodedata.normalize, "NFC")
+        self.parallel_dict = {nfc(k).casefold(): nfc(v) for k, v in (parallel_dict or {}).items()}
+        self.stop_words = frozenset(map(nfc, stop_words))
         self._reports = functools.lru_cache(maxsize=CACHE_SIZE)(self._non_word)
         # A word within ed of an m-letter token has at least m - ed letters,
         # a keyboard or series candidate has m and a conjoined pair's halves
@@ -503,13 +502,13 @@ def _word_tokens(text: str, mixed: bool) -> list[str]:
 
 
 def load_parallel_dict(source) -> dict[str, str]:
-    """Read ``foreign<TAB>tamil`` lines into a case-folded mapping."""
+    """Read ``foreign<TAB>tamil`` lines into a mapping, both fields NFC and keys case-folded."""
     mapping: dict[str, str] = {}
     for name, lineno, line in _data_lines(source, TamilSpellError):
         if "\t" not in line:
             raise TamilSpellError(f"{name}:{lineno}: expected 'foreign<TAB>tamil'")
         foreign, tamil = line.split("\t", 1)
-        foreign = foreign.strip().casefold()
+        foreign = unicodedata.normalize("NFC", foreign.strip()).casefold()
         tamil = unicodedata.normalize("NFC", tamil.strip())
         if not foreign or not tamil:
             raise TamilSpellError(f"{name}:{lineno}: empty field")

@@ -107,6 +107,8 @@ def suggest(letters: Sequence[str], lexicon, nedits: int = 2) -> dict[str, int]:
     """
     if isinstance(letters, str):
         raise TypeError("letters must be the word's letter split, not its text")
+    if not isinstance(nedits, int):
+        raise TypeError(f"nedits must be an int, not {type(nedits).__name__}")
     if nedits < 1:
         raise ValueError("nedits must be >= 1")
     return lexicon.within_distance(letters, nedits)

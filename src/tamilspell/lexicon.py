@@ -239,24 +239,23 @@ class Lexicon:
         if count < 1 or ed > max(len(query), self.longest):
             return []
         kept = _Smallest(count, exclude)
-        self._search(query, ed, kept, prune=True)
+        self._search(query, ed, kept)
         return kept.order
 
-    def _search(self, query: tuple[str, ...], ed: int, found: dict, prune: bool = False) -> None:
+    def _search(self, query: tuple[str, ...], ed: int, found: dict) -> None:
         """Put the words within ``ed`` of ``query`` in ``found``, as :meth:`within_distance` does.
 
         No word is farther from the query than max(m, ``longest``) letters,
         so a larger ``ed`` is lowered to that: the walks' work and memory
-        then depend on the query and the lexicon alone.  ``prune`` bounds
-        the forward walk by ``found``, a :class:`_Smallest` (see
-        :meth:`_walk`).
+        then depend on the query and the lexicon alone.  When ``found`` is
+        a :class:`_Smallest`, it bounds the forward walk (see :meth:`_walk`).
         """
         m = len(query)
         ed = min(ed, max(m, self.longest))
         if ed < 1:
             return
         if m <= ed:
-            self._walk(self._forward, query, [ed] * (m + 1), "".join, found, prune)
+            self._walk(self._forward, query, [ed] * (m + 1), found)
             return
         b = m // 2
         backward = self._backward
@@ -264,19 +263,11 @@ class Lexicon:
             keys = list(filter(None, backward[::-1].split(_SEP)))
             backward = self._backward = _build_trie(keys)
         limit = [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1)
-        self._walk(backward, query[::-1], limit, lambda path: "".join(reversed(path)), found)
+        self._walk(backward, query[::-1], limit, found)
         limit = [ed // 2] * (b + 1) + [ed] * (m - b)
-        self._walk(self._forward, query, limit, "".join, found, prune)
+        self._walk(self._forward, query, limit, found)
 
-    def _walk(
-        self,
-        trie,
-        query: tuple[str, ...],
-        limit: list[int],
-        spell,
-        found: dict[str, int],
-        prune: bool = False,
-    ) -> None:
+    def _walk(self, trie, query: tuple[str, ...], limit: list[int], found: dict[str, int]) -> None:
         """Put the words of ``trie`` that align with ``query`` within ``limit`` in ``found``.
 
         ``limit[j]`` caps an alignment's cost at every cell it visits in
@@ -338,16 +329,20 @@ class Lexicon:
         shared children that end words are found by scanning their word
         ends.
 
-        ``spell`` joins a path's letters into the word.  With ``prune``,
-        ``found`` is a :class:`_Smallest`, and once it is full the walk skips
-        a node whose prefix text sorts at or after its ``last`` word: every
-        word below the node starts with the prefix, so none could be kept.
+        Each node queued carries its text, so a word found is that text.
+        The walk is backward exactly when ``trie`` is the reversed trie: a
+        child's letter then goes before its parent's text, and a word reads
+        in its own order.  A forward walk into a :class:`_Smallest` skips,
+        once it is full, a node whose text sorts at or after its ``last``
+        word: every word below the node starts with that text, so none
+        could be kept.
         """
         first, labels, ends = trie
         letter_of = self._letter_of
         code = self._code
-        # The rows compare letter codes; the path holds letters, which spell
-        # the words found.
+        forward = trie is self._forward
+        prune = forward and isinstance(found, _Smallest)
+        # The rows compare letter codes; the nodes' texts join letters.
         q = tuple([code(letter, _NO_LETTER) for letter in query])
         m = len(q)
         ed = limit[-1]
@@ -358,7 +353,6 @@ class Lexicon:
         where: dict[str, list[int]] = {}  # letter -> columns j with q[j - 1] == letter
         for j, letter in enumerate(q, 1):
             where.setdefault(letter, []).append(j)
-        path = [""] * (m + ed + 1)  # path[k - 1]: the letter at depth k
 
         # A state is (row, pend, nexts, wide, kids): the row, the open
         # transpositions as (column, closing letter, cost if it comes next),
@@ -430,33 +424,24 @@ class Lexicon:
                     left = cap
             return (row, pend, nexts, wide, {})
 
-        def descend(e: int, x: str, depth: int, kid: tuple, up: str = "") -> None:
-            # The node along edge ``e``, whose state is ``kid``: report it if
-            # it is a word in range, and queue it if one of its children can
-            # stay within the limits.  ``up`` is its parent's letter when the
-            # walk stepped over the parent, which then is not in the path.
+        def descend(e: int, x: str, depth: int, kid: tuple, text: str) -> None:
+            # The node along edge ``e``, whose state is ``kid`` and whose
+            # parent's text is ``text``: report it if it is a word in range,
+            # and queue it if one of its children can stay within the limits.
             r, _, r_nexts, r_wide, _ = kid
             c = e + 1
-            if 0 < r[m] <= ed and ends[c]:
-                if up:
-                    path[depth - 2] = letter_of[up]
-                path[depth - 1] = letter_of[x]
-                word = spell(path[:depth])
-                if r[m] < found.get(word, cap):
-                    found[word] = r[m]
+            text = text + letter_of[x] if forward else letter_of[x] + text
+            if 0 < r[m] <= ed and ends[c] and r[m] < found.get(text, cap):
+                found[text] = r[m]
             lo = first[c]
             hi = first[c + 1]
             if lo < hi and (r_wide or not r_nexts.isdisjoint(labels[lo:hi])):
-                stack.append((lo, hi, depth, up, x, kid))
+                stack.append((lo, hi, depth, text, kid))
 
-        stack = [(first[0], first[1], 0, "", "", step(None, 0, [cap] * (m + 2), []))]
+        stack = [(first[0], first[1], 0, "", step(None, 0, [cap] * (m + 2), []))]
         while stack:
-            lo, hi, depth, up, letter, (row, opened, nexts, wide, kids) = stack.pop()
-            if up:
-                path[depth - 2] = letter_of[up]
-            if depth:
-                path[depth - 1] = letter_of[letter]
-            if prune and found.last is not None and spell(path[:depth]) >= found.last:
+            lo, hi, depth, text, (row, opened, nexts, wide, kids) = stack.pop()
+            if prune and found.last is not None and text >= found.last:
                 continue
             depth += 1
             # The children are the nodes lo + 1..hi.  Those whose letter is
@@ -474,8 +459,7 @@ class Lexicon:
                     while c >= 0:
                         x = labels[c - 1]
                         if x not in nexts:
-                            path[depth - 1] = letter_of[x]
-                            word = spell(path[:depth])
+                            word = text + letter_of[x] if forward else letter_of[x] + text
                             if s_dist < found.get(word, cap):
                                 found[word] = s_dist
                         c = ends.find(1, c + 1, hi + 1)
@@ -483,7 +467,8 @@ class Lexicon:
                     # Every child sharing the state is entered.
                     for c, x in enumerate(labels[lo:hi], lo + 1):
                         if x not in nexts and first[c] < first[c + 1]:
-                            stack.append((first[c], first[c + 1], depth, "", x, shared))
+                            child = text + letter_of[x] if forward else letter_of[x] + text
+                            stack.append((first[c], first[c + 1], depth, child, shared))
                 else:
                     # Most children sharing the state lead nowhere, so they
                     # are stepped over (see the docstring): their live
@@ -505,7 +490,8 @@ class Lexicon:
                                 if x not in nexts:
                                     if kid is None:
                                         kid = s_kids[y] = step(y, depth + 1, s_row, s_opened)
-                                    descend(i, y, depth + 1, kid, x)
+                                    child = text + letter_of[x] if forward else letter_of[x] + text
+                                    descend(i, y, depth + 1, kid, child)
                                 i = labels.find(y, first[c + 1], band_hi)
             for x in nexts:
                 e = labels.find(x, lo, hi)
@@ -513,7 +499,7 @@ class Lexicon:
                     kid = kids.get(x)
                     if kid is None:
                         kid = kids[x] = step(x, depth, row, opened)
-                    descend(e, x, depth, kid)
+                    descend(e, x, depth, kid, text)
 
     def substitutions(
         self, letters: Sequence[str], alternates: Sequence[Sequence[str]], budget: int
@@ -527,27 +513,24 @@ class Lexicon:
         """
         n = len(letters)
         (first, labels, ends), code = self._forward, self._code
-        path = [""] * n
         found: set[str] = set()
         stack = [(0, 0, "", 0)]
         while stack:
-            node, p, letter, changes = stack.pop()
-            if p:
-                path[p - 1] = letter
+            node, p, text, changes = stack.pop()
             if p == n:
                 if ends[node] and changes:
-                    found.add("".join(path))
+                    found.add(text)
                 continue
             lo = first[node]
             hi = first[node + 1]
             e = labels.find(code(letters[p], _NO_LETTER), lo, hi)
             if e >= 0:
-                stack.append((e + 1, p + 1, letters[p], changes))
+                stack.append((e + 1, p + 1, text + letters[p], changes))
             if changes < budget:
                 for alt in alternates[p]:
                     e = labels.find(code(alt, _NO_LETTER), lo, hi)
                     if e >= 0:
-                        stack.append((e + 1, p + 1, alt, changes + 1))
+                        stack.append((e + 1, p + 1, text + alt, changes + 1))
         return found
 
 

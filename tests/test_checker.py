@@ -259,6 +259,10 @@ def test_an_edit_distance_beyond_every_word_answers_quickly(fixture_lexicon, mon
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(edit_distance=0)
+    # A float or a string would fail later, inside the walk.
+    for ed in (2.0, "2"):
+        with pytest.raises(TypeError, match="edit_distance"):
+            EngineConfig(edit_distance=ed)
 
 
 # ----------------------------------------------------------------- documents
@@ -315,6 +319,14 @@ def test_foreign_token_casefolds(fixture_lexicon):
         assert token.verdict is Verdict.NON_TAMIL
         assert [s.candidate for s in token.suggestions] == ["கணினி"]
         assert token.suggestions[0].strategy is Strategy.FOREIGN
+
+
+def test_parallel_dict_is_nfc_normalized(fixture_lexicon):
+    # Tokens are NFC, so an NFD key must still match and an NFD value comes
+    # back composed.
+    nfd = {unicodedata.normalize("NFD", "CAFÉ"): unicodedata.normalize("NFD", "கோப்பி")}
+    eng = engine(fixture_lexicon, parallel_dict=nfd)
+    assert [s.candidate for s in eng.check_word("café").suggestions] == ["கோப்பி"]
 
 
 def test_unknown_foreign_has_no_suggestions(fixture_lexicon):
@@ -714,9 +726,12 @@ def test_stats_shape(fixture_lexicon):
 
 def test_load_parallel_dict_casefolds_keys(tmp_path):
     path = tmp_path / "parallel.tsv"
-    path.write_text("# pairs\nComputer\tகணினி\n\nPHONE\tதொலைபேசி\n", encoding="utf-8")
+    cafe = unicodedata.normalize("NFD", "Café")
+    path.write_text(
+        f"# pairs\nComputer\tகணினி\n\nPHONE\tதொலைபேசி\n{cafe}\tகோப்பி\n", encoding="utf-8"
+    )
     mapping = load_parallel_dict(path)
-    assert mapping == {"computer": "கணினி", "phone": "தொலைபேசி"}
+    assert mapping == {"computer": "கணினி", "phone": "தொலைபேசி", "café": "கோப்பி"}
 
 
 def test_load_parallel_dict_requires_tab():

@@ -73,6 +73,9 @@ def test_edits_n_validates_nedits():
         edits_n("கஅ", AK, nedits=0)
     with pytest.raises(ValueError):
         suggest(letter_texts("பள"), Lexicon(["பல"]), nedits=0)
+    for nedits in (2.0, "2"):
+        with pytest.raises(TypeError, match="nedits"):
+            suggest(letter_texts("பள"), Lexicon(["பல"]), nedits=nedits)
 
 
 def test_edits_n_matches_oracle_small():

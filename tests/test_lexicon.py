@@ -385,9 +385,9 @@ def test_walk_work_per_step_does_not_grow_with_the_query(fixture_lexicon):
 
 def test_walk_setup_stays_linear_in_the_query(fixture_lexicon):
     # A walk's per-query setup is O(m): the query's codes, the columns of
-    # each letter, the limits and the path.  A long random token enters
-    # few trie nodes, so setup is most of its work.  Counted in traced
-    # lines of this module, not timed; the reversed trie is built first.
+    # each letter and the limits.  A long random token enters few trie
+    # nodes, so setup is most of its work.  Counted in traced lines of this
+    # module, not timed; the reversed trie is built first.
     fixture_lexicon.within_distance(("க",) * 4, 2)
     rng = random.Random(10_000)
     query = tuple(rng.choice(alphabet().letters) for _ in range(10_000))
@@ -418,14 +418,8 @@ def _split_halves(words, query: tuple[str, ...], ed: int) -> tuple[dict, dict]:
     b = m // 2
     forward: dict[str, int] = {}
     backward: dict[str, int] = {}
-    lex._walk(lex._forward, query, [ed // 2] * (b + 1) + [ed] * (m - b), "".join, forward)
-    lex._walk(
-        lex._backward,
-        query[::-1],
-        [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1),
-        lambda path: "".join(reversed(path)),
-        backward,
-    )
+    lex._walk(lex._forward, query, [ed // 2] * (b + 1) + [ed] * (m - b), forward)
+    lex._walk(lex._backward, query[::-1], [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1), backward)
     return forward, backward
 
 
