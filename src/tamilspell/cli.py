@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cm", metavar="PATH", help="keyboard confusion matrix file")
     parser.add_argument("--parallel", metavar="PATH", help="foreign-to-Tamil parallel dictionary")
-    parser.add_argument("--stopwords", metavar="PATH", help="stop word list (tokens to skip)")
+    parser.add_argument("--stopwords", metavar="PATH", help="stop word list (Tamil tokens to skip)")
     ed_help = "edit distance budget (default %(default)s)"
     parser.add_argument("--ed", type=int, default=EngineConfig.edit_distance, metavar="N", help=ed_help)
     parser.add_argument("--json", action="store_true", help="emit a full JSON report for batch mode")

@@ -167,6 +167,8 @@ def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: in
     """
     if isinstance(letters, str):
         raise TypeError("letters must be the word's letter split, not its text")
+    if not isinstance(ed, int):
+        raise TypeError(f"ed must be an int, not {type(ed).__name__}")
     if ed < 1:
         raise ValueError("ed must be >= 1")
     alternates = _alternates(matrix, letters)

@@ -24,11 +24,11 @@ text-smallest words at one distance, and :meth:`Lexicon.substitutions`
 gives the words that swap letters for per-position alternates
 (confusable series, keyboard neighbours).  The tries' layout is private
 to this module.  It is flat, in the spirit of Daciuk et al. 2000: each
-distinct letter is coded as one character, and nodes are numbered
-breadth-first, so that the child along edge ``e`` is node ``e + 1``.  One
-string holds every edge's letter code, sorted within each node; per node,
-an ``array('I')`` holds the offset of its first edge (its edges run to the
-next node's offset) and a byte string marks where words end.
+distinct letter is coded as one character, in load order, and nodes are
+numbered breadth-first, so that the child along edge ``e`` is node ``e + 1``.
+One string holds every edge's letter code, sorted within each node; per
+node, an ``array('I')`` holds the offset of its first edge (its edges run
+to the next node's offset) and a byte string marks where words end.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import sys
 import unicodedata
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from collections.abc import Container, Iterable, Iterator, Sequence
 from functools import partial
 
@@ -148,10 +148,12 @@ class Lexicon:
     """
 
     def __init__(self, words: Iterable[str] = ()):
-        self._words = frozenset(filter(None, map(_nfc, words)))
+        loaded = dict.fromkeys(filter(None, map(_nfc, words)))
+        self._words = frozenset(loaded)  # a large dict answers `in` slower
         codes = _Codes()
         code = codes.__getitem__
-        keys = ["".join(map(code, letter_texts(w))) for w in self._words]
+        keys = ["".join(map(code, letter_texts(w))) for w in loaded]
+        del loaded  # freed before the trie build, where memory peaks
         # Each code key has one code per letter.
         self.longest = max(map(len, keys), default=0)
         self._forward = _build_trie(keys)
@@ -297,16 +299,16 @@ class Lexicon:
         letters are followed, and a node none of whose children has one is
         not entered.
 
-        Every step seeds the cells a match or a closing transposition
-        reaches, then runs the recurrence over the band.  Below a parent that
-        is not wide that loses nothing: each of its cells at column j costs
-        at least ``limit[j + 1]``, so only the seeds and their insertions
-        keep within the limits.  A cell (j, v) opens a transposition for a
-        child of letter ``q[j + d]`` at cost v + d, held to
-        ``limit[j + d + 1]``, so the step names that letter.  Where the
-        insertions from (j, v) reach column j + d, the cell there names it
-        too; only where a capped walk's lower limit cuts them short is the
-        letter new, and without it that walk misses words.
+        Every step runs one rule over the band: a cell takes the cheapest of
+        its diagonal (free for a match), a deletion, an insertion and a
+        transposition closing there.  Below a parent that is not wide, whose
+        cells at column j cost at least ``limit[j + 1]``, only matches, closing
+        transpositions and their insertions keep within the limits.  A cell
+        (j, v) opens a transposition for a child of letter ``q[j + d]`` at cost
+        v + d, held to ``limit[j + d + 1]``, so the step names that letter.
+        Where the insertions from (j, v) reach column j + d, the cell there
+        names it too; only where a capped walk's lower limit cuts them short is
+        the letter new, and without it that walk misses words.
 
         A node's state (its row, open transpositions, the letters worth
         following and whether it is wide) is a pure function of its parent's
@@ -339,37 +341,31 @@ class Lexicon:
         """
         first, labels, ends = trie
         letter_of = self._letter_of
-        code = self._code
         forward = trie is self._forward
         prune = forward and isinstance(found, _Smallest)
         # The rows compare letter codes; the nodes' texts join letters.
-        q = tuple([code(letter, _NO_LETTER) for letter in query])
-        m = len(q)
+        q = tuple([self._code(letter, _NO_LETTER) for letter in query] + [_NO_LETTER])
+        m = len(query)
         ed = limit[-1]
         cap = ed + 1
         # room[j]: a cell at column j below it keeps a child of any letter
         # within the limits, by a substitution (or at column m a deletion).
         room = limit[1:] + limit[-1:]
-        where: dict[str, list[int]] = {}  # letter -> columns j with q[j - 1] == letter
-        for j, letter in enumerate(q, 1):
-            where.setdefault(letter, []).append(j)
 
         # A state is (row, pend, nexts, wide, kids): the row, the open
         # transpositions as (column, closing letter, cost if it comes next),
         # the letters worth following, whether any letter is, and the child
         # state along each letter, or along None for the children sharing
-        # one, once computed.  Every column runs the band's rule, and only
-        # the root's column 0 is seeded.  A step along a followed letter, or
-        # into a wide node's shared children, always keeps a cell or an open
-        # transposition within the limits, so every step has a state.
+        # one, once computed.  Every cell, the root's included, comes from
+        # the band's rule.  A step along a followed letter, or into a wide
+        # node's shared children, always keeps a cell or an open transposition
+        # within the limits, so every step has a state.
         def step(letter: str | None, depth: int, parent: list[int], opened: list) -> tuple:
-            # The child's state.  A match or a closing transposition seeds a
-            # cell, and every cell of the band tries a deletion, a
-            # substitution and an insertion.  The row's trailing cell stays
-            # at cap, so column 0 reads it as its column -1.
+            # The child's state.  A closing transposition seeds a cell; then
+            # each cell of the band takes its diagonal (free for a match), a
+            # deletion or an insertion.  Column 0 reads the row's trailing
+            # cap, and q's trailing _NO_LETTER, as its column -1.
             row = [cap] * (m + 2)
-            if not depth:
-                row[0] = 0
             nexts = set()
             wide = False
             pend = []
@@ -381,27 +377,27 @@ class Lexicon:
                     nexts.add(closer)
                     if cost + 1 < limit[j]:
                         wide = True
-            # A parent cell within the limits lies in the parent's band, and
-            # a transposition opened from outside the band would cost more
-            # than ed, so only the band's columns can match or open one.  A
-            # child matching column j opens, from the parent's cell at column
-            # s = j - d - 1, a transposition that q[s] closes d rows on.
-            cols = where.get(letter, ())
-            for j in cols[bisect_left(cols, depth - ed) : bisect_right(cols, depth + ed)]:
-                if parent[j - 1] < row[j]:
-                    row[j] = parent[j - 1]
-                for d in range(1, (ed if ed < j else j - 1) + 1):
-                    s = j - d - 1
-                    cost = parent[s] + d
-                    if cost <= limit[j]:
-                        pend.append((j, q[s], cost))
-                        nexts.add(q[s])
-                        if cost < limit[j]:
-                            wide = True
             lo = depth - ed if depth > ed else 0
             left = row[lo - 1]
             for j in range(lo, (depth + ed if depth + ed < m else m) + 1):
-                v = parent[j - 1] + 1
+                v = parent[j - 1]
+                if q[j - 1] == letter:
+                    # A parent cell within the limits lies in the parent's
+                    # band, and a transposition opened from outside the band
+                    # would cost more than ed, so only the band's columns can
+                    # match or open one.  A child matching column j opens,
+                    # from the parent's cell at column s = j - d - 1, a
+                    # transposition that q[s] closes d rows on.
+                    for d in range(1, (ed if ed < j else j - 1) + 1):
+                        s = j - d - 1
+                        cost = parent[s] + d
+                        if cost <= limit[j]:
+                            pend.append((j, q[s], cost))
+                            nexts.add(q[s])
+                            if cost < limit[j]:
+                                wide = True
+                else:
+                    v += 1
                 if row[j] < v:
                     v = row[j]
                 if parent[j] + 1 < v:
@@ -438,7 +434,8 @@ class Lexicon:
             if lo < hi and (r_wide or not r_nexts.isdisjoint(labels[lo:hi])):
                 stack.append((lo, hi, depth, text, kid))
 
-        stack = [(first[0], first[1], 0, "", step(None, 0, [cap] * (m + 2), []))]
+        # The root's parent row ends in -1, so the root's column 0 costs 0.
+        stack = [(first[0], first[1], 0, "", step(None, 0, [cap] * (m + 1) + [-1], []))]
         while stack:
             lo, hi, depth, text, (row, opened, nexts, wide, kids) = stack.pop()
             if prune and found.last is not None and text >= found.last:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 import string
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -13,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_letter_word
 from oracles import capped_distance
+import tamilspell
 from tamilspell import lexicon as lexicon_module
 from tamilspell.edits import letter_edit_distance
 from tamilspell.errors import WordListError
@@ -311,6 +314,37 @@ def test_too_many_distinct_letters_is_a_word_list_error(monkeypatch):
         Lexicon(table[:301])
 
 
+_TRIE_DIGEST = """
+import hashlib
+from tamilspell.bundled import bundled_lexicon
+from tamilspell.letters import letter_texts
+
+lex = bundled_lexicon()
+lex.within_distance(letter_texts("பழம்"), 1)  # builds the reversed trie
+digest = hashlib.sha256()
+for first, labels, ends in (lex._forward, lex._backward):
+    digest.update(first.tobytes() + labels.encode() + ends)
+print(digest.hexdigest())
+"""
+
+
+def test_trie_layout_does_not_depend_on_the_hash_seed():
+    # Letter codes are assigned in load order, so both tries of the bundled
+    # lexicon are the same bytes under every string hash seed.
+    src = os.path.dirname(os.path.dirname(tamilspell.__file__))
+    digests = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRIE_DIGEST],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests
+
+
 def test_memory_per_word_stays_small():
     # One object per trie node would cost about 1,100 bytes per word here.
     # The reversed trie, which the first split walk builds, counts too.
@@ -384,10 +418,10 @@ def test_walk_work_per_step_does_not_grow_with_the_query(fixture_lexicon):
 
 
 def test_walk_setup_stays_linear_in_the_query(fixture_lexicon):
-    # A walk's per-query setup is O(m): the query's codes, the columns of
-    # each letter and the limits.  A long random token enters few trie
-    # nodes, so setup is most of its work.  Counted in traced lines of this
-    # module, not timed; the reversed trie is built first.
+    # A walk's per-query setup is O(m): the query's codes and the limits.
+    # A long random token enters few trie nodes, so setup is most of its
+    # work.  Counted in traced lines of this module, not timed; the
+    # reversed trie is built first.
     fixture_lexicon.within_distance(("க",) * 4, 2)
     rng = random.Random(10_000)
     query = tuple(rng.choice(alphabet().letters) for _ in range(10_000))
