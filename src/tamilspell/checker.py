@@ -48,13 +48,14 @@ object for it, and a long-lived engine stays bounded.  Within one call,
 ``check_text`` routes each distinct token of the document once and builds
 one report for it, which all its occurrences share; every non-word
 occurrence still asks the memo, so its counters count occurrences.
-``CheckReport.to_json`` renders each distinct report object once per
-call, found by its identity, and takes the text of a suggestion list
-from one module-wide LRU memo of ``CACHE_SIZE`` entries keyed by the
-list and the layout, so a memoized non-word's list is rendered once per
-layout, not once per pass.  Nothing else is kept across calls.  Checking
-runs serially.  An engine may be shared across threads; concurrent
-misses on one word may then compute it twice, with equal results.
+``CheckReport.to_json`` renders each distinct report once per call,
+keyed by its value, since equal reports render equal text, and takes
+the text of a suggestion list from one module-wide LRU memo of
+``CACHE_SIZE`` entries keyed by the list and the layout, so a memoized
+non-word's list is rendered once per layout, not once per pass.  Nothing
+else is kept across calls.  Checking runs serially.  An engine may be
+shared across threads; concurrent misses on one word may then compute it
+twice, with equal results.
 """
 
 from __future__ import annotations
@@ -222,10 +223,10 @@ class CheckReport:
         """The text of ``json.dumps(self.as_dicts(), ensure_ascii=False, indent=indent)``.
 
         Written directly, without building the dicts.  Strings are escaped,
-        so every newline in the text is layout.  Each distinct report object
-        is rendered once and its text looked up by the object's identity;
-        a suggestion list's text comes from the render memo.  The result is
-        one ``join``.
+        so every newline in the text is layout.  Each distinct report is
+        rendered once, and every occurrence looks its text up by the
+        report's value, since equal reports render equal text; a suggestion
+        list's text comes from the render memo.  The result is one ``join``.
         """
         if not self.tokens:
             return "[]"
@@ -237,16 +238,14 @@ class CheckReport:
         verdict_head = sep + nl[2] + '"verdict": '
         suggestions_head = sep + nl[2] + '"suggestions": '
         token_tail = nl[1] + "}"
-        # Keyed by identity: the reports stay alive for the call, so no id
-        # is reused.
         texts = {
-            report_id: token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
+            t: token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
             + suggestions_head + (render(t.suggestions, indent) if t.suggestions else "[]")
             + token_tail
-            for report_id, t in dict(zip(map(id, self.tokens), self.tokens)).items()
+            for t in dict.fromkeys(self.tokens)
         }
         # One join builds the text; the brackets ride on the first and last part.
-        parts = list(map(texts.__getitem__, map(id, self.tokens)))
+        parts = list(map(texts.__getitem__, self.tokens))
         parts[0] = "[" + nl[1] + parts[0]
         parts[-1] += nl[0] + "]"
         return (sep + nl[1]).join(parts)
@@ -285,6 +284,8 @@ class SpellChecker:
     ):
         from .bundled import bundled_confusion_matrix
 
+        if isinstance(stop_words, str):
+            raise TypeError("stop_words must be a collection of words, not one text")
         self.lexicon = lexicon
         self.config = config or EngineConfig()
         self.confusion_matrix = (

@@ -148,6 +148,8 @@ class Lexicon:
     """
 
     def __init__(self, words: Iterable[str] = ()):
+        if isinstance(words, str):
+            raise TypeError("words must be a collection of words, not one text")
         loaded = dict.fromkeys(filter(None, map(_nfc, words)))
         self._words = frozenset(loaded)  # a large dict answers `in` slower
         codes = _Codes()

@@ -133,7 +133,7 @@ def _suggestions(monkeypatch, lexicon, matrix, word, k, ed=2):
     return engine(lexicon, confusion_matrix=matrix, config=config).check_word(word).suggestions
 
 
-@pytest.mark.parametrize("ed", [1, 2, 3])
+@pytest.mark.parametrize("ed", [1, 2, 3, 4])
 def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch, ed):
     # Dense random lexicons over series letters, a mei and an uyir give
     # every strategy candidates, many at one distance.  The cut must keep
@@ -311,6 +311,9 @@ def test_stop_words_skipped(fixture_lexicon):
     assert report.tokens[0].verdict is Verdict.SKIPPED
     assert report.tokens[0].suggestions == ()
     assert report.clean
+    # One text is not a collection of words: its code points would be.
+    with pytest.raises(TypeError, match="stop_words"):
+        engine(fixture_lexicon, stop_words="பளம்")
 
 
 def test_foreign_token_casefolds(fixture_lexicon):
@@ -476,7 +479,7 @@ def test_check_text_routes_each_distinct_token_once(fixture_lexicon):
     assert [eng.check_word(tok) for tok in text.split()] == list(first.tokens)
 
 
-def test_to_json_renders_shared_and_same_text_reports(fixture_lexicon):
+def test_to_json_renders_shared_and_same_text_reports(fixture_lexicon, monkeypatch):
     eng = engine(fixture_lexicon)
     nonword = eng.check_word("பளம்")
     valid = eng.check_word("பழம்")
@@ -487,8 +490,17 @@ def test_to_json_renders_shared_and_same_text_reports(fixture_lexicon):
     skipped = TokenReport("பழம்", Verdict.SKIPPED, ())
     assert equal.suggestions is not nonword.suggestions
     report = CheckReport((valid, nonword, valid, other, nonword, skipped, equal, other, valid))
+    # Equal reports share one text: each layout renders the two distinct
+    # suggestion lists once, nonword's (also equal's) and other's.
+    render = tamilspell.checker._suggestions_json
+    rendered = []
+    monkeypatch.setattr(
+        tamilspell.checker, "_suggestions_json", lambda *args: rendered.append(args) or render(*args)
+    )
     for indent in (None, 0, 2):
+        rendered.clear()
         assert report.to_json(indent) == _dumps(report, indent)
+        assert len(rendered) == 2, indent
 
 
 def test_to_json_on_a_warm_engine_follows_each_layout(fixture_lexicon):
@@ -543,11 +555,26 @@ def test_to_json_equals_json_dumps(fixture_lexicon):
     st.lists(st.tuples(st.text(max_size=8), st.sampled_from(Strategy), st.integers(-999, 999)), max_size=3),
 ), max_size=4))
 def test_to_json_equals_json_dumps_on_any_text(rows):
+    # Rows built twice give equal reports that are distinct objects.
     report = CheckReport(tuple(
         TokenReport(token, verdict, tuple(Suggestion(*s) for s in suggestions))
-        for token, verdict, suggestions in rows
+        for token, verdict, suggestions in rows + rows
     ))
     for indent in (None, 0, 2):
+        assert report.to_json(indent) == _dumps(report, indent)
+
+
+def test_to_json_renders_more_lists_than_the_memo_keeps():
+    # More distinct suggestion lists than CACHE_SIZE in one call: the render
+    # memo evicts within the call, and every token's text must still hold.
+    n = tamilspell.checker.CACHE_SIZE + 1000
+    report = CheckReport(tuple(
+        TokenReport(f"w{i}", Verdict.NON_WORD, (
+            Suggestion(f"c{i}", Strategy.EDIT, 1), Suggestion("c", Strategy.KEYBOARD, 2),
+        ))
+        for i in range(n)
+    ) * 2)
+    for indent in (None, 2):
         assert report.to_json(indent) == _dumps(report, indent)
 
 

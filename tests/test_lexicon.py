@@ -65,6 +65,9 @@ def test_words_round_trip(make_lexicon):
     words = {"கல்", "கல்வி", "மரம்", "வீடு"}
     lex = Lexicon(words)
     assert set(lex.words()) == words
+    # One text is not a collection of words: it would load its code points.
+    with pytest.raises(TypeError, match="words"):
+        Lexicon("பழம்")
 
 
 def test_load_wordlist_skips_comments_and_blanks():
