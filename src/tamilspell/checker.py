@@ -4,10 +4,12 @@ Every token takes one route, whether it comes from ``check_word`` or
 ``check_text``: a token with no Tamil code point goes to the parallel
 dictionary, a stop word is skipped, a token the lexicon knows is valid,
 and anything else goes through every correction strategy and the results
-are merged.  The checker is the input boundary: it NFC-normalizes its
-input once, and the lexicon answers a token it holds with one lookup,
-normalizing only a token it lacks.  A non-word is split into letters
-once; every strategy takes that letter tuple.  ``check_text`` normalizes
+are merged.  The checker is the input boundary.  ``check_word`` answers
+a token the lexicon holds exactly as given (so an NFC one) with that one
+lookup, when it has a Tamil code point and is no stop word; it
+NFC-normalizes any other token once, and the lexicon is then probed
+exactly on the normalized token.  A non-word is split into letters once;
+every strategy takes that letter tuple.  ``check_text`` normalizes
 a document only when that could change it: a text of ASCII, Tamil-block,
 joiner and common punctuation code points alone is already NFC unless it
 holds one of four composing pairs (``_nfc_document`` says why).
@@ -72,7 +74,7 @@ from typing import NamedTuple
 
 from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
-from .errors import TamilSpellError, _data_lines
+from .errors import TamilSpellError, _check_distance, _data_lines
 from .letters import has_tamil, letter_texts
 
 __all__ = [
@@ -176,6 +178,10 @@ class TokenReport(NamedTuple):
         }
 
 
+# A report from its (token, verdict, suggestions) tuple: tuple's own
+# constructor, without the named tuple's Python-level ``__new__``.
+_report = functools.partial(tuple.__new__, TokenReport)
+
 # The JSON text of every verdict and strategy name.
 _QUOTED = {member: encode_basestring(member.value) for member in (*Verdict, *Strategy)}
 
@@ -258,10 +264,7 @@ class EngineConfig:
     edit_distance: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.edit_distance, int):
-            raise TypeError(f"edit_distance must be an int, not {type(self.edit_distance).__name__}")
-        if self.edit_distance < 1:
-            raise ValueError("edit_distance must be >= 1")
+        _check_distance("edit_distance", self.edit_distance)
 
 
 class SpellChecker:
@@ -308,7 +311,15 @@ class SpellChecker:
     # ------------------------------------------------------------------ #
 
     def check_word(self, word: str) -> TokenReport:
-        """Check one token, with the verdict ``check_text`` would give it."""
+        """Check one token, with the verdict ``check_text`` would give it.
+
+        A token the lexicon holds exactly as given is NFC, so when it has a
+        Tamil code point and is no stop word it is valid after that one
+        probe, with no normalization.  Any other token is normalized once
+        and routed.
+        """
+        if self.lexicon.holds(word) and word not in self.stop_words and has_tamil(word):
+            return _report((word, Verdict.VALID, ()))
         token = unicodedata.normalize("NFC", word)
         return self._route(token) or self._reports(token)
 
@@ -351,23 +362,23 @@ class SpellChecker:
     # ------------------------------------------------------------------ #
 
     def _route(self, token: str) -> TokenReport | None:
-        """The report of a token no strategy needs to see, else None.
+        """The report of an NFC token no strategy needs to see, else None.
 
         A token without a Tamil code point is looked up, case-folded, in the
-        parallel dictionary, a stop word is skipped and a known word is
-        valid.  A token too long for any strategy to match is a non-word
-        without suggestions, and is not memoized.
+        parallel dictionary, a stop word is skipped and a word the lexicon
+        holds is valid.  A token too long for any strategy to match is a
+        non-word without suggestions, and is not memoized.
         """
         if not has_tamil(token):
             sub = self.parallel_dict.get(token.casefold())
             subs = () if sub is None else (Suggestion(sub, Strategy.FOREIGN, 0),)
-            return TokenReport(token, Verdict.NON_TAMIL, subs)
+            return _report((token, Verdict.NON_TAMIL, subs))
         if token in self.stop_words:
-            return TokenReport(token, Verdict.SKIPPED, ())
-        if self.lexicon.is_word(token):
-            return TokenReport(token, Verdict.VALID, ())
+            return _report((token, Verdict.SKIPPED, ()))
+        if self.lexicon.holds(token):
+            return _report((token, Verdict.VALID, ()))
         if len(token) > self._longest_matchable:
-            return TokenReport(token, Verdict.NON_WORD, ())
+            return _report((token, Verdict.NON_WORD, ()))
         return None
 
     def _non_word(self, word: str) -> TokenReport:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import unicodedata
 from collections.abc import Sequence
 
+from .errors import _check_distance
 from .letters import Alphabet, alphabet as default_alphabet, letter_texts
 
 __all__ = [
@@ -83,8 +84,7 @@ def edits_n(word, alphabet=None, nedits: int = 1) -> list[str]:
     Level k applies one edit to every candidate level k-1 added; the empty
     word is kept as a candidate but never expanded.
     """
-    if nedits < 1:
-        raise ValueError("nedits must be >= 1")
+    _check_distance("nedits", nedits)
     alpha = _coerce_alphabet(alphabet)
     seen: dict[tuple[str, ...], None] = {}  # insertion-ordered set
     frontier = [_coerce_word(word)]
@@ -107,10 +107,7 @@ def suggest(letters: Sequence[str], lexicon, nedits: int = 2) -> dict[str, int]:
     """
     if isinstance(letters, str):
         raise TypeError("letters must be the word's letter split, not its text")
-    if not isinstance(nedits, int):
-        raise TypeError(f"nedits must be an int, not {type(nedits).__name__}")
-    if nedits < 1:
-        raise ValueError("nedits must be >= 1")
+    _check_distance("nedits", nedits)
     return lexicon.within_distance(letters, nedits)
 
 

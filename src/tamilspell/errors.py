@@ -1,4 +1,5 @@
-"""Exception types raised by the data-file loaders, and the line reader they share."""
+"""Exception types raised by the data-file loaders, the line reader they
+share, and the check every edit-distance argument passes."""
 
 from __future__ import annotations
 
@@ -17,6 +18,18 @@ class WordListError(TamilSpellError):
 
 class MatrixFormatError(TamilSpellError):
     """A confusion matrix file is malformed."""
+
+
+def _check_distance(name: str, value) -> None:
+    """Raise unless ``value`` is an int of at least 1.
+
+    A bool is an int subclass, but ``True`` is no distance, so it is
+    rejected with every other non-int.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int, str]]:

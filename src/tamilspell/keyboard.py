@@ -29,7 +29,7 @@ from __future__ import annotations
 import unicodedata
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import MatrixFormatError, _data_lines
+from .errors import MatrixFormatError, _check_distance, _data_lines
 from .letters import UYIRMEI, Letter, LetterKind, letter_texts, tokenize
 
 __all__ = [
@@ -167,9 +167,6 @@ def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: in
     """
     if isinstance(letters, str):
         raise TypeError("letters must be the word's letter split, not its text")
-    if not isinstance(ed, int):
-        raise TypeError(f"ed must be an int, not {type(ed).__name__}")
-    if ed < 1:
-        raise ValueError("ed must be >= 1")
+    _check_distance("ed", ed)
     alternates = _alternates(matrix, letters)
     return lexicon.substitutions(letters, alternates, ed)

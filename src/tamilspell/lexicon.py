@@ -4,9 +4,9 @@ A :class:`Lexicon` is built once from all its words and never changes.
 It keeps three structures:
 
 * a ``frozenset`` of the NFC words, which answers membership
-  (:meth:`Lexicon.is_word`, ``in``, ``len``) with one hash lookup and no
-  letter split, and lists the words (:meth:`Lexicon.words`, in no
-  particular order);
+  (:meth:`Lexicon.holds`, :meth:`Lexicon.is_word`, ``in``, ``len``) with
+  one hash lookup and no letter split, and lists the words
+  (:meth:`Lexicon.words`, in no particular order);
 * a trie over whole letters, so that prefix walks line up with the
   letter-level edit operations;
 * a trie over the words' letters in reverse order, which
@@ -174,6 +174,15 @@ class Lexicon:
     def words(self) -> Iterator[str]:
         """Every loaded word, once each, in no particular order."""
         return iter(self._words)
+
+    def holds(self, word: str) -> bool:
+        """True when ``word`` is a loaded word exactly as given, by one set probe.
+
+        Every word is NFC-normalized as it is loaded, so a hit means
+        ``word`` is NFC already; a miss says nothing about another
+        spelling of it (see :meth:`is_word`).
+        """
+        return word in self._words
 
     def is_word(self, word: str) -> bool:
         """True when ``word`` (a string) was loaded: a loaded word is NFC and

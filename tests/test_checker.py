@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import random
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import tamilspell.checker
 import tamilspell.letters
+import tamilspell.lexicon
 from tamilspell import Strategy, Suggestion, conjoined, edits, keyboard, mayangoli
 from tamilspell.bundled import bundled_lexicon
 from tamilspell.checker import (
@@ -260,7 +262,7 @@ def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(edit_distance=0)
     # A float or a string would fail later, inside the walk.
-    for ed in (2.0, "2"):
+    for ed in (2.0, "2", True):
         with pytest.raises(TypeError, match="edit_distance"):
             EngineConfig(edit_distance=ed)
 
@@ -296,6 +298,55 @@ def test_check_word_gives_the_check_text_verdict(fixture_lexicon):
     assert Suggestion("தென்றல்", Strategy.EDIT, 1) in zwnj.suggestions
     # Only சுவம் and the two joiner spellings reached the strategies.
     assert eng.stats["cache_misses"] == 3
+
+
+def test_a_loaded_word_keeps_the_verdict_order(fixture_lexicon):
+    # Loaded words that the known-word path must not call valid: a stop
+    # word, a word with no Tamil code point, and a spelling that is not NFC.
+    eng = engine(Lexicon([*fixture_lexicon.words(), "computer"]), stop_words=["பழம்"])
+    nfd = unicodedata.normalize("NFD", "கோழி")
+    assert nfd != "கோழி"
+    want = {
+        "பழம்": TokenReport("பழம்", Verdict.SKIPPED, ()),
+        "computer": TokenReport(
+            "computer", Verdict.NON_TAMIL, (Suggestion("கணினி", Strategy.FOREIGN, 0),)
+        ),
+        nfd: TokenReport("கோழி", Verdict.VALID, ()),
+    }
+    for token, report in want.items():
+        assert eng.check_word(token) == report
+        assert eng.check_text(token).tokens == (report,)
+    assert eng.check_text(" ".join(want)).tokens == tuple(want.values())
+    assert eng.stats["cache_misses"] == 0
+
+
+def test_check_word_work_per_call(fixture_lexicon, monkeypatch):
+    # A known word costs one lexicon probe and no normalization; a non-word
+    # is normalized once, by the checker.
+    probed, normalized = [], []
+
+    class Probing(Lexicon):
+        def holds(self, word):
+            probed.append(word)
+            return super().holds(word)
+
+        def is_word(self, word):
+            probed.append(word)
+            return super().is_word(word)
+
+    normalize = unicodedata.normalize
+
+    def counting(form, text):
+        normalized.append(text)
+        return normalize(form, text)
+
+    eng = engine(Probing(fixture_lexicon.words()))
+    monkeypatch.setattr(unicodedata, "normalize", counting)
+    monkeypatch.setattr(tamilspell.lexicon, "_nfc", functools.partial(counting, "NFC"))
+    assert eng.check_word("பழம்").verdict is Verdict.VALID
+    assert (probed, normalized) == (["பழம்"], [])
+    assert eng.check_word("பளம்").verdict is Verdict.NON_WORD
+    assert normalized == ["பளம்"]
 
 
 def test_valid_tokens_carry_no_suggestions(fixture_lexicon):
@@ -458,9 +509,9 @@ def test_nfc_gate_equals_normalize_on_any_text(text):
 
 def test_check_text_routes_each_distinct_token_once(fixture_lexicon):
     class Counting(Lexicon):
-        def is_word(self, word):
+        def holds(self, word):
             probed.append(word)
-            return super().is_word(word)
+            return super().holds(word)
 
     probed = []
     eng = engine(Counting(fixture_lexicon.words()), stop_words=["கறி"])

@@ -73,9 +73,11 @@ def test_edits_n_validates_nedits():
         edits_n("கஅ", AK, nedits=0)
     with pytest.raises(ValueError):
         suggest(letter_texts("பள"), Lexicon(["பல"]), nedits=0)
-    for nedits in (2.0, "2"):
+    for nedits in (2.0, "2", True):
         with pytest.raises(TypeError, match="nedits"):
             suggest(letter_texts("பள"), Lexicon(["பல"]), nedits=nedits)
+        with pytest.raises(TypeError, match="nedits"):
+            edits_n("கஅ", AK, nedits=nedits)
 
 
 def test_edits_n_matches_oracle_small():

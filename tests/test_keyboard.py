@@ -172,7 +172,7 @@ def test_corrections_clamp_ed_to_word_length():
     assert corrections(letter_texts("பளம்"), lex, matrix, ed=9) == {"பழம்"}
     with pytest.raises(ValueError):
         corrections(letter_texts("பளம்"), lex, matrix, ed=0)
-    for ed in (2.0, "2"):
+    for ed in (2.0, "2", True):
         with pytest.raises(TypeError, match="ed must be an int"):
             corrections(letter_texts("பளம்"), lex, matrix, ed=ed)
 

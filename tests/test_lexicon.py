@@ -51,6 +51,9 @@ def test_a_loaded_word_is_answered_without_normalizing(make_lexicon, monkeypatch
     assert lex.is_word(nfd) and nfd in lex
     assert not lex.is_word("கொடி") and "கொடி" not in lex
     assert calls == [nfd, nfd, "கொடி", "கொடி"]
+    # The exact probe never normalizes: it holds the NFC spelling alone.
+    assert lex.holds("கொடு") and not lex.holds(nfd) and not lex.holds("கொடி")
+    assert len(calls) == 4
 
 
 def test_longest_counts_letters_not_codepoints(make_lexicon):
