@@ -9,10 +9,11 @@ a token the lexicon holds exactly as given (so an NFC one) with that one
 lookup, when it has a Tamil code point and is no stop word; it
 NFC-normalizes any other token once, and the lexicon is then probed
 exactly on the normalized token.  A non-word is split into letters once;
-every strategy takes that letter tuple.  ``check_text`` normalizes
-a document only when that could change it: a text of ASCII, Tamil-block,
-joiner and common punctuation code points alone is already NFC unless it
-holds one of four composing pairs (``_nfc_document`` says why).
+every strategy takes that letter tuple.  ``check_text`` splits a
+document with one function, ``_word_tokens``, which normalizes it only
+when that could change it: a text of ASCII, Tamil-block, joiner,
+General Punctuation and currency code points alone is already NFC unless
+it holds one of four composing pairs (``_word_tokens`` says why).
 
 Conjoined-split recognition outranks confusable-series substitution,
 which outranks keyboard-adjacency patterns, which outrank generic edit
@@ -103,7 +104,7 @@ MAX_SUGGESTIONS = 10
 
 # Lexicon words from which a non-word is first searched within ed - 1, and
 # then only for the distance-ed edit words the cut can still take, the
-# text-smallest (see ``_compute_suggestions``).  In a lexicon this dense a
+# text-smallest (see ``SpellChecker._non_word``).  In a lexicon this dense a
 # short non-word has hundreds of words at distance ed, and that search
 # skips every trie node whose prefix text sorts after the last word kept:
 # every word below the node starts with the prefix, so sorts after it too.
@@ -186,17 +187,17 @@ _report = functools.partial(tuple.__new__, TokenReport)
 _QUOTED = {member: encode_basestring(member.value) for member in (*Verdict, *Strategy)}
 
 
-def _layout(indent: str | None) -> tuple[str, tuple[str, ...]]:
-    """The item separator, and the line break before an item at each depth 0-4."""
+def _layout(indent: str | None, depth: int) -> tuple[str, tuple[str, ...]]:
+    """The item separator, and the line break before an item at each depth 0-4, ``depth`` deeper."""
     if indent is None:
         return ", ", ("",) * 5
-    return ",", tuple("\n" + indent * k for k in range(5))
+    return ",", tuple("\n" + indent * k for k in range(depth, depth + 5))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _suggestions_json(suggestions: tuple[Suggestion, ...], indent: str | None) -> str:
+def _suggestions_json(suggestions: tuple[Suggestion, ...], indent: str | None, depth: int) -> str:
     """The JSON text of a non-empty suggestion list as a report's value, in a layout."""
-    sep, nl = _layout(indent)
+    sep, nl = _layout(indent, depth)
     quote = encode_basestring
     candidate_head = "{" + nl[4] + '"candidate": '
     strategy_head = sep + nl[4] + '"strategy": '
@@ -225,7 +226,7 @@ class CheckReport:
     def as_dicts(self) -> list[dict]:
         return [t.as_dict() for t in self.tokens]
 
-    def to_json(self, indent: int | str | None = None) -> str:
+    def to_json(self, indent: int | str | None = None, *, _depth: int = 0) -> str:
         """The text of ``json.dumps(self.as_dicts(), ensure_ascii=False, indent=indent)``.
 
         Written directly, without building the dicts.  Strings are escaped,
@@ -233,12 +234,14 @@ class CheckReport:
         rendered once, and every occurrence looks its text up by the
         report's value, since equal reports render equal text; a suggestion
         list's text comes from the render memo.  The result is one ``join``.
+        ``_depth`` nests the text that many levels deeper, as the CLI's
+        report of several files does.
         """
         if not self.tokens:
             return "[]"
         if indent is not None and not isinstance(indent, str):
             indent = " " * indent
-        sep, nl = _layout(indent)
+        sep, nl = _layout(indent, _depth)
         quote, render = encode_basestring, _suggestions_json
         token_head = "{" + nl[2] + '"token": '
         verdict_head = sep + nl[2] + '"verdict": '
@@ -246,7 +249,7 @@ class CheckReport:
         token_tail = nl[1] + "}"
         texts = {
             t: token_head + quote(t.token) + verdict_head + _QUOTED[t.verdict]
-            + suggestions_head + (render(t.suggestions, indent) if t.suggestions else "[]")
+            + suggestions_head + (render(t.suggestions, indent, _depth) if t.suggestions else "[]")
             + token_tail
             for t in dict.fromkeys(self.tokens)
         }
@@ -326,22 +329,18 @@ class SpellChecker:
     def check_text(self, text: str) -> CheckReport:
         """Check a document; the report lists every token in order.
 
-        The text is NFC-normalized only when normalizing could change it
-        (see ``_nfc_document``).  Each distinct token is routed once and
-        gets one report, which all its occurrences share; every non-word
-        occurrence still asks the memo, so its counters count occurrences,
-        as ``check_word``'s do.
+        The text is split into the tokens of its NFC form, and normalized
+        only when that could change it (see ``_word_tokens``).  Each
+        distinct token is routed once and gets one report, which all its
+        occurrences share; every non-word occurrence still asks the memo,
+        so its counters count occurrences, as ``check_word``'s do.
         """
-        text, mixed = _nfc_document(text)
-        tokens = _word_tokens(text, mixed)
+        tokens = _word_tokens(text)
         routes = {tok: self._route(tok) for tok in dict.fromkeys(tokens)}
         non_words = {tok for tok, report in routes.items() if report is None}
-        for tok in filter(non_words.__contains__, tokens):
-            # The first answer is the report.  A word evicted mid-pass is
-            # computed again, with an equal result.
-            found = self._reports(tok)
-            if routes[tok] is None:
-                routes[tok] = found
+        # The last answer is the report.  A word evicted mid-pass is
+        # computed again, with an equal result.
+        routes.update({tok: self._reports(tok) for tok in filter(non_words.__contains__, tokens)})
         return CheckReport(tuple(map(routes.__getitem__, tokens)))
 
     @property
@@ -382,9 +381,7 @@ class SpellChecker:
         return None
 
     def _non_word(self, word: str) -> TokenReport:
-        return TokenReport(word, Verdict.NON_WORD, self._compute_suggestions(word))
-
-    def _compute_suggestions(self, word: str) -> tuple[Suggestion, ...]:
+        """The report of an NFC non-word, with its ranked suggestions; the memo wraps this."""
         lexicon, ed = self.lexicon, self.config.edit_distance
         letters = letter_texts(word)
         series = mayangoli.suggest(letters, lexicon)
@@ -405,7 +402,7 @@ class SpellChecker:
             if need > 0:
                 for candidate in lexicon.first_at_distance(letters, ed, need, ranks):
                     ranks[candidate] = (*bar, candidate)
-        return _head(ranks)
+        return TokenReport(word, Verdict.NON_WORD, _head(ranks))
 
 
 def _ranks(letters, within, ed, nearby, series, pairs) -> dict[str, tuple[int, int, str]]:
@@ -452,12 +449,14 @@ def _is_word_char(ch: str) -> bool:
     return ch in "_\u200c\u200d" or unicodedata.category(ch)[0] in "LMN"
 
 
-# The base code points are ASCII, the Tamil block, ZWNJ/ZWJ, and the
-# no-break space and General Punctuation's dashes, quotes, daggers, bullets
-# and leaders (U+2010-U+2027), which typeset Tamil text uses; any other code
-# point is "other".
+# The base code points are ASCII, the Tamil block, ZWNJ/ZWJ, the no-break
+# space, General Punctuation from U+2010 (dashes, quotes, bullets, per mille,
+# primes, the separators and the invisible format characters) and the
+# Currency Symbols (U+20A0-U+20C0, with the rupee sign), which typeset
+# Tamil text uses; any other code point is "other".
 _BASE_CODE_POINTS = (
-    *range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D, *range(0x2010, 0x2028)
+    *range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D,
+    *range(0x2010, 0x2065), *range(0x20A0, 0x20C1),
 )
 _OTHER_CHARS = re.compile("[^%s]" % re.escape("".join(map(chr, _BASE_CODE_POINTS))))
 
@@ -468,49 +467,38 @@ _COMPOSING_PAIRS = ("\u0bc6\u0bbe", "\u0bc7\u0bbe", "\u0bc6\u0bd7", "\u0b92\u0bd
 # text free of the base code points that are not word characters, which
 # are classified once here (unassigned Tamil-block points are not word
 # characters).  A run may hold other code points that are not word
-# characters either; ``_word_tokens`` cuts those out.
+# characters either; ``_word_tokens`` turns those into spaces first.
 _WORD_RUNS = re.compile("[^%s]+" % re.escape("".join(
     ch for ch in map(chr, _BASE_CODE_POINTS) if not _is_word_char(ch)
 )))
 
 
-def _nfc_document(text: str) -> tuple[str, bool]:
-    """``unicodedata.normalize("NFC", text)``, and whether text holds an other code point.
+def _word_tokens(text: str) -> list[str]:
+    """The word tokens of NFC text: runs of letters, marks, digits, _ or joiners.
 
-    A text of base code points alone is normalized only when it holds one
-    of ``_COMPOSING_PAIRS``, since nothing else in it can change (a test
+    Splitting on Unicode categories (not on ``\\w``) keeps Tamil combining
+    marks glued to their consonants.  ZWNJ and ZWJ stay inside the word
+    they sit in, so ``check_text`` sees the token ``check_word`` would be
+    given.
+
+    The text is normalized only when that could change it.  A text of base
+    code points alone is normalized only when it holds one of
+    ``_COMPOSING_PAIRS``, since nothing else in it can change (a test
     checks every pair against ``unicodedata``): among the base code points
     only pulli has a non-zero combining class, so nothing reorders; every
     base code point is its own NFC form; no two compose but those pairs;
     and the second code point of each pair has class 0, so it composes
     only with the code point just before it.  Composing such a pair gives
-    a Tamil code point, so the result is still of base code points alone.
+    a Tamil code point, so the result is still of base code points alone,
+    which ``_WORD_RUNS`` splits.  In a text with an other code point, each
+    one that is no word character becomes a space, which ends a run.
     """
-    mixed = _OTHER_CHARS.search(text) is not None
-    if mixed or any(pair in text for pair in _COMPOSING_PAIRS):
+    if _OTHER_CHARS.search(text):
         text = unicodedata.normalize("NFC", text)
-    return text, mixed
-
-
-def _word_tokens(text: str, mixed: bool) -> list[str]:
-    """Split text into word tokens: runs of letters, marks, digits, _ or joiners.
-
-    Splitting on Unicode categories (not on ``\\w``) keeps Tamil combining
-    marks glued to their consonants.  ZWNJ and ZWJ stay inside the word
-    they sit in, so ``check_text`` sees the token ``check_word`` would be
-    given.  ``mixed`` is ``_nfc_document``'s answer: False promises that
-    text holds no other code point.
-    """
-    if not mixed:
-        return _WORD_RUNS.findall(text)
-    # Every other code point that is no word character ends a run.
-    tokens, start = [], 0
-    for other in _OTHER_CHARS.finditer(text):
-        if not _is_word_char(other.group()):
-            tokens += _WORD_RUNS.findall(text, start, other.start())
-            start = other.end()
-    tokens += _WORD_RUNS.findall(text, start)
-    return tokens
+        text = _OTHER_CHARS.sub(lambda other: other[0] if _is_word_char(other[0]) else " ", text)
+    elif any(pair in text for pair in _COMPOSING_PAIRS):
+        text = unicodedata.normalize("NFC", text)
+    return _WORD_RUNS.findall(text)
 
 
 def load_parallel_dict(source) -> dict[str, str]:

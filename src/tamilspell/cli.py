@@ -137,12 +137,12 @@ def _check_files(engine: SpellChecker, files: list[str], as_json: bool, out_stre
     if as_json:
         # json.dumps(payload, ensure_ascii=False, indent=2) for the payload
         # [{"file": path, "tokens": report.as_dicts()}, ...], written directly;
-        # each report is indented two levels deeper by its (layout-only) newlines.
-        # The pieces are written one by one, so the reports are not copied again.
+        # each report is rendered two levels deep.  The pieces are written one
+        # by one, so the reports are not copied again.
         head = "[\n  "
         for path, report in results:
             out_stream.write(head + '{\n    "file": ' + encode_basestring(path) + ',\n    "tokens": ')
-            out_stream.write(report.to_json(2).replace("\n", "\n    "))
+            out_stream.write(report.to_json(2, _depth=2))
             out_stream.write("\n  }")
             head = ",\n  "
         out_stream.write("\n]\n")

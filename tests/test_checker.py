@@ -24,7 +24,6 @@ from tamilspell.checker import (
     SpellChecker,
     TokenReport,
     Verdict,
-    _nfc_document,
     _word_tokens,
     load_parallel_dict,
     load_stop_words,
@@ -441,8 +440,7 @@ def test_the_length_bound_agrees_with_the_strategies_at_its_edge(words, ed, lett
     assert max(lexicon.longest + ed, 2 * lexicon.longest) == letters
     eng = engine(lexicon, config=EngineConfig(edit_distance=ed))
     for token in ("க்ஷா" * letters, "க்ஷா" * (letters + 1), "க" * (4 * letters + 1)):
-        unbounded = TokenReport(token, Verdict.NON_WORD, eng._compute_suggestions(token))
-        assert eng.check_word(token) == unbounded, token
+        assert eng.check_word(token) == eng._non_word(token), token
     assert eng.check_word("க்ஷா" * letters).suggestions
     assert eng.stats["cache_misses"] == 1
 
@@ -467,24 +465,36 @@ _SPLIT_CHARS = st.one_of(
 @given(st.text(_SPLIT_CHARS, max_size=40))
 @example("க\u0bfb\u0be6\u0b80ா\u0bff_\u200cக\u0301 \u00a0\u3000x\u093e\x1c\u0660😀𝔸")
 def test_word_split_equals_the_category_loop(text):
-    assert _word_tokens(*_nfc_document(text)) == reference_word_tokens(
-        unicodedata.normalize("NFC", text)
-    )
+    assert _word_tokens(text) == reference_word_tokens(unicodedata.normalize("NFC", text))
 
 
-# ASCII, the Tamil block, the joiners, the no-break space and U+2010-U+2027:
-# a text of these alone is normalized only when it holds one of the four
-# composing pairs.
+# ASCII, the Tamil block, the joiners, the no-break space, U+2010-U+2064
+# and the Currency Symbols U+20A0-U+20C0: a text of these alone is
+# normalized only when it holds one of the four composing pairs.
 _BASE_CHARS = [
     chr(c)
-    for c in (*range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D, *range(0x2010, 0x2028))
+    for c in (
+        *range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D,
+        *range(0x2010, 0x2065), *range(0x20A0, 0x20C1),
+    )
 ]
 
 
-def test_nfc_gate_is_exact_on_every_pair_of_base_code_points():
+def test_nfc_gate_is_exact_on_every_pair_of_base_code_points(monkeypatch):
+    normalize = unicodedata.normalize
+    normalized = []
+
+    def counting(form, text):
+        normalized.append(text)
+        return normalize(form, text)
+
+    monkeypatch.setattr(unicodedata, "normalize", counting)
     for a in _BASE_CHARS:
         for b in _BASE_CHARS:
-            assert _nfc_document(a + b) == (unicodedata.normalize("NFC", a + b), False)
+            assert _word_tokens(a + b) == reference_word_tokens(normalize("NFC", a + b))
+            assert normalize("NFC", a + b) == a + b or normalized[-1:] == [a + b]
+    # Only the four composing pairs are normalized.
+    assert normalized == ["\u0b92\u0bd7", "\u0bc6\u0bbe", "\u0bc6\u0bd7", "\u0bc7\u0bbe"]
 
 
 _NFC_CHARS = st.one_of(
@@ -502,9 +512,21 @@ _NFC_CHARS = st.one_of(
 @given(st.text(_NFC_CHARS, max_size=40))
 @example("=\u0338 \u0b95\u0bc6\u0bbe \u0b95\u0301\u0bcd \u0b92\u0bd7 \u212a e\u0301")
 def test_nfc_gate_equals_normalize_on_any_text(text):
-    normalized, mixed = _nfc_document(text)
-    assert normalized == unicodedata.normalize("NFC", text)
-    assert _word_tokens(normalized, mixed) == reference_word_tokens(normalized)
+    assert _word_tokens(text) == reference_word_tokens(unicodedata.normalize("NFC", text))
+
+
+def test_check_text_splits_currency_and_per_mille_without_normalizing(fixture_lexicon, monkeypatch):
+    # ₹ and ‰ are base code points, so this document is answered as NFC.
+    normalize = unicodedata.normalize
+    normalized = []
+    eng = engine(fixture_lexicon)
+    monkeypatch.setattr(
+        unicodedata, "normalize", lambda form, text: normalized.append(text) or normalize(form, text)
+    )
+    report = eng.check_text("பழம் ₹50 பளம்‰ computer‰₹ பழம்")
+    assert normalized == []
+    tokens = ["பழம்", "50", "பளம்", "computer", "பழம்"]
+    assert report.tokens == tuple(map(eng.check_word, tokens))
 
 
 def test_check_text_routes_each_distinct_token_once(fixture_lexicon):
