@@ -33,6 +33,7 @@ from tamilspell.errors import MatrixFormatError, TamilSpellError, WordListError
 from tamilspell.keyboard import ConfusionMatrix, load_confusion_matrix
 from tamilspell.letters import alphabet, letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
+from conftest import random_letter_word
 from oracles import reference_word_tokens
 from test_walks import _random_lexicon
 
@@ -128,6 +129,11 @@ def test_max_suggestions_cap(fixture_lexicon, monkeypatch):
     assert len(engine(fixture_lexicon).check_word("பளம்").suggestions) == 2
 
 
+# The longest non-word, in letters, that takes the bounded path at each ed
+# on a lexicon of DENSE_LEXICON words or more.
+_BOUNDED_UP_TO = {1: 0, 2: 5, 3: 6, 4: 7}
+
+
 def _suggestions(monkeypatch, lexicon, matrix, word, k, ed=2):
     monkeypatch.setattr(tamilspell.checker, "MAX_SUGGESTIONS", k)
     config = EngineConfig(edit_distance=ed)
@@ -139,16 +145,19 @@ def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch, ed):
     # Dense random lexicons over series letters, a mei and an uyir give
     # every strategy candidates, many at one distance.  The cut must keep
     # exactly the head of the uncut ranking, also with DENSE_LEXICON at 0,
-    # where a non-word is first walked within ed - 1 and then searched for
-    # only the distance-ed edit words the cut can still take, or not at all
-    # when the cut is already full.
-    searches = []
-    search = Lexicon.first_at_distance
+    # where a short non-word takes the bounded path: it is first walked
+    # within ed - 1 and then searched for only the distance-ed edit words
+    # the cut can still take, or not at all when the cut is already full.
+    budgets, searches = [], []
+    walk, search = Lexicon.within_distance, Lexicon.first_at_distance
+    monkeypatch.setattr(
+        Lexicon, "within_distance", lambda *args: budgets.append(args[2]) or walk(*args)
+    )
     monkeypatch.setattr(
         Lexicon, "first_at_distance", lambda *args: searches.append(args[3]) or search(*args)
     )
     default = tamilspell.checker.DENSE_LEXICON
-    skipped = 0
+    skipped = bounded = 0
     rng = random.Random(1210)
     pool = ["ல", "ள", "ழ", "லா", "ன", "ண", "ல்", "அ"]
     dense = 0
@@ -171,14 +180,18 @@ def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch, ed):
         for gate in (default, 0):
             monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", gate)
             for k in (1, 3, 10):
-                before = len(searches)
+                del budgets[:], searches[:]
                 assert _suggestions(monkeypatch, lexicon, matrix, word, k, ed) == uncut[:k], (word, k, gate)
-                if gate:
-                    assert len(searches) == before, "a lexicon this small takes the ed walk"
-                elif len(searches) == before:
+                if budgets == [ed]:
+                    assert not searches, "the ed walk needs no bounded search"
+                    assert gate or len(letter_texts(word)) > _BOUNDED_UP_TO[ed]
+                    continue
+                assert not gate and budgets == [ed - 1], "a lexicon this small takes the ed walk"
+                bounded += 1
+                if not searches:
                     skipped += 1
                 else:
-                    assert 0 < searches[-1] <= k
+                    assert len(searches) == 1 and 0 < searches[0] <= k
         keys = [(s.score, s.strategy.priority, s.candidate) for s in uncut]
         assert keys == sorted(keys)
         assert len({s.candidate for s in uncut}) == len(uncut)
@@ -186,8 +199,11 @@ def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch, ed):
         # ed 1 the cut at three is the one that must bite.
         dense += len(uncut) > (3 if ed == 1 else 10)
     assert dense > 40, "the lexicons must give more candidates than the cut keeps"
+    if ed == 1:
+        assert bounded == 0, "at ed 1 every non-word takes the ed walk"
+        return
     assert skipped > 100, "the ed - 1 walk and the other strategies must fill the cut often"
-    assert len(searches) > 100, "the bounded search must run often"
+    assert bounded - skipped > 100, "the bounded search must run often"
 
 
 def test_the_early_out_counts_a_candidate_two_strategies_propose_once(monkeypatch):
@@ -240,6 +256,48 @@ def test_a_small_lexicon_takes_one_edit_walk_per_non_word(fixture_lexicon):
     for word in ("பளம்", "ஙொ", "கறக", "மலழ"):
         eng.check_word(word)
     assert budgets == [2] * eng.stats["cache_misses"]
+
+
+def test_a_dense_lexicon_chooses_the_search_by_token_length():
+    # On a lexicon of exactly DENSE_LEXICON words a short non-word takes
+    # the bounded path, one walk within ed - 1 and at most one bounded
+    # search, and a longer one, or any one at ed 1, takes one walk within
+    # ed.  One word fewer, every non-word takes the one walk.
+    budgets, searches = [], []
+
+    class Recording(Lexicon):
+        def within_distance(self, letters, ed):
+            budgets.append(ed)
+            return super().within_distance(letters, ed)
+
+        def first_at_distance(self, letters, ed, count, exclude):
+            searches.append(ed)
+            return super().first_at_distance(letters, ed, count, exclude)
+
+    # The rule reads only the lexicon's size, the token's length and ed.
+    # Every word starts with அஆஇ, so the walks from the tokens stay small.
+    rng = random.Random("search-rule")
+    words = set()
+    while len(words) < tamilspell.checker.DENSE_LEXICON:
+        words.add("அஆஇ" + random_letter_word(rng, 2, 4))
+    ordered = sorted(words)
+    dense, sparse = Recording(ordered), Recording(ordered[1:])
+    assert len(dense) == tamilspell.checker.DENSE_LEXICON == len(sparse) + 1
+    tokens = {}
+    while len(tokens) < 9:
+        token = random_letter_word(rng, 1, 9)
+        if not dense.holds(token):
+            tokens.setdefault(len(letter_texts(token)), token)
+    for ed, longest in _BOUNDED_UP_TO.items():
+        for lexicon, bound in ((dense, longest), (sparse, 0)):
+            checker = SpellChecker(lexicon, config=EngineConfig(edit_distance=ed))
+            for m in range(1, longest + 3):
+                del budgets[:], searches[:]
+                assert checker.check_word(tokens[m]).verdict is Verdict.NON_WORD
+                if m <= bound:
+                    assert budgets == [ed - 1] and searches in ([], [ed]), (ed, m)
+                else:
+                    assert budgets == [ed] and searches == [], (ed, m, len(lexicon))
 
 
 def test_an_edit_distance_beyond_every_word_answers_quickly(fixture_lexicon, monkeypatch):
@@ -461,13 +519,6 @@ _SPLIT_CHARS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(_SPLIT_CHARS, max_size=40))
-@example("க\u0bfb\u0be6\u0b80ா\u0bff_\u200cக\u0301 \u00a0\u3000x\u093e\x1c\u0660😀𝔸")
-def test_word_split_equals_the_category_loop(text):
-    assert _word_tokens(text) == reference_word_tokens(unicodedata.normalize("NFC", text))
-
-
 # ASCII, the Tamil block, the joiners, the no-break space, U+2010-U+2064
 # and the Currency Symbols U+20A0-U+20C0: a text of these alone is
 # normalized only when it holds one of the four composing pairs.
@@ -508,10 +559,13 @@ _NFC_CHARS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(_NFC_CHARS, max_size=40))
+# The split's categories (every Tamil-block point, other scripts' marks
+# and digits, separators) and the NFC gate's cases, mixed in one text.
+@settings(max_examples=600, deadline=None)
+@given(st.text(st.one_of(_SPLIT_CHARS, _NFC_CHARS), max_size=40))
+@example("க\u0bfb\u0be6\u0b80ா\u0bff_\u200cக\u0301 \u00a0\u3000x\u093e\x1c\u0660😀𝔸")
 @example("=\u0338 \u0b95\u0bc6\u0bbe \u0b95\u0301\u0bcd \u0b92\u0bd7 \u212a e\u0301")
-def test_nfc_gate_equals_normalize_on_any_text(text):
+def test_word_split_equals_the_category_loop(text):
     assert _word_tokens(text) == reference_word_tokens(unicodedata.normalize("NFC", text))
 
 

@@ -31,9 +31,11 @@ import random
 import unicodedata
 from pathlib import Path
 
+import pytest
+
 import tamilspell.checker
 from tamilspell.bundled import bundled_confusion_matrix, bundled_lexicon
-from tamilspell.checker import SpellChecker
+from tamilspell.checker import EngineConfig, SpellChecker
 from tamilspell.cli import main
 from tamilspell.letters import alphabet, letter_texts
 from tamilspell.lexicon import Lexicon
@@ -190,32 +192,50 @@ def test_dense_lexicon_reports_are_golden():
     assert dense_digest() == (GOLDEN / "dense.sha256").read_text(encoding="ascii").strip()
 
 
-def _count_bounded_searches(monkeypatch) -> list:
-    """Force the dense path open, and record each bounded distance-ed search it runs."""
+def _count_bounded_searches(monkeypatch) -> tuple[list, list]:
+    """Force the bounded path open; record each walk's budget and each distance-ed search."""
+    budgets: list = []
     searches: list = []
-    search = Lexicon.first_at_distance
+    walk, search = Lexicon.within_distance, Lexicon.first_at_distance
+    monkeypatch.setattr(
+        Lexicon, "within_distance", lambda *args: budgets.append(args[2]) or walk(*args)
+    )
     monkeypatch.setattr(
         Lexicon, "first_at_distance", lambda *args: searches.append(1) or search(*args)
     )
     monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
-    return searches
+    return budgets, searches
 
 
 def test_document_json_report_is_golden_with_the_early_out_forced(monkeypatch):
     # The bundled lexicon is below DENSE_LEXICON, so its reports come from
-    # the ed walk; with the gate forced open a few non-words skip the
-    # distance-ed search, and the others take the bounded one.
-    searches = _count_bounded_searches(monkeypatch)
+    # the ed walk; with the gate forced open the short non-words take the
+    # bounded path (one walk within ed - 1), where a few skip the
+    # distance-ed search and the others take it, and the long ones still
+    # take the ed walk.
+    budgets, searches = _count_bounded_searches(monkeypatch)
     text = (GOLDEN / DOCUMENT).read_text(encoding="utf-8")
     report = SpellChecker(bundled_lexicon()).check_text(text)
     assert report.to_json() == (GOLDEN / "document.json").read_text(encoding="utf-8")
-    assert 0 < len(searches) < len({t.token for t in report.non_words()})
+    assert 0 < len(searches) < budgets.count(1)
+    assert budgets.count(2) > 0
 
 
 def test_dense_lexicon_reports_are_golden_with_the_early_out_forced(monkeypatch):
-    searches = _count_bounded_searches(monkeypatch)
+    budgets, searches = _count_bounded_searches(monkeypatch)
     assert dense_digest() == (GOLDEN / "dense.sha256").read_text(encoding="ascii").strip()
-    assert 0 < len(searches) < 160, "a full cut must skip some of the 200 distance-ed searches"
+    assert 0 < len(searches) < budgets.count(1), "a full cut must skip some distance-ed searches"
+
+
+@pytest.mark.parametrize("ed", [1, 3, 4])
+def test_dense_lexicon_reports_agree_on_both_paths(monkeypatch, ed):
+    # dense.sha256 pins ed 2 on both paths; here the bounded path, forced
+    # open, must give the one walk's reports at the other distances.
+    lexicon, queries = dense_case()
+    config = EngineConfig(edit_distance=ed)
+    one_walk = [SpellChecker(lexicon, config=config).check_word(q) for q in queries]
+    monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
+    assert [SpellChecker(lexicon, config=config).check_word(q) for q in queries] == one_walk
 
 
 if __name__ == "__main__":
