@@ -9,6 +9,7 @@ import random
 import time
 import unicodedata
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -567,6 +568,17 @@ _NFC_CHARS = st.one_of(
 @example("=\u0338 \u0b95\u0bc6\u0bbe \u0b95\u0301\u0bcd \u0b92\u0bd7 \u212a e\u0301")
 def test_word_split_equals_the_category_loop(text):
     assert _word_tokens(text) == reference_word_tokens(unicodedata.normalize("NFC", text))
+
+
+# The gate's own half of the split: a text it does not normalize is one
+# that NFC leaves as it is, whatever code points it holds.
+@settings(max_examples=300, deadline=None)
+@given(st.text(_NFC_CHARS, max_size=40))
+@example("=\u0338 \u0b95\u0bc6\u0bbe \u0b95\u0301\u0bcd \u0b92\u0bd7 \u212a e\u0301")
+def test_nfc_gate_equals_normalize_on_any_text(text):
+    with mock.patch.object(unicodedata, "normalize", wraps=unicodedata.normalize) as normalize:
+        _word_tokens(text)
+    assert normalize.called or unicodedata.normalize("NFC", text) == text
 
 
 def test_check_text_splits_currency_and_per_mille_without_normalizing(fixture_lexicon, monkeypatch):
