@@ -1,5 +1,5 @@
 """Exception types raised by the data-file loaders, the line reader they
-share, and the check every edit-distance argument passes."""
+share, and the checks the strategies' arguments pass."""
 
 from __future__ import annotations
 
@@ -30,6 +30,16 @@ def _check_distance(name: str, value) -> None:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1")
+
+
+def _check_letters(letters) -> None:
+    """Raise unless ``letters`` holds letter texts, as ``letter_texts`` gives them.
+
+    Only the first item is tested, so the check costs the same for any
+    length: text or ``Letter`` objects would otherwise find no word.
+    """
+    if isinstance(letters, str) or (letters and not isinstance(letters[0], str)):
+        raise TypeError("letters must be the word's letter_texts, not its text or Letter objects")
 
 
 def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int, str]]:

@@ -6,9 +6,7 @@ replaces up to ``ed`` positions of the input, each only by a neighbour of
 the letter originally there.  ``corrections`` takes the input as its
 letter split, as the checker made it, and takes the set of those
 candidates from the lexicon with one substitution walk, so only
-neighbours that keep a lexicon prefix alive are tried;
-``generate_patterns`` enumerates the same lattice as strings and is the
-reference the walk is tested against.
+neighbours that keep a lexicon prefix alive are tried.
 
 A keyboard candidate differs from the input in at most ``ed`` letters,
 which makes it an edit candidate at the same distance as well.
@@ -29,13 +27,12 @@ from __future__ import annotations
 import unicodedata
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import MatrixFormatError, _check_distance, _data_lines
+from .errors import MatrixFormatError, _check_distance, _check_letters, _data_lines
 from .letters import UYIRMEI, Letter, LetterKind, letter_texts, tokenize
 
 __all__ = [
     "ConfusionMatrix",
     "corrections",
-    "generate_patterns",
     "load_confusion_matrix",
 ]
 
@@ -124,34 +121,6 @@ def load_confusion_matrix(source) -> ConfusionMatrix:
     return ConfusionMatrix(table)
 
 
-def generate_patterns(word: str, matrix: ConfusionMatrix, ed: int = 1) -> list[str]:
-    """Substitution candidates with at most ``ed`` positions changed.
-
-    Each changed position takes a neighbour of the letter originally
-    there; the input itself is never emitted and duplicates are dropped.
-    ``ed`` must satisfy 1 <= ed <= letter count.
-    """
-    letters = letter_texts(unicodedata.normalize("NFC", word))
-    n = len(letters)
-    if not 1 <= ed <= n:
-        raise ValueError(f"ed must be between 1 and the word's {n} letters, got {ed}")
-    alternates = _alternates(matrix, letters)
-    seen: dict[tuple[str, ...], None] = {}  # insertion-ordered set
-
-    def substitute(current: tuple[str, ...], start: int, budget: int) -> None:
-        # Depth first: substitute position p, emit, then go on to strictly
-        # later positions while the budget lasts.
-        for p in range(start, n):
-            for alt in alternates[p]:
-                cand = current[:p] + (alt,) + current[p + 1 :]
-                seen[cand] = None
-                if budget > 1:
-                    substitute(cand, p + 1, budget - 1)
-
-    substitute(letters, 0, ed)
-    return ["".join(cand) for cand in seen]
-
-
 def _alternates(matrix: ConfusionMatrix, letters: Sequence[str]) -> list[tuple[str, ...]]:
     # No entry lists its own letter: the matrix rejects self-neighbours,
     # and distinct mei neighbours join to distinct uyirmei.
@@ -162,11 +131,11 @@ def _alternates(matrix: ConfusionMatrix, letters: Sequence[str]) -> list[tuple[s
 def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: int = 2) -> set[str]:
     """Lexicon words that substitute matrix neighbours at 1..``ed`` positions.
 
-    ``letters`` is the word's letter split, not its text; ``ed`` may
-    exceed its length, as n letters take at most n substitutions.
+    ``letters`` is the word's letter split from ``letter_texts``, not
+    its text; ``ed`` may exceed its length, as n letters take at most n
+    substitutions.
     """
-    if isinstance(letters, str):
-        raise TypeError("letters must be the word's letter split, not its text")
+    _check_letters(letters)
     _check_distance("ed", ed)
     alternates = _alternates(matrix, letters)
     return lexicon.substitutions(letters, alternates, ed)

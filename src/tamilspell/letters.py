@@ -95,7 +95,7 @@ class Letter:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered letter table used for replace/insert candidate generation."""
+    """An ordered letter table: the standard letters, or those and the grantha ones."""
 
     letters: tuple[str, ...]
     includes_grantha: bool

@@ -5,10 +5,10 @@ from __future__ import annotations
 LABELS = {
     1: "confusable-series suggestion membership",
     2: "conjoined compound recognition",
-    3: "ottru split structure and reconstruction",
+    3: "recognized ottru splits against the split oracle, and reconstruction",
     4: "letter table totals and uyirmei round-trip",
-    5: "single-edit counts and leveled-candidate oracle equality",
-    6: "pruned keyboard lattice equals brute-force oracle",
+    5: "single-edit oracle counts, and edit walk equal to the leveled oracle",
+    6: "keyboard walk equal to the brute-force lattice, pruned below full",
     7: "tamil code point screening over U+0000..U+2000",
     8: "suggestion cache single computation and hit count",
     9: "byte-identical reports across fresh and warm engines",

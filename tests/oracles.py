@@ -3,8 +3,9 @@
 Everything here is written the slow, obvious way on purpose: list
 comprehensions over letter tuples, breadth-first search for distances,
 itertools enumeration for lattices, per-code-point loops for letters and
-for word tokens.  No package internals are reused beyond the letter
-constants and the ``Letter`` record.
+for word tokens, string prefixes for a letter's consonant.  No package
+internals are reused beyond the letter constants, ``DEFAULT_SERIES`` and
+the ``Letter`` record.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from tamilspell.letters import (
     Letter,
     LetterKind,
 )
+from tamilspell.mayangoli import DEFAULT_SERIES
 
 _SINGLE_CONSONANTS = frozenset(CONSONANTS) | {"ஜ", "ஷ", "ஸ", "ஹ", "ஶ"}
 
@@ -193,3 +195,49 @@ def capped_distance(word: tuple, query: tuple, limit: list[int]) -> int | None:
             if cost is not None and cost <= limit[j]:
                 table[i][j] = cost
     return table[n][m]
+
+
+def _consonant_and_sign(letter: str) -> tuple[str, str] | None:
+    """A consonant-vowel letter as its consonant and vowel sign ("" for அ)."""
+    for consonant in (KSSA, *_SINGLE_CONSONANTS):
+        sign = letter.removeprefix(consonant)
+        if sign != letter and (sign == "" or sign in SIGN_TO_UYIR):
+            return consonant, sign
+    return None
+
+
+def series_variants(letters: tuple) -> set[tuple]:
+    """Every word that swaps the consonant of any of its series letters.
+
+    A consonant-vowel letter whose consonant is in a series of
+    ``DEFAULT_SERIES`` may take any consonant of that series, keeping its
+    vowel sign; a bare mei keeps its place.  The input itself is excluded.
+    """
+    pools = []
+    for letter in letters:
+        pool = [letter]
+        parts = _consonant_and_sign(letter)
+        for group in DEFAULT_SERIES:
+            consonants = [mei.removesuffix(PULLI) for mei in group]
+            if parts and parts[0] in consonants:
+                pool = [consonant + parts[1] for consonant in consonants]
+        pools.append(pool)
+    return set(itertools.product(*pools)) - {tuple(letters)}
+
+
+def split_pairs(letters: tuple) -> list[tuple[tuple, tuple, str]]:
+    """Every (left, right, kind) split of a word: the plain ones, then the ottru ones.
+
+    A plain split cuts between two letters.  An ottru split cuts inside a
+    consonant-vowel letter: its consonant with a pulli closes the left
+    half, and its vowel as an uyir letter (அ for a bare consonant) opens
+    the right.  Each kind runs left to right.
+    """
+    plain = [(letters[:i], letters[i:], "plain") for i in range(1, len(letters))]
+    ottru = []
+    for i, letter in enumerate(letters):
+        parts = _consonant_and_sign(letter)
+        if parts:
+            mei, uyir = parts[0] + PULLI, SIGN_TO_UYIR.get(parts[1], "அ")
+            ottru.append((letters[:i] + (mei,), (uyir,) + letters[i + 1 :], "ottru"))
+    return plain + ottru

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import time
 
 import acceptance_report
@@ -19,9 +20,9 @@ from conftest import random_letter_word
 from tamilspell import Strategy
 from tamilspell.bundled import bundled_lexicon, bundled_parallel_dict
 from tamilspell.checker import SpellChecker, Verdict
-from tamilspell.conjoined import SplitKind, generate_ottru_splits, recognize
-from tamilspell.edits import edit_operations, edits_n
-from tamilspell.keyboard import ConfusionMatrix, generate_patterns
+from tamilspell import edits, keyboard
+from tamilspell.conjoined import SplitKind, recognize
+from tamilspell.keyboard import ConfusionMatrix
 from tamilspell.letters import (
     LetterKind,
     alphabet,
@@ -31,10 +32,18 @@ from tamilspell.letters import (
     letter_texts,
     split_mei_uyir,
 )
+from tamilspell.lexicon import Lexicon
 
 
 def detail(criterion: int, text: str) -> None:
     acceptance_report.record_detail(criterion, text)
+
+
+def test_every_criterion_has_one_test():
+    # The summary prints only the criteria a test recorded, so a renamed
+    # criterion test would drop out of it without a failure.
+    numbers = [int(m[1]) for name in globals() if (m := re.match(r"test_c(\d+)_", name))]
+    assert sorted(numbers) == sorted(acceptance_report.LABELS)
 
 
 # ------------------------------------------------------------------ C1
@@ -72,22 +81,35 @@ def test_c2_conjoined_flagship(fixture_lexicon):
 # ------------------------------------------------------------------ C3
 
 
+def _ottru_recognized(word: str) -> list:
+    # On a lexicon that holds every ottru half of the oracle's, recognize
+    # finds every ottru pair of the oracle's, in its order.
+    letters = letter_texts(word)
+    ottru = [
+        ("".join(left), "".join(right))
+        for left, right, kind in oracles.split_pairs(letters)
+        if kind == "ottru"
+    ]
+    lexicon = Lexicon(half for pair in ottru for half in pair)
+    found = [p for p in recognize(letters, lexicon) if p.kind is SplitKind.OTTRU]
+    assert [(p.left, p.right) for p in found] == ottru, word
+    return found
+
+
 def test_c3_ottru_split_structure():
-    pairs = generate_ottru_splits("யாரிகுழந்து")
+    pairs = _ottru_recognized("யாரிகுழந்து")
     assert pairs, "a word with uyirmei letters must split"
-    first = pairs[0]
-    assert (first.left, first.right) == ("ய்", "ஆரிகுழந்து")
-    assert first.kind is SplitKind.OTTRU
+    assert (pairs[0].left, pairs[0].right) == ("ய்", "ஆரிகுழந்து")
 
     rng = random.Random(4242)
     fuzzed = 0
     for _ in range(1000):
         word = random_letter_word(rng, 1, 8)
-        for pair in generate_ottru_splits(word):
+        for pair in _ottru_recognized(word):
             assert pair.reconstruct() == word
             fuzzed += 1
     assert fuzzed > 1000, "the fuzz corpus must actually exercise splits"
-    detail(3, f"first pair (ய், ஆரிகுழந்து); {fuzzed} pairs reconstructed over 1000 words")
+    detail(3, f"first pair (ய், ஆரிகுழந்து); {fuzzed} recognized pairs reconstructed over 1000 words")
 
 
 # ------------------------------------------------------------------ C4
@@ -120,26 +142,30 @@ def test_c5_edit_counts_and_oracle_equality():
     witness_pool = []
     for a_size in (2, 5):
         alpha = tuple(chr(ord("a") + i) for i in range(a_size))
+        # Every word of 1-6 letters: all that two edits reach from 1-4.
+        lexicon = Lexicon(
+            "".join(w) for n in range(1, 7) for w in itertools.product(alpha, repeat=n)
+        )
         for n in range(1, 5):
             for combo in itertools.product(alpha, repeat=n):
+                # Deletes, transposes, replaces and inserts, duplicates kept.
+                assert len(oracles.naive_single_edits(combo, alpha)) == (
+                    n + max(n - 1, 0) + n * a_size + (n + 1) * a_size
+                )
                 word = "".join(combo)
-                ops = edit_operations(word, alpha)
-                assert len(ops["deletes"]) == n
-                assert len(ops["transposes"]) == max(n - 1, 0)
-                assert len(ops["replaces"]) == n * a_size
-                assert len(ops["inserts"]) == (n + 1) * a_size
-                for nedits in (1, 2):
-                    got = set(edits_n(word, alpha, nedits=nedits))
-                    want = {"".join(t) for t in oracles.oracle_edits_n(combo, alpha, nedits)}
-                    assert got == want
-                    if rng.random() < 0.01:
-                        witness_pool.append((combo, rng.choice(sorted(got)), nedits))
+                one = {"".join(t) for t in oracles.oracle_edits_n(combo, alpha, 1)} - {word, ""}
+                two = {"".join(t) for t in oracles.oracle_edits_n(combo, alpha, 2)} - {word, ""}
+                assert edits.suggest(combo, lexicon, nedits=1) == dict.fromkeys(one, 1)
+                got = edits.suggest(combo, lexicon, nedits=2)
+                assert got == {c: 1 if c in one else 2 for c in two}
+                if rng.random() < 0.01:
+                    witness_pool.append((combo, rng.choice(sorted(got)), got))
                 sweep += 1
-    # Independent distance witness: sampled members really are reachable
-    # within the claimed number of edits.
-    for source, cand, nedits in witness_pool[:40]:
-        assert oracles.bfs_edit_distance(source, tuple(cand)) <= nedits
-    detail(5, f"{sweep} words x 2 edit levels, exact oracle match")
+    # Independent distance witness: sampled members really are at the
+    # distance the walk gives them.
+    for source, cand, got in witness_pool[:40]:
+        assert oracles.bfs_edit_distance(source, tuple(cand)) == got[cand]
+    detail(5, f"{sweep} words x 2 edit levels, edit walk equals the leveled oracle")
 
 
 # ------------------------------------------------------------------ C6
@@ -168,13 +194,16 @@ def test_c6_pruned_lattice_equals_oracle():
                     mapping[letter] = pool[: rng.randint(1, 3)]
         matrix = ConfusionMatrix(mapping)
         ed = rng.randint(1, min(2, len(letters)))
-        got = set(generate_patterns(word, matrix, ed))
         want = {
             "".join(t)
             for t in oracles.substitution_lattice(
                 letters, [mapping.get(lt, []) for lt in letters], ed
             )
         }
+        # The whole lattice, the word itself and same-length noise.
+        noise = {random_letter_word(rng, len(letters), len(letters)) for _ in range(20)}
+        lexicon = Lexicon(want | noise | {word})
+        got = keyboard.corrections(letters, lexicon, matrix, ed)
         assert got == want
         choices = [len(table) - (1 if lt in table_set else 0) for lt in letters]
         full = 0
@@ -187,7 +216,7 @@ def test_c6_pruned_lattice_equals_oracle():
         assert len(got) < full
         strict += 1
     assert strict == 500
-    detail(6, "500 random cases, oracle match; pruned < full lattice in every case")
+    detail(6, "500 random cases, keyboard walk equals the lattice; pruned < full lattice in every case")
 
 
 # ------------------------------------------------------------------ C7

@@ -2,67 +2,81 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+import oracles
 from conftest import random_letter_word
 from tamilspell.checker import SpellChecker
-from tamilspell.conjoined import (
-    SplitKind,
-    SplitPair,
-    generate_ottru_splits,
-    generate_plain_splits,
-    recognize,
-)
-from tamilspell.letters import PULLI, UYIR_LETTERS, VOWEL_SIGNS, letter_texts
+from tamilspell.conjoined import SplitKind, SplitPair, recognize
+from tamilspell.letters import PULLI, UYIR_LETTERS, VOWEL_SIGNS, letter_texts, tokenize
 from tamilspell.lexicon import Lexicon
 
 
+def _recognized(word: str, kind: SplitKind) -> list[tuple[str, str]]:
+    # Recognized on a lexicon that holds every half of the oracle's splits.
+    letters = letter_texts(word)
+    halves = [half for left, right, _ in oracles.split_pairs(letters) for half in (left, right)]
+    lexicon = Lexicon("".join(half) for half in halves)
+    return [(p.left, p.right) for p in recognize(letters, lexicon) if p.kind is kind]
+
+
 def test_ottru_splits_walk_left_to_right():
-    pairs = generate_ottru_splits("யாரிகுழந்து")
-    assert [(p.left, p.right) for p in pairs] == [
+    assert _recognized("யாரிகுழந்து", SplitKind.OTTRU) == [
         ("ய்", "ஆரிகுழந்து"),
         ("யார்", "இகுழந்து"),
         ("யாரிக்", "உழந்து"),
         ("யாரிகுழ்", "அந்து"),
         ("யாரிகுழந்த்", "உ"),
     ]
-    assert all(p.kind is SplitKind.OTTRU for p in pairs)
 
 
 def test_ottru_split_two_letter_word():
-    assert [(p.left, p.right) for p in generate_ottru_splits("கல்")] == [("க்", "அல்")]
+    assert recognize(letter_texts("கல்"), Lexicon(["க்", "அல்", "க", "ல்"])) == [
+        SplitPair("க", "ல்", SplitKind.PLAIN),
+        SplitPair("க்", "அல்", SplitKind.OTTRU),
+    ]
 
 
 def test_ottru_no_uyirmei_no_splits():
-    assert generate_ottru_splits("அஆ") == []
-    assert generate_ottru_splits("க்") == []
+    assert _recognized("அஆ", SplitKind.OTTRU) == []
+    assert _recognized("க்", SplitKind.OTTRU) == []
 
 
 def test_plain_splits_between_letters():
-    pairs = generate_plain_splits("தென்றல்காற்று")
+    pairs = _recognized("தென்றல்காற்று", SplitKind.PLAIN)
     assert len(pairs) == 6
-    assert (pairs[3].left, pairs[3].right) == ("தென்றல்", "காற்று")
-    assert all(p.kind is SplitKind.PLAIN for p in pairs)
+    assert pairs[3] == ("தென்றல்", "காற்று")
 
 
 def test_plain_splits_need_two_letters():
-    assert generate_plain_splits("க") == []
-    assert generate_plain_splits("") == []
+    # க splits only through the letter: no plain split leaves both halves.
+    lexicon = Lexicon(["க", "க்", "அ"])
+    assert recognize(letter_texts("க"), lexicon) == [SplitPair("க்", "அ", SplitKind.OTTRU)]
+    assert recognize((), lexicon) == []
+
+
+@pytest.mark.parametrize("word", ["கணவன்", tokenize("கணவன்")], ids=["text", "letter objects"])
+def test_recognize_rejects_anything_but_letter_texts(word, fixture_lexicon):
+    with pytest.raises(TypeError, match="letter_texts"):
+        recognize(word, fixture_lexicon)
 
 
 def test_reconstruction_textual_rule():
     # Rejoining is pure text surgery: drop the pulli, swap in the sign.
-    for pair in generate_ottru_splits("யாரிகுழந்து"):
-        assert pair.left.endswith(PULLI)
-        assert pair.right[0] in UYIR_LETTERS
-        rebuilt = pair.left[:-1] + VOWEL_SIGNS[pair.right[0]] + pair.right[1:]
+    for left, right in _recognized("யாரிகுழந்து", SplitKind.OTTRU):
+        assert left.endswith(PULLI)
+        assert right[0] in UYIR_LETTERS
+        rebuilt = left[:-1] + VOWEL_SIGNS[right[0]] + right[1:]
         assert rebuilt == "யாரிகுழந்து"
-        assert pair.reconstruct() == "யாரிகுழந்து"
+        assert SplitPair(left, right, SplitKind.OTTRU).reconstruct() == "யாரிகுழந்து"
 
 
 def test_reconstruction_fuzz():
     rng = random.Random(20260821)
     for _ in range(300):
         word = random_letter_word(rng, 1, 7)
-        for pair in generate_plain_splits(word) + generate_ottru_splits(word):
+        for left, right, kind in oracles.split_pairs(letter_texts(word)):
+            pair = SplitPair("".join(left), "".join(right), SplitKind(kind))
             assert pair.reconstruct() == word, (word, pair)
 
 

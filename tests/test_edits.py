@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -7,98 +8,75 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_letter_word
-from tamilspell.edits import (
-    edit_operations,
-    edits1,
-    edits_n,
-    letter_edit_distance,
-    suggest,
-)
-from tamilspell.letters import alphabet, letter_texts
+from tamilspell.edits import letter_edit_distance, suggest
+from tamilspell.letters import alphabet, letter_texts, tokenize
 from tamilspell.lexicon import Lexicon
 
 AK = ("அ", "க")
+# Every word of one to three letters over AK: all that one edit reaches
+# from a two-letter word.
+AK_WORDS = Lexicon("".join(w) for n in (1, 2, 3) for w in itertools.product(AK, repeat=n))
 
 
 def test_edit_operations_counts_and_examples():
-    ops = edit_operations("கஅ", AK)
-    assert ops["deletes"] == ["அ", "க"]
-    assert ops["transposes"] == ["அக"]
-    assert len(ops["replaces"]) == 2 * 2
-    assert len(ops["inserts"]) == 3 * 2
-    default = edit_operations("கஅ")
-    assert len(default["replaces"]) == 2 * len(alphabet().letters)
-    assert len(default["inserts"]) == 3 * len(alphabet().letters)
+    # The walk finds every distinct single edit of the oracle's: two
+    # deletes, one transpose, two replaces and four inserts of கஅ.
+    edited = {"".join(c) for c in oracles.naive_single_edits(("க", "அ"), AK)} - {"கஅ"}
+    assert len(edited) == 9
+    assert suggest(("க", "அ"), AK_WORDS, nedits=1) == dict.fromkeys(edited, 1)
 
 
 def test_edits1_known_superset():
-    result = set(edits1("கஅ", AK))
-    assert {"அஅ", "கக", "ககஅ", "கஅக", "அகஅ"} <= result
-    # replace-by-same regenerates the input; it is kept, not filtered
-    assert "கஅ" in result
-
-
-def test_edits1_is_ordered_dedup_of_operations():
-    word, alpha = "கஅக", AK
-    ops = edit_operations(word, alpha)
-    expected: list[str] = []
-    seen: set[str] = set()
-    for name in ("deletes", "transposes", "replaces", "inserts"):
-        for cand in ops[name]:
-            if cand not in seen:
-                seen.add(cand)
-                expected.append(cand)
-    assert edits1(word, alpha) == expected
+    result = suggest(("க", "அ"), AK_WORDS, nedits=1)
+    assert {"அஅ", "கக", "ககஅ", "கஅக", "அகஅ"} <= set(result)
+    # replacing a letter by itself gives the input back; it is no candidate
+    assert "கஅ" not in result
 
 
 def test_edits1_letter_wise_on_real_word():
     # Deleting the middle letter of a three-letter word keeps two letters.
-    assert "கல்" in edits1("கடல்", alphabet())
-    # Candidates are letter sequences, so they re-tokenize to themselves.
-    for cand in edits1("பளம்", alphabet())[:300]:
-        assert "".join(letter_texts(cand)) == cand
-
-
-def test_edits1_rejects_empty_word():
-    with pytest.raises(ValueError):
-        edits1("", AK)
+    assert suggest(letter_texts("கடல்"), Lexicon(["கல்"]), nedits=1) == {"கல்": 1}
 
 
 def test_edits_n_level_one_equals_edits1():
-    assert edits_n("கஅ", AK, nedits=1) == edits1("கஅ", AK)
+    # The walk at one edit is the walk at two, cut to distance one.
+    two = suggest(("க", "அ", "க"), AK_WORDS, nedits=2)
+    assert suggest(("க", "அ", "க"), AK_WORDS, nedits=1) == {w: d for w, d in two.items() if d == 1}
+    assert 2 in two.values()
 
 
 def test_edits_n_validates_nedits():
-    with pytest.raises(ValueError):
-        edits_n("கஅ", AK, nedits=0)
     with pytest.raises(ValueError):
         suggest(letter_texts("பள"), Lexicon(["பல"]), nedits=0)
     for nedits in (2.0, "2", True):
         with pytest.raises(TypeError, match="nedits"):
             suggest(letter_texts("பள"), Lexicon(["பல"]), nedits=nedits)
-        with pytest.raises(TypeError, match="nedits"):
-            edits_n("கஅ", AK, nedits=nedits)
+
+
+@pytest.mark.parametrize("word", ["பளம்", tokenize("பளம்")], ids=["text", "letter objects"])
+def test_suggest_rejects_anything_but_letter_texts(word, fixture_lexicon):
+    with pytest.raises(TypeError, match="letter_texts"):
+        suggest(word, fixture_lexicon)
 
 
 def test_edits_n_matches_oracle_small():
+    # A lexicon that holds every oracle candidate gives them all back.
     rng = random.Random(4021)
     table = alphabet().letters
     for _ in range(25):
         alpha = tuple(rng.sample(table, rng.randint(1, 3)))
-        word = "".join(rng.choice(table) for _ in range(rng.randint(1, 3)))
-        letters = letter_texts(word)
+        letters = tuple(rng.choice(table) for _ in range(rng.randint(1, 3)))
         for nedits in (1, 2):
-            listed = edits_n(word, alpha, nedits=nedits)
-            assert len(set(listed)) == len(listed)
-            got = {letter_texts(c) for c in listed}
-            assert got == oracles.oracle_edits_n(letters, alpha, nedits)
+            edited = {"".join(c) for c in oracles.oracle_edits_n(letters, alpha, nedits)}
+            edited -= {"".join(letters), ""}
+            assert set(suggest(letters, Lexicon(edited), nedits=nedits)) == edited
 
 
 def test_alphabet_growth_grows_candidates():
-    small = edits1("கஅ", AK)
-    big = edits1("கஅ", alphabet())
-    assert len(big) > len(small)
-    assert set(small) <= set(big)
+    # The lexicon is the walk's alphabet: one more letter, more candidates.
+    big = Lexicon("".join(w) for n in (1, 2, 3) for w in itertools.product(AK + ("ம",), repeat=n))
+    small = suggest(("க", "அ"), AK_WORDS, nedits=1)
+    assert small.items() < suggest(("க", "அ"), big, nedits=1).items()
 
 
 # --------------------------------------------------------------------- #
@@ -159,7 +137,8 @@ def test_candidates_stay_within_distance():
     table = alphabet().letters
     for _ in range(10):
         alpha = tuple(rng.sample(table, 3))
-        word = "".join(rng.choice(alpha) for _ in range(3))
+        words = Lexicon("".join(w) for n in range(1, 6) for w in itertools.product(alpha, repeat=n))
+        letters = tuple(rng.choice(alpha) for _ in range(3))
         for nedits in (1, 2):
-            for cand in edits_n(word, alpha, nedits=nedits):
-                assert letter_edit_distance(word, cand) <= nedits
+            for cand, distance in suggest(letters, words, nedits=nedits).items():
+                assert 1 <= letter_edit_distance(letters, cand) == distance <= nedits

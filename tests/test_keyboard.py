@@ -8,13 +8,8 @@ import pytest
 import oracles
 from conftest import random_letter_word
 from tamilspell.errors import MatrixFormatError
-from tamilspell.keyboard import (
-    ConfusionMatrix,
-    corrections,
-    generate_patterns,
-    load_confusion_matrix,
-)
-from tamilspell.letters import letter_texts, tokenize
+from tamilspell.keyboard import ConfusionMatrix, corrections, load_confusion_matrix
+from tamilspell.letters import alphabet, letter_texts, tokenize
 from tamilspell.lexicon import Lexicon
 
 
@@ -83,57 +78,63 @@ def test_loader_merges_repeated_keys():
 
 
 # --------------------------------------------------------------------- #
-# pattern generation
+# corrections
 
 
 LATIN = ConfusionMatrix({"a": ["b"], "b": ["a"]})
+LATIN_WORDS = Lexicon(["aa", "ab", "ba", "bb"])
 
 
 def test_patterns_single_substitution():
-    assert generate_patterns("ab", LATIN, ed=1) == ["bb", "aa"]
-
-
-def test_patterns_depth_first_order():
-    assert generate_patterns("ab", LATIN, ed=2) == ["bb", "ba", "aa"]
+    assert corrections(("a", "b"), LATIN_WORDS, LATIN, ed=1) == {"bb", "aa"}
+    assert corrections(("a", "b"), LATIN_WORDS, LATIN, ed=2) == {"bb", "aa", "ba"}
 
 
 def test_patterns_never_emit_the_input():
     rng = random.Random(11)
     for _ in range(30):
-        word = random_letter_word(rng, 1, 4)
-        got = generate_patterns(word, _random_matrix(rng), ed=min(2, len(tokenize(word))))
-        assert word not in got
-        assert len(set(got)) == len(got)
+        letters = letter_texts(random_letter_word(rng, 1, 4))
+        matrix = _random_matrix(rng)
+        lattice = _lattice(letters, matrix, 2)
+        lexicon = Lexicon(lattice | {"".join(letters)})
+        assert corrections(letters, lexicon, matrix, ed=2) == lattice
 
 
 def test_patterns_respect_ed_budget(fixture_matrix):
-    word = "பளம்"
-    one = generate_patterns(word, fixture_matrix, ed=1)
-    two = generate_patterns(word, fixture_matrix, ed=2)
-    assert set(one) <= set(two)
-    original = letter_texts(word)
+    original = letter_texts("பளம்")
+    lexicon = Lexicon(_lattice(original, fixture_matrix, 3))
+    one = corrections(original, lexicon, fixture_matrix, ed=1)
+    two = corrections(original, lexicon, fixture_matrix, ed=2)
+    assert one < two
     for cand in two:
         letters = letter_texts(cand)
         assert len(letters) == len(original)
         changed = sum(1 for a, b in zip(original, letters) if a != b)
         assert 1 <= changed <= 2
+        assert (changed == 1) == (cand in one)
 
 
 def test_patterns_validate_ed():
     with pytest.raises(ValueError):
-        generate_patterns("பளம்", LATIN, ed=0)
-    with pytest.raises(ValueError):
-        generate_patterns("பளம்", LATIN, ed=4)  # word has 3 letters
+        corrections(letter_texts("பளம்"), LATIN_WORDS, LATIN, ed=0)
+    for ed in (2.0, "2", True):
+        with pytest.raises(TypeError, match="ed must be an int"):
+            corrections(letter_texts("பளம்"), LATIN_WORDS, LATIN, ed=ed)
+
+
+@pytest.mark.parametrize("word", ["பளம்", tokenize("பளம்")], ids=["text", "letter objects"])
+def test_corrections_reject_anything_but_letter_texts(word, fixture_lexicon, fixture_matrix):
+    with pytest.raises(TypeError, match="letter_texts"):
+        corrections(word, fixture_lexicon, fixture_matrix)
 
 
 def test_patterns_through_uyirmei():
     matrix = ConfusionMatrix({"ள்": ["ழ்", "ல்"]})
-    assert generate_patterns("பளம்", matrix, ed=1) == ["பழம்", "பலம்"]
+    lexicon = Lexicon(["பழம்", "பலம்", "பள்ம்"])
+    assert corrections(letter_texts("பளம்"), lexicon, matrix, ed=1) == {"பழம்", "பலம்"}
 
 
 def _random_matrix(rng: random.Random) -> ConfusionMatrix:
-    from tamilspell.letters import alphabet
-
     table = alphabet().letters
     keys = rng.sample(table, rng.randint(2, 6))
     mapping = {}
@@ -144,20 +145,21 @@ def _random_matrix(rng: random.Random) -> ConfusionMatrix:
     return ConfusionMatrix(mapping)
 
 
+def _lattice(letters: tuple, matrix: ConfusionMatrix, ed: int) -> set[str]:
+    alternates = [matrix.alternates_for(lt) for lt in letters]
+    return {"".join(c) for c in oracles.substitution_lattice(letters, alternates, ed)}
+
+
 def test_patterns_match_lattice_oracle():
+    # The whole lattice and as many random words: the walk gives the lattice.
     rng = random.Random(31337)
     for _ in range(60):
-        word = random_letter_word(rng, 1, 4)
-        letters = letter_texts(word)
+        letters = letter_texts(random_letter_word(rng, 1, 4))
         matrix = _random_matrix(rng)
         ed = rng.randint(1, len(letters))
-        got = {letter_texts(c) for c in generate_patterns(word, matrix, ed)}
-        alternates = [list(matrix.alternates_for(lt)) for lt in tokenize(word)]
-        assert got == oracles.substitution_lattice(tuple(letters), alternates, ed)
-
-
-# --------------------------------------------------------------------- #
-# corrections
+        lattice = _lattice(letters, matrix, ed)
+        noise = {random_letter_word(rng, 1, 4) for _ in range(len(lattice))}
+        assert corrections(letters, Lexicon(lattice | noise), matrix, ed) == lattice
 
 
 def test_corrections_are_the_lexicon_words_among_the_patterns():
@@ -170,11 +172,6 @@ def test_corrections_clamp_ed_to_word_length():
     lex = Lexicon(["பழம்"])
     matrix = ConfusionMatrix({"ள்": ["ழ்"]})
     assert corrections(letter_texts("பளம்"), lex, matrix, ed=9) == {"பழம்"}
-    with pytest.raises(ValueError):
-        corrections(letter_texts("பளம்"), lex, matrix, ed=0)
-    for ed in (2.0, "2", True):
-        with pytest.raises(TypeError, match="ed must be an int"):
-            corrections(letter_texts("பளம்"), lex, matrix, ed=ed)
 
 
 def test_corrections_with_bundled_matrix(fixture_lexicon, fixture_matrix):

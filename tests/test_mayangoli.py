@@ -3,17 +3,17 @@ from __future__ import annotations
 import random
 
 import pytest
+
+import oracles
 from conftest import random_letter_word
+from tamilspell import mayangoli
 from tamilspell.lexicon import Lexicon
-from tamilspell.letters import letter_texts, split_mei_uyir, tokenize
-from tamilspell.mayangoli import (
-    DEFAULT_SERIES,
-    SeriesMatch,
-    find_correspondents,
-    find_letter_positions,
-    generate_alternates,
-    suggest,
-)
+from tamilspell.letters import alphabet, letter_texts, split_mei_uyir, tokenize
+from tamilspell.mayangoli import DEFAULT_SERIES, suggest
+
+
+def _variants(word: str) -> set[str]:
+    return {"".join(v) for v in oracles.series_variants(letter_texts(word))}
 
 
 def test_default_series_families():
@@ -25,50 +25,62 @@ def test_default_series_families():
     )
 
 
+def test_series_table_equals_the_oracle():
+    # Every letter's alternates, grantha included, against the series
+    # derived from consonants and vowel signs.
+    assert set(mayangoli._ALTERNATES) <= set(alphabet(grantha=True))
+    for letter in alphabet(grantha=True):
+        want = {(alt,) for alt in mayangoli._ALTERNATES.get(letter, ())}
+        assert oracles.series_variants((letter,)) == want, letter
+
+
 def test_find_positions_single_match():
-    matches = find_letter_positions("பளம்")
-    assert len(matches) == 1
-    match = matches[0]
-    assert (match.position, match.mei, match.uyir, match.series_index) == (1, "ள்", "அ", 0)
+    # Only ள, position 1 of பளம், is in a series.
+    lexicon = Lexicon(["பலம்", "பழம்", "வளம்", "பளன்", "பளண்"])
+    assert suggest(letter_texts("பளம்"), lexicon) == {"பலம்", "பழம்"}
 
 
 def test_bare_mei_is_not_matched():
     # The final ல் of தென்றல் is in a series but carries no uyir; skipped.
-    positions = [m.position for m in find_letter_positions("தென்றல்")]
-    assert positions == [2]  # only ற (ற் + அ)
+    lexicon = Lexicon(["தென்ரல்", "தென்றழ்", "தென்றள்", "தென்ரள்"])
+    assert suggest(letter_texts("தென்றல்"), lexicon) == {"தென்ரல்"}
 
 
 def test_find_positions_no_match():
-    assert find_letter_positions("அது") == []
-    assert find_letter_positions("abc") == []
+    assert suggest(letter_texts("அது"), Lexicon(["அது", "இது"])) == set()
+    assert suggest(letter_texts("abc"), Lexicon(["abc", "abd"])) == set()
 
 
 @pytest.mark.parametrize(
     "as_input", [str, tokenize, letter_texts], ids=["text", "letter objects", "letter texts"]
 )
 def test_series_lookups_take_any_form_of_the_word(as_input):
-    # மழலை matches twice, at ழ and at லை; தென்றல் once, at ற.
-    assert find_letter_positions(as_input("மழலை")) == [
-        SeriesMatch(1, "ழ்", "அ", 0),
-        SeriesMatch(2, "ல்", "ஐ", 0),
-    ]
-    assert find_correspondents(as_input("மழலை")) == [["ல", "ழ", "ள"], ["லை", "ழை", "ளை"]]
-    assert find_correspondents(as_input("தென்றல்")) == [["ர", "ற"]]
-    assert find_letter_positions(as_input("அது")) == []
+    # letter_texts turns each form into the split suggest takes.  மழலை
+    # swaps at ழ and at லை; தென்றல் at ற only.
+    lexicon = Lexicon(["மலலை", "மழழை", "தென்ரல்", "தென்றழ்"])
+    assert suggest(letter_texts(as_input("மழலை")), lexicon) == {"மலலை", "மழழை"}
+    assert suggest(letter_texts(as_input("தென்றல்")), lexicon) == {"தென்ரல்"}
+    assert suggest(letter_texts(as_input("அது")), lexicon) == set()
+
+
+@pytest.mark.parametrize("word", ["பளம்", tokenize("பளம்")], ids=["text", "letter objects"])
+def test_suggest_rejects_anything_but_letter_texts(word, fixture_lexicon):
+    with pytest.raises(TypeError, match="letter_texts"):
+        suggest(word, fixture_lexicon)
 
 
 def test_correspondents_preserve_uyir():
-    rows = find_correspondents("ரீ")
-    assert rows == [["ரீ", "றீ"]]
+    assert suggest(letter_texts("ரீ"), Lexicon(["றீ", "றி", "ற", "ரீ"])) == {"றீ"}
 
 
 def test_generate_alternates_single_position():
-    assert generate_alternates("பளம்") == ["பலம்", "பழம்"]
+    assert _variants("பளம்") == {"பலம்", "பழம்"}
+    assert suggest(letter_texts("பளம்"), Lexicon(_variants("பளம்"))) == {"பலம்", "பழம்"}
 
 
 def test_generate_alternates_counts_product():
-    # மழலை matches at ழ (3 members) and லை (3 members): 3*3 - 1 variants.
-    alternates = generate_alternates("மழலை")
+    # மழலை swaps at ழ (3 members) and லை (3 members): 3*3 - 1 variants.
+    alternates = suggest(letter_texts("மழலை"), Lexicon(_variants("மழலை") | {"மழலை"}))
     assert len(alternates) == 8
     assert "மழலை" not in alternates
     assert "மலலை" in alternates
@@ -76,19 +88,19 @@ def test_generate_alternates_counts_product():
 
 
 def test_generate_alternates_changes_only_matched_positions():
+    # The walk keeps the length and every letter's uyir, and changes only
+    # series letters.
     rng = random.Random(7)
     for _ in range(40):
         word = random_letter_word(rng, 1, 5)
         letters = letter_texts(word)
-        matched = {m.position for m in find_letter_positions(word)}
-        for alt in generate_alternates(word):
+        noise = {random_letter_word(rng, len(letters), len(letters)) for _ in range(20)}
+        for alt in suggest(letters, Lexicon(_variants(word) | noise)):
             alt_letters = letter_texts(alt)
             assert len(alt_letters) == len(letters)
-            for pos, (a, b) in enumerate(zip(letters, alt_letters)):
-                if pos not in matched:
-                    assert a == b
-                elif a != b:
-                    # substituted letter keeps the original uyir
+            for a, b in zip(letters, alt_letters):
+                if a != b:
+                    assert oracles.series_variants((a,))
                     assert split_mei_uyir(a)[1] == split_mei_uyir(b)[1]
 
 

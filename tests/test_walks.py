@@ -1,12 +1,11 @@
-"""The lexicon walks against the enumerators they replace.
+"""The lexicon walks against the brute-force oracles of ``tests/oracles.py``.
 
 Each strategy takes its candidates from the lexicon by walking the trie.
-The plain-Python enumerators (``edits_n``, ``generate_patterns``,
-``generate_alternates``, ``generate_plain_splits`` with
-``generate_ottru_splits``) are the reference: enumerate, keep what the
-lexicon knows, and the walk must give exactly that set and those scores.
-The keyboard walk only labels edit candidates, so it is checked through
-the checker's labels.
+The oracles (``oracle_edits_n``, ``substitution_lattice``,
+``series_variants`` and ``split_pairs``) enumerate the same candidates
+over letter tuples: keep what the lexicon knows, and the walk must give
+exactly that set and those scores.  The keyboard walk only labels edit
+candidates, so it is also checked through the checker's labels.
 """
 
 from __future__ import annotations
@@ -14,12 +13,13 @@ from __future__ import annotations
 import random
 import time
 
+import oracles
 from conftest import random_letter_word
 import tamilspell.checker
 from tamilspell import Strategy, Suggestion, conjoined, keyboard, mayangoli
 from tamilspell.checker import EngineConfig, SpellChecker, Verdict
-from tamilspell.conjoined import SplitKind
-from tamilspell.edits import edits_n, letter_edit_distance, suggest
+from tamilspell.conjoined import SplitKind, SplitPair
+from tamilspell.edits import letter_edit_distance, suggest
 from tamilspell.keyboard import ConfusionMatrix
 from tamilspell.letters import alphabet, join_mei_uyir, letter_texts
 from tamilspell.lexicon import Lexicon
@@ -45,9 +45,10 @@ def test_edit_walk_equals_filtered_enumeration():
         for _ in range(150 if ed < 3 else 60):
             letters = tuple(rng.sample(TABLE, rng.randint(2, 5)))
             words = _random_lexicon(rng, letters, 7)
-            query = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5 if ed < 3 else 4)))
-            found = suggest(letter_texts(query), Lexicon(words), nedits=ed)
-            want = {c for c in edits_n(query, letters, nedits=ed) if c in words} - {query}
+            query = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5 if ed < 3 else 4)))
+            found = suggest(query, Lexicon(words), nedits=ed)
+            edited = {"".join(c) for c in oracles.oracle_edits_n(query, tuple(letters), ed)}
+            want = edited.intersection(words) - {"".join(query)}
             assert found == {c: letter_edit_distance(query, c) for c in want}
             checked += len(found)
     assert checked > 500, "the lexicons must actually hold neighbours"
@@ -116,18 +117,21 @@ def test_keyboard_walk_equals_filtered_patterns(monkeypatch):
         matrix = ConfusionMatrix(
             {key: [c for c in rng.sample(letters, rng.randint(1, 3)) if c != key] for key in letters}
         )
-        word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        original = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        word = "".join(original)
         ed = rng.randint(1, 3)
-        patterns = keyboard.generate_patterns(word, matrix, min(ed, len(letter_texts(word))))
+        alternates = [matrix.alternates_for(lt) for lt in original]
+        lattice = oracles.substitution_lattice(original, alternates, min(ed, len(original)))
+        patterns = sorted("".join(c) for c in lattice)
         words = set(rng.sample(patterns, min(len(patterns), 8))) | _random_lexicon(rng, letters, 5)
         words.discard(word)
         lexicon = Lexicon(words)
-        reached = {c for c in patterns if c in words}
-        assert keyboard.corrections(letter_texts(word), lexicon, matrix, ed) == reached
+        reached = words.intersection(patterns)
+        assert keyboard.corrections(original, lexicon, matrix, ed) == reached
         config = EngineConfig(edit_distance=ed)
         report = SpellChecker(lexicon, config=config, confusion_matrix=matrix).check_word(word)
         got = {s.candidate: s.score for s in report.suggestions if s.strategy is Strategy.KEYBOARD}
-        series = mayangoli.suggest(letter_texts(word), lexicon)
+        series = mayangoli.suggest(original, lexicon)
         assert set(got) == reached - series
         for candidate, score in got.items():
             assert score == letter_edit_distance(word, candidate)
@@ -140,7 +144,7 @@ def test_rotation_beyond_the_substitution_budget_stays_edit():
     # three substitutions reach it, but two edits do (delete க, append it).
     matrix = ConfusionMatrix({"க": ["ப"], "ப": ["ம"], "ம": ["க"]})
     lexicon = Lexicon(["பமக"])
-    assert "பமக" in keyboard.generate_patterns("கபம", matrix, 3)
+    assert keyboard.corrections(letter_texts("கபம"), lexicon, matrix, 3) == {"பமக"}
     at_two = SpellChecker(lexicon, config=EngineConfig(edit_distance=2), confusion_matrix=matrix)
     assert at_two.check_word("கபம").suggestions == (Suggestion("பமக", Strategy.EDIT, 2),)
     at_three = SpellChecker(lexicon, config=EngineConfig(edit_distance=3), confusion_matrix=matrix)
@@ -149,13 +153,12 @@ def test_rotation_beyond_the_substitution_budget_stays_edit():
 
 def test_mayangoli_walk_equals_filtered_alternates():
     rng = random.Random(7)
-    series = [lt for lt in TABLE if mayangoli.find_letter_positions(lt)]
+    series = [lt for lt in TABLE if oracles.series_variants((lt,))]
     checked = 0
     for _ in range(200):
         pool = rng.sample(series, 3) + rng.sample(TABLE, 2)
-        word = "".join(rng.choice(pool) for _ in range(rng.randint(1, 6)))
-        original = letter_texts(word)
-        alternates = mayangoli.generate_alternates(word)
+        original = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+        alternates = sorted("".join(v) for v in oracles.series_variants(original))
         words = set(rng.sample(alternates, min(len(alternates), 6))) | {
             random_letter_word(rng, 1, 6) for _ in range(20)
         }
@@ -177,11 +180,10 @@ def test_long_series_token_is_bounded(fixture_lexicon):
 def test_keyboard_walk_keeps_substituted_letters_apart():
     # The walk looks the substituted letters up as they are: க் put before
     # ஷி stays two letters, although the joined text re-tokenizes as the
-    # one letter க்ஷி.  The enumerator joins and so finds பக்ஷி.
+    # one letter க்ஷி.
     lex = Lexicon(["பக்ஷி"])
     matrix = ConfusionMatrix({"ச்": ["க்"]})
     assert letter_texts("பச்ஷி") == ("ப", "ச்", "ஷி")
-    assert "பக்ஷி" in keyboard.generate_patterns("பச்ஷி", matrix, 1)
     assert keyboard.corrections(letter_texts("பச்ஷி"), lex, matrix, 1) == set()
     # Two edits reach it (ச் to க்ஷி, ஷி deleted), so the checker still
     # suggests it, as an edit.
@@ -190,17 +192,14 @@ def test_keyboard_walk_keeps_substituted_letters_apart():
 
 
 def _filtered_splits(word: str, lexicon: Lexicon) -> list:
-    # Exact membership: a half that NFC would compose into a word is not
-    # that word.
-    words = set(lexicon.words())
-    found, seen = [], set()
-    for pair in conjoined.generate_plain_splits(word) + conjoined.generate_ottru_splits(word):
-        key = (pair.left, pair.right)
-        if key not in seen:
-            seen.add(key)
-            if pair.left in words and pair.right in words:
-                found.append(pair)
-    return found
+    # Exact membership: a half must be a word's letter split, so one that
+    # NFC would compose into a word is not that word.
+    splits = {letter_texts(w) for w in lexicon.words()}
+    return [
+        SplitPair("".join(left), "".join(right), SplitKind(kind))
+        for left, right, kind in oracles.split_pairs(letter_texts(word))
+        if left in splits and right in splits
+    ]
 
 
 def test_conjoined_walk_equals_filtered_splits():
