@@ -13,7 +13,7 @@ every strategy takes that letter tuple.  ``check_text`` splits a
 document with one function, ``_word_tokens``, which normalizes it only
 when that could change it: a text of ASCII, Tamil-block, joiner,
 General Punctuation and currency code points alone is already NFC unless
-it holds one of four composing pairs (``_word_tokens`` says why).
+it holds one of four composing pairs (``letters._known_nfc`` says why).
 
 Conjoined-split recognition outranks confusable-series substitution,
 which outranks keyboard-adjacency patterns, which outrank generic edit
@@ -80,7 +80,7 @@ from typing import NamedTuple
 from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
 from .errors import TamilSpellError, _check_distance, _data_lines
-from .letters import has_tamil, letter_texts
+from .letters import _BASE_CODE_POINTS, _OTHER_CHARS, _known_nfc, has_tamil, letter_texts
 
 __all__ = [
     "CACHE_SIZE",
@@ -468,20 +468,6 @@ def _is_word_char(ch: str) -> bool:
     return ch in "_\u200c\u200d" or unicodedata.category(ch)[0] in "LMN"
 
 
-# The base code points are ASCII, the Tamil block, ZWNJ/ZWJ, the no-break
-# space, General Punctuation from U+2010 (dashes, quotes, bullets, per mille,
-# primes, the separators and the invisible format characters) and the
-# Currency Symbols (U+20A0-U+20C0, with the rupee sign), which typeset
-# Tamil text uses; any other code point is "other".
-_BASE_CODE_POINTS = (
-    *range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D,
-    *range(0x2010, 0x2065), *range(0x20A0, 0x20C1),
-)
-_OTHER_CHARS = re.compile("[^%s]" % re.escape("".join(map(chr, _BASE_CODE_POINTS))))
-
-# The only base pairs NFC changes: each composes to one Tamil code point.
-_COMPOSING_PAIRS = ("\u0bc6\u0bbe", "\u0bc7\u0bbe", "\u0bc6\u0bd7", "\u0b92\u0bd7")
-
 # Word characters are letters, marks, digits, _ and the joiners.  A run is
 # text free of the base code points that are not word characters, which
 # are classified once here (unassigned Tamil-block points are not word
@@ -500,23 +486,15 @@ def _word_tokens(text: str) -> list[str]:
     they sit in, so ``check_text`` sees the token ``check_word`` would be
     given.
 
-    The text is normalized only when that could change it.  A text of base
-    code points alone is normalized only when it holds one of
-    ``_COMPOSING_PAIRS``, since nothing else in it can change (a test
-    checks every pair against ``unicodedata``): among the base code points
-    only pulli has a non-zero combining class, so nothing reorders; every
-    base code point is its own NFC form; no two compose but those pairs;
-    and the second code point of each pair has class 0, so it composes
-    only with the code point just before it.  Composing such a pair gives
-    a Tamil code point, so the result is still of base code points alone,
-    which ``_WORD_RUNS`` splits.  In a text with an other code point, each
-    one that is no word character becomes a space, which ends a run.
+    The text is normalized only when that could change it: a text that
+    ``letters._known_nfc`` passes, of base code points alone with no
+    composing pair, is split as it is, by ``_WORD_RUNS``.  Any other text
+    is normalized, and then each other code point in it that is no word
+    character becomes a space, which ends a run.
     """
-    if _OTHER_CHARS.search(text):
+    if not _known_nfc(text):
         text = unicodedata.normalize("NFC", text)
         text = _OTHER_CHARS.sub(lambda other: other[0] if _is_word_char(other[0]) else " ", text)
-    elif any(pair in text for pair in _COMPOSING_PAIRS):
-        text = unicodedata.normalize("NFC", text)
     return _WORD_RUNS.findall(text)
 
 

@@ -42,27 +42,45 @@ def _check_letters(letters) -> None:
         raise TypeError("letters must be the word's letter_texts, not its text or Letter objects")
 
 
-def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int, str]]:
-    """``(name, lineno, line)`` for each line of ``source`` with content.
+def _data_text(source, error: type[TamilSpellError]) -> tuple[str, str]:
+    """``(name, text)``: the name of ``source`` and its whole text, read at once.
 
     ``source`` is a path, or a text or binary stream named by its ``name``
-    attribute.  Lines are read one at a time and come back as read, line
-    ending included, so that a tab at either end still separates fields;
-    blank lines and ``#`` comments are skipped.  Bytes are decoded as UTF-8
-    line by line, and undecodable ones raise ``error`` as ``name:lineno:
-    undecodable bytes: <codec message>``.  One byte order mark (U+FEFF) at
-    the start of line 1 is dropped, whether it came as bytes or as text.
+    attribute.  Bytes are decoded as UTF-8 in one pass.  Undecodable bytes
+    raise ``error`` as ``name:lineno: undecodable bytes: <codec message>``
+    for the first line that holds some.  The message is the one decoding
+    that line alone, line ending included, would give, so its positions
+    count from the line's start: a line feed is never part of a UTF-8
+    sequence, so the decoder starts each line clean and fails on it as on
+    the line alone.  One byte order mark (U+FEFF) at the start of the text
+    is dropped, whether it came as bytes or as text.
     """
     with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as stream:
         name = getattr(stream, "name", "<stream>")
-        for lineno, line in enumerate(stream, start=1):
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise error(f"{name}:{lineno}: undecodable bytes: {exc}") from exc
-            if lineno == 1:
-                line = line.removeprefix("\ufeff")
-            content = line.strip()
-            if content and not content.startswith("#"):
-                yield name, lineno, line
+        text = stream.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            data, bad = exc.object, exc.start
+            start = data.rfind(b"\n", 0, bad) + 1
+            line = data[start : data.find(b"\n", bad) + 1 or len(data)]
+            lineno = data.count(b"\n", 0, start) + 1
+            message = UnicodeDecodeError(exc.encoding, line, bad - start, exc.end - start, exc.reason)
+            raise error(f"{name}:{lineno}: undecodable bytes: {message}") from exc
+    return name, text.removeprefix("\ufeff")
+
+
+def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int, str]]:
+    """``(name, lineno, line)`` for each line of ``source`` with content.
+
+    The text comes from :func:`_data_text`, so a bad byte anywhere in the
+    source is reported before any line is given.  Lines are split at
+    ``\\n`` and come back unstripped, so that a tab at either end still
+    separates fields; blank lines and ``#`` comments are skipped.
+    """
+    name, text = _data_text(source, error)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        content = line.strip()
+        if content and not content.startswith("#"):
+            yield name, lineno, line

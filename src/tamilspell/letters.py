@@ -126,6 +126,36 @@ def has_tamil(text: str) -> bool:
     return "ஂ" <= text[:1] <= "௺" or _TAMIL_SEARCH(text) is not None
 
 
+# The base code points are ASCII, the Tamil block, ZWNJ/ZWJ, the no-break
+# space, General Punctuation from U+2010 (dashes, quotes, bullets, per mille,
+# primes, the separators and the invisible format characters) and the
+# Currency Symbols (U+20A0-U+20C0, with the rupee sign), which typeset
+# Tamil text uses; any other code point is "other".
+_BASE_CODE_POINTS = (
+    *range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D,
+    *range(0x2010, 0x2065), *range(0x20A0, 0x20C1),
+)
+_OTHER_CHARS = re.compile("[^%s]" % re.escape("".join(map(chr, _BASE_CODE_POINTS))))
+
+# The only base pairs NFC changes: each composes to one Tamil code point.
+_COMPOSING_PAIRS = ("\u0bc6\u0bbe", "\u0bc7\u0bbe", "\u0bc6\u0bd7", "\u0b92\u0bd7")
+
+
+def _known_nfc(text: str) -> bool:
+    """True when ``text`` is of base code points alone and holds no composing pair.
+
+    Such a text is its own NFC form (a test checks every pair against
+    ``unicodedata``): among the base code points only pulli has a non-zero
+    combining class, so nothing reorders; every base code point is its own
+    NFC form; no two compose but ``_COMPOSING_PAIRS``; and the second code
+    point of each pair has class 0, so it composes only with the code point
+    just before it.  False says only that NFC could change the text.  Texts
+    joined by a base code point in no pair, such as a newline, pass together
+    exactly when each passes alone.
+    """
+    return not _OTHER_CHARS.search(text) and not any(pair in text for pair in _COMPOSING_PAIRS)
+
+
 # The composition table: every mei -> its uyirmei letters, keyed by uyir
 # (க் -> {அ: க, ஆ: கா, ...}).  MEI_UYIR is its inverse.
 UYIRMEI = {

@@ -40,8 +40,8 @@ from bisect import bisect_right, insort
 from collections.abc import Container, Iterable, Iterator, Sequence
 from functools import partial
 
-from .errors import WordListError, _data_lines
-from .letters import letter_texts
+from .errors import WordListError, _data_text
+from .letters import _known_nfc, letter_texts
 
 __all__ = ["Lexicon", "load_wordlist"]
 
@@ -65,10 +65,11 @@ class _Codes(dict):
         return code
 
 
-def _build_trie(keys: list[str]) -> tuple[array, str, bytes]:
+def _build_trie(keys: list[str], longest: int) -> tuple[array, str, bytes]:
     """The edge offsets, edge labels and word ends of the code ``keys``.
 
-    Each key is a non-empty string of letter codes, one per letter.
+    Each key is a non-empty string of letter codes, one per letter, and
+    none is longer than ``longest``.
     Sorted, the keys meet every depth's nodes in breadth-first order: a key
     adds one node per letter after its common prefix with the key before
     it, and a word ends at its last node.  ``keys`` is sorted in place.
@@ -76,10 +77,10 @@ def _build_trie(keys: list[str]) -> tuple[array, str, bytes]:
     keys.sort()
     # labels[d]: the codes of the depth d + 1 nodes.  Per depth-d node,
     # starts[d] says where its children start in labels[d], and ends[d]
-    # holds 1 when a word ends there.
-    labels: list[list[str]] = [[]]
-    starts = [array("I", [0])]
-    ends = [bytearray(1)]
+    # holds 1 when a word ends there.  No node is deeper than ``longest``.
+    labels: list[list[str]] = [[] for _ in range(longest + 1)]
+    starts = [array("I", [0])] + [array("I") for _ in range(longest)]
+    ends = [bytearray(1)] + [bytearray() for _ in range(longest)]
     prev = ""
     for key in keys:
         n = len(key)
@@ -87,10 +88,6 @@ def _build_trie(keys: list[str]) -> tuple[array, str, bytes]:
         limit = min(n, len(prev))
         while i < limit and key[i] == prev[i]:
             i += 1
-        while len(labels) <= n:
-            labels.append([])
-            starts.append(array("I"))
-            ends.append(bytearray())
         for d in range(i, n):
             labels[d].append(key[d])
             starts[d + 1].append(len(labels[d + 1]))
@@ -144,13 +141,23 @@ class Lexicon:
     be kept.  That compares text, not letter codes, so it holds whatever
     order the codes were given in.
 
+    The words are held in NFC.  They are deduplicated as given and joined
+    once, and only a word list whose join NFC could change is normalized,
+    word by word, and deduplicated again (``letters._known_nfc`` says when
+    NFC leaves a text as it is).  The first spelling of each word sets its
+    place either way, so the letter codes and both tries are the same as
+    when every word is normalized.  Empty words are dropped.
+
     ``longest`` is the letter count of the longest word, 0 when empty.
     """
 
     def __init__(self, words: Iterable[str] = ()):
         if isinstance(words, str):
             raise TypeError("words must be a collection of words, not one text")
-        loaded = dict.fromkeys(filter(None, map(_nfc, words)))
+        loaded = dict.fromkeys(words)
+        if not _known_nfc("\n".join(loaded)):
+            loaded = dict.fromkeys(map(_nfc, loaded))
+        loaded.pop("", None)
         self._words = frozenset(loaded)  # a large dict answers `in` slower
         codes = _Codes()
         code = codes.__getitem__
@@ -158,7 +165,7 @@ class Lexicon:
         del loaded  # freed before the trie build, where memory peaks
         # Each code key has one code per letter.
         self.longest = max(map(len, keys), default=0)
-        self._forward = _build_trie(keys)
+        self._forward = _build_trie(keys, self.longest)
         # The reversed trie, or until a walk needs it, the code keys it is
         # built from: reversed as one string, they are the reversed keys.
         self._backward: tuple[array, str, bytes] | str = _SEP.join(keys)
@@ -274,7 +281,7 @@ class Lexicon:
         backward = self._backward
         if isinstance(backward, str):
             keys = list(filter(None, backward[::-1].split(_SEP)))
-            backward = self._backward = _build_trie(keys)
+            backward = self._backward = _build_trie(keys, self.longest)
         limit = [(ed + 1) // 2 - 1] * (m - b) + [ed] * (b + 1)
         self._walk(backward, query[::-1], limit, found)
         limit = [ed // 2] * (b + 1) + [ed] * (m - b)
@@ -548,9 +555,19 @@ def load_wordlist(*sources) -> Lexicon:
     One word per line; blank lines and lines starting with ``#`` are
     skipped, and a word listed more than once, in one source or several,
     is loaded once.  Each source may be a path or an open text/binary
-    stream.  Undecodable bytes raise :class:`WordListError` with the
-    source's name and the offending line number.
+    stream, and is read and decoded at once.  Undecodable bytes raise
+    :class:`WordListError` with the source's name and the offending line
+    number.
     """
-    return Lexicon(
-        line.strip() for source in sources for _, _, line in _data_lines(source, WordListError)
-    )
+    # The lexicon gets the list as an iterator, the list's only holder,
+    # which lets it go once consumed: so it is freed before the trie build.
+    return Lexicon(iter(_listed_words(sources)))
+
+
+def _listed_words(sources) -> list[str]:
+    """The stripped lines of ``sources`` that are neither blank nor comments, in order."""
+    words: list[str] = []
+    for source in sources:
+        lines = _data_text(source, WordListError)[1].split("\n")
+        words += [word for word in map(str.strip, lines) if word and word[0] != "#"]
+    return words

@@ -920,6 +920,17 @@ def test_load_stop_words(tmp_path):
     assert load_stop_words(path) == frozenset({"ஒரு", "அந்த"})
 
 
+# Each file is good lines (G) and one bad line (B: an invalid start byte;
+# C: a letter whose three bytes are cut to two), with the bad line's number.
+_BAD_FILES = {
+    "first line": (b"B\nG\nG\n", 1),
+    "middle line": (b"G\nB\nG\n", 2),
+    "last line, no newline": (b"G\nG\nB", 3),
+    "CRLF": (b"G\r\nB\r\nG\r\n", 2),
+    "letter cut at a line end": (b"G\nC\nG\n", 2),
+}
+
+
 @pytest.mark.parametrize(
     "loader, error, first_line",
     [
@@ -930,15 +941,29 @@ def test_load_stop_words(tmp_path):
     ],
 )
 def test_loaders_name_the_undecodable_line(tmp_path, loader, error, first_line):
-    data = first_line.encode() + b"\n\xff\tx\n"
-    path = tmp_path / "bad.txt"
-    path.write_bytes(data)
-    for source, name in ((str(path), str(path)), (path, str(path)), (io.BytesIO(data), "<stream>")):
-        with pytest.raises(TamilSpellError) as err:
-            loader(source)
-        assert type(err.value) is error
-        assert str(err.value).startswith(f"{name}:2: undecodable bytes: ")
-        assert "can't decode byte 0xff" in str(err.value)
+    cut = "க்\tல".encode()[:-1]
+    for case, (template, lineno) in _BAD_FILES.items():
+        data = template.replace(b"G", first_line.encode()).replace(b"B", b"\xff\tx").replace(b"C", cut)
+        # The message is the codec's for the bad line alone, line ending
+        # included, so its positions count from the line's start.
+        with pytest.raises(UnicodeDecodeError) as codec:
+            data.splitlines(keepends=True)[lineno - 1].decode("utf-8")
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        for source, name in ((str(path), str(path)), (path, str(path)), (io.BytesIO(data), "<stream>")):
+            with pytest.raises(TamilSpellError) as err:
+                loader(source)
+            assert type(err.value) is error, case
+            assert str(err.value) == f"{name}:{lineno}: undecodable bytes: {codec.value}", case
+
+
+def test_a_bad_byte_is_reported_before_an_earlier_format_error():
+    # The whole source is decoded before its first line is parsed.
+    data = b"no tab on this line\n\xff\tx\n"
+    with pytest.raises(MatrixFormatError, match="^<stream>:2: undecodable bytes: "):
+        load_confusion_matrix(io.BytesIO(data))
+    with pytest.raises(TamilSpellError, match="^<stream>:2: undecodable bytes: "):
+        load_parallel_dict(io.BytesIO(data))
 
 
 @pytest.mark.parametrize(

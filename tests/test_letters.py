@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import reference_tokenize
 from tamilspell.letters import (
     AYUDHAM,
     KSSA,
     PULLI,
+    SIGN_TO_UYIR,
     Letter,
     LetterKind,
     alphabet,
@@ -19,6 +22,7 @@ from tamilspell.letters import (
     split_mei_uyir,
     tokenize,
 )
+from tamilspell.letters import _BASE_CODE_POINTS, _known_nfc
 
 
 def texts(tokens):
@@ -258,3 +262,25 @@ def test_letter_codepoint_width():
     widths = {len(letter) for letter in alphabet(grantha=True)}
     assert widths == {1, 2, 3, 4}
     assert all(letter.startswith(KSSA) for letter in alphabet(grantha=True) if len(letter) == 4)
+
+
+# Base code points, half of them the marks NFC can act on: the vowel
+# signs, pulli, and the members of the composing pairs, which are drawn
+# twice as often as the rest.
+_PAIR_MEMBERS = ["\u0bc6", "\u0bc7", "\u0bbe", "\u0bd7", "\u0b92"]
+_NFC_RULE_CHARS = st.one_of(
+    st.sampled_from([chr(c) for c in _BASE_CODE_POINTS]),
+    st.sampled_from([*SIGN_TO_UYIR, PULLI, *_PAIR_MEMBERS, *_PAIR_MEMBERS]),
+)
+
+
+@settings(max_examples=500)
+@given(st.text(_NFC_RULE_CHARS, max_size=30))
+@example("கொடு\nகோழி ஔவை")
+@example("க\u0bc6\u0bbe")
+@example("க\u0bc7\u0bbe")
+@example("க\u0bc6\u0bd7")
+@example("\u0b92\u0bd7வை")
+def test_a_text_the_nfc_rule_passes_is_nfc(text):
+    if _known_nfc(text):
+        assert unicodedata.is_normalized("NFC", text)

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import unicodedata
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +102,47 @@ def test_load_wordlist_bad_bytes_reports_line():
     with pytest.raises(WordListError) as err:
         load_wordlist(stream)
     assert ":2:" in str(err.value)
+
+
+def _layout(lex):
+    # The words, the forward trie, the longest word and the letter codes in
+    # the order they were assigned.
+    return sorted(lex.words()), lex._forward, lex.longest, list(lex._code.__self__.items())
+
+
+@pytest.mark.parametrize("composed", [True, False], ids=["nfc", "needs-nfc"])
+def test_a_file_load_equals_a_build_from_its_lines(tmp_path, composed):
+    rng = random.Random(3303)
+    words = [random_letter_word(rng, 1, 6) for _ in range(300)]
+    words += ["கொடு", "கோழி", "கௌரவம்", "ஔவை", "computer"]
+    if not composed:
+        # The NFD spelling of each composing pair: ொ, ோ, ௌ and ஔ, and of a
+        # word listed only so; and a Latin word with é, in both spellings.
+        words += [unicodedata.normalize("NFD", w) for w in ("கொடு", "கோழி", "கௌரவம்", "ஔவை", "தொகை")]
+        words += ["café", unicodedata.normalize("NFD", "café")]
+    rng.shuffle(words)
+    sources = words[:200], words[150:]  # 50 words in both
+    paths = []
+    for i, source in enumerate(sources):
+        lines = ["# a seeded word list", ""]
+        for word in source:
+            lines.append(rng.choice(("", " ", "\t ")) + word + rng.choice(("", "  ")))
+            if rng.random() < 0.05:
+                lines += ["", "# a comment"]
+        paths.append(tmp_path / f"words{i}.txt")
+        # A byte order mark on the first list; CRLF line ends on both.
+        paths[-1].write_bytes(("\ufeff" * (i == 0) + "\r\n".join(lines) + "\r\n").encode())
+    listed = [word for source in sources for word in source]
+    with mock.patch.object(lexicon_module, "_nfc", wraps=lexicon_module._nfc) as nfc:
+        loaded = load_wordlist(*paths)
+    # A list of base code points without a composing pair is not normalized.
+    assert nfc.called is not composed
+    assert _layout(loaded) == _layout(Lexicon(listed))
+    # With every word normalized, as if the rule passed no list, the build
+    # is the same.
+    with mock.patch.object(lexicon_module, "_known_nfc", return_value=False):
+        assert _layout(loaded) == _layout(Lexicon(listed))
+    assert set(loaded.words()) == {unicodedata.normalize("NFC", word) for word in listed}
 
 
 def test_load_wordlist_from_path(tmp_path):
