@@ -11,8 +11,8 @@ NFC-normalizes any other token once, and the lexicon is then probed
 exactly on the normalized token.  A non-word is split into letters once;
 every strategy takes that letter tuple.  ``check_text`` splits a
 document with one function, ``_word_tokens``, which normalizes it only
-when that could change it: a text of ASCII, Tamil-block, joiner,
-General Punctuation and currency code points alone is already NFC unless
+when that could change it: a text of ASCII, Tamil-block, joiner, General
+Punctuation, currency and U+FEFF code points alone is already NFC unless
 it holds one of four composing pairs (``letters._known_nfc`` says why).
 
 Conjoined-split recognition outranks confusable-series substitution,
@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
-from .errors import TamilSpellError, _check_distance, _data_lines
+from .errors import TamilSpellError, _check_distance, _data_fields, _listed_words
 from .letters import _BASE_CODE_POINTS, _OTHER_CHARS, _known_nfc, has_tamil, letter_texts
 
 __all__ = [
@@ -501,10 +501,7 @@ def _word_tokens(text: str) -> list[str]:
 def load_parallel_dict(source) -> dict[str, str]:
     """Read ``foreign<TAB>tamil`` lines into a mapping, both fields NFC and keys case-folded."""
     mapping: dict[str, str] = {}
-    for name, lineno, line in _data_lines(source, TamilSpellError):
-        if "\t" not in line:
-            raise TamilSpellError(f"{name}:{lineno}: expected 'foreign<TAB>tamil'")
-        foreign, tamil = line.split("\t", 1)
+    for name, lineno, foreign, tamil in _data_fields(source, TamilSpellError, "foreign<TAB>tamil"):
         foreign = unicodedata.normalize("NFC", foreign.strip()).casefold()
         tamil = unicodedata.normalize("NFC", tamil.strip())
         if not foreign or not tamil:
@@ -514,8 +511,6 @@ def load_parallel_dict(source) -> dict[str, str]:
 
 
 def load_stop_words(source) -> frozenset[str]:
-    """Read a stop list: one word per line, ``#`` comments allowed."""
-    return frozenset(
-        unicodedata.normalize("NFC", line.strip())
-        for _, _, line in _data_lines(source, TamilSpellError)
-    )
+    """Read a stop list, as a word list is read, into a set of NFC words."""
+    words = _listed_words((source,), TamilSpellError)
+    return frozenset(unicodedata.normalize("NFC", word) for word in words)

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring
 from . import __version__
 from .bundled import bundled_lexicon, bundled_parallel_dict
 from .checker import EngineConfig, SpellChecker, Verdict, load_parallel_dict, load_stop_words
-from .errors import TamilSpellError
+from .errors import TamilSpellError, _data_text
 from .keyboard import load_confusion_matrix
 from .lexicon import load_wordlist
 
@@ -48,15 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stats", action="store_true", help="print engine statistics to stderr")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
-
-
-def _read_text(path: str) -> str:
-    """The document at ``path``; undecodable bytes are a data-file error."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise TamilSpellError(f"{path}: {exc}") from exc
 
 
 def build_engine(args: argparse.Namespace) -> SpellChecker:
@@ -130,7 +121,7 @@ def _check_files(engine: SpellChecker, files: list[str], as_json: bool, out_stre
     results = []
     clean = True
     for path in files:
-        report = engine.check_text(_read_text(path))
+        report = engine.check_text(_data_text(path, TamilSpellError)[1])
         if not report.clean:
             clean = False
         results.append((path, report))

@@ -1,11 +1,11 @@
-"""Exception types raised by the data-file loaders, the line reader they
-share, and the checks the strategies' arguments pass."""
+"""Exception types raised by the data-file loaders, the one reader for
+each input format, and the checks the strategies' arguments pass."""
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from contextlib import nullcontext
-from pathlib import Path
 
 
 class TamilSpellError(Exception):
@@ -45,7 +45,9 @@ def _check_letters(letters) -> None:
 def _data_text(source, error: type[TamilSpellError]) -> tuple[str, str]:
     """``(name, text)``: the name of ``source`` and its whole text, read at once.
 
-    ``source`` is a path, or a text or binary stream named by its ``name``
+    Every input is read here: each data file, and each document the
+    command line checks.  ``source`` is a path (a ``str`` or any
+    ``os.PathLike``), or a text or binary stream named by its ``name``
     attribute.  Bytes are decoded as UTF-8 in one pass.  Undecodable bytes
     raise ``error`` as ``name:lineno: undecodable bytes: <codec message>``
     for the first line that holds some.  The message is the one decoding
@@ -55,7 +57,7 @@ def _data_text(source, error: type[TamilSpellError]) -> tuple[str, str]:
     the line alone.  One byte order mark (U+FEFF) at the start of the text
     is dropped, whether it came as bytes or as text.
     """
-    with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as stream:
+    with open(source, "rb") if isinstance(source, (str, os.PathLike)) else nullcontext(source) as stream:
         name = getattr(stream, "name", "<stream>")
         text = stream.read()
     if isinstance(text, bytes):
@@ -71,16 +73,34 @@ def _data_text(source, error: type[TamilSpellError]) -> tuple[str, str]:
     return name, text.removeprefix("\ufeff")
 
 
-def _data_lines(source, error: type[TamilSpellError]) -> Iterator[tuple[str, int, str]]:
-    """``(name, lineno, line)`` for each line of ``source`` with content.
+def _listed_words(sources, error: type[TamilSpellError]) -> list[str]:
+    """The stripped lines of ``sources`` that are neither blank nor comments, in order.
+
+    This reads word lists and stop lists, one word per line.
+    """
+    words: list[str] = []
+    for source in sources:
+        lines = _data_text(source, error)[1].split("\n")
+        words += [word for word in map(str.strip, lines) if word and word[0] != "#"]
+    return words
+
+
+def _data_fields(
+    source, error: type[TamilSpellError], form: str
+) -> Iterator[tuple[str, int, str, str]]:
+    """``(name, lineno, left, right)`` for each ``left<TAB>right`` line of ``source``.
 
     The text comes from :func:`_data_text`, so a bad byte anywhere in the
     source is reported before any line is given.  Lines are split at
-    ``\\n`` and come back unstripped, so that a tab at either end still
-    separates fields; blank lines and ``#`` comments are skipped.
+    ``\\n``, and blank lines and ``#`` comments are skipped.  Each other
+    line is split at its first tab, and the fields come back unstripped; a
+    line with no tab raises ``error`` as ``name:lineno: expected '<form>'``.
     """
     name, text = _data_text(source, error)
     for lineno, line in enumerate(text.split("\n"), start=1):
         content = line.strip()
         if content and not content.startswith("#"):
-            yield name, lineno, line
+            left, tab, right = line.partition("\t")
+            if not tab:
+                raise error(f"{name}:{lineno}: expected '{form}'")
+            yield name, lineno, left, right

@@ -27,7 +27,7 @@ from __future__ import annotations
 import unicodedata
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import MatrixFormatError, _check_distance, _check_letters, _data_lines
+from .errors import MatrixFormatError, _check_distance, _check_letters, _data_fields
 from .letters import UYIRMEI, Letter, LetterKind, letter_texts, tokenize
 
 __all__ = [
@@ -109,10 +109,8 @@ def load_confusion_matrix(source) -> ConfusionMatrix:
     Repeated keys extend the earlier neighbour list.
     """
     table: dict[str, tuple[str, ...]] = {}
-    for name, lineno, line in _data_lines(source, MatrixFormatError):
-        if "\t" not in line:
-            raise MatrixFormatError(f"{name}:{lineno}: expected 'letter<TAB>neighbours'")
-        key_field, alt_field = line.split("\t", 1)
+    fields = _data_fields(source, MatrixFormatError, "letter<TAB>neighbours")
+    for name, lineno, key_field, alt_field in fields:
         try:
             key, alts = _entry(key_field.strip(), alt_field.split())
         except MatrixFormatError as exc:

@@ -128,12 +128,13 @@ def has_tamil(text: str) -> bool:
 
 # The base code points are ASCII, the Tamil block, ZWNJ/ZWJ, the no-break
 # space, General Punctuation from U+2010 (dashes, quotes, bullets, per mille,
-# primes, the separators and the invisible format characters) and the
+# primes, the separators and the invisible format characters), the
 # Currency Symbols (U+20A0-U+20C0, with the rupee sign), which typeset
-# Tamil text uses; any other code point is "other".
+# Tamil text uses, and U+FEFF, the byte order mark an editor may leave in
+# a pasted text or a joined file; any other code point is "other".
 _BASE_CODE_POINTS = (
     *range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D,
-    *range(0x2010, 0x2065), *range(0x20A0, 0x20C1),
+    *range(0x2010, 0x2065), *range(0x20A0, 0x20C1), 0xFEFF,
 )
 _OTHER_CHARS = re.compile("[^%s]" % re.escape("".join(map(chr, _BASE_CODE_POINTS))))
 

@@ -40,7 +40,7 @@ from bisect import bisect_right, insort
 from collections.abc import Container, Iterable, Iterator, Sequence
 from functools import partial
 
-from .errors import WordListError, _data_text
+from .errors import WordListError, _listed_words
 from .letters import _known_nfc, letter_texts
 
 __all__ = ["Lexicon", "load_wordlist"]
@@ -561,13 +561,4 @@ def load_wordlist(*sources) -> Lexicon:
     """
     # The lexicon gets the list as an iterator, the list's only holder,
     # which lets it go once consumed: so it is freed before the trie build.
-    return Lexicon(iter(_listed_words(sources)))
-
-
-def _listed_words(sources) -> list[str]:
-    """The stripped lines of ``sources`` that are neither blank nor comments, in order."""
-    words: list[str] = []
-    for source in sources:
-        lines = _data_text(source, WordListError)[1].split("\n")
-        words += [word for word in map(str.strip, lines) if word and word[0] != "#"]
-    return words
+    return Lexicon(iter(_listed_words(sources, WordListError)))

@@ -30,7 +30,7 @@ from tamilspell.checker import (
     load_stop_words,
 )
 from tamilspell.edits import letter_edit_distance
-from tamilspell.errors import MatrixFormatError, TamilSpellError, WordListError
+from tamilspell.errors import MatrixFormatError, TamilSpellError, WordListError, _data_text
 from tamilspell.keyboard import ConfusionMatrix, load_confusion_matrix
 from tamilspell.letters import alphabet, letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
@@ -527,7 +527,7 @@ _BASE_CHARS = [
     chr(c)
     for c in (
         *range(0x80), 0xA0, *range(0x0B80, 0x0C00), 0x200C, 0x200D,
-        *range(0x2010, 0x2065), *range(0x20A0, 0x20C1),
+        *range(0x2010, 0x2065), *range(0x20A0, 0x20C1), 0xFEFF,
     )
 ]
 
@@ -592,6 +592,22 @@ def test_check_text_splits_currency_and_per_mille_without_normalizing(fixture_le
     report = eng.check_text("பழம் ₹50 பளம்‰ computer‰₹ பழம்")
     assert normalized == []
     tokens = ["பழம்", "50", "பளம்", "computer", "பழம்"]
+    assert report.tokens == tuple(map(eng.check_word, tokens))
+
+
+def test_check_text_splits_a_byte_order_mark_without_normalizing(fixture_lexicon, monkeypatch):
+    # U+FEFF is a base code point: a text with a leading byte order mark,
+    # or the same code point inside it as a zero-width no-break space, is
+    # answered as NFC, and U+FEFF ends a token as a space does.
+    normalize = unicodedata.normalize
+    normalized = []
+    eng = engine(fixture_lexicon)
+    monkeypatch.setattr(
+        unicodedata, "normalize", lambda form, text: normalized.append(text) or normalize(form, text)
+    )
+    report = eng.check_text("\ufeffபழம் பளம்\ufeffcomputer\r\nபழம்\ufeff")
+    assert normalized == []
+    tokens = ["பழம்", "பளம்", "computer", "பழம்"]
     assert report.tokens == tuple(map(eng.check_word, tokens))
 
 
@@ -920,6 +936,51 @@ def test_load_stop_words(tmp_path):
     assert load_stop_words(path) == frozenset({"ஒரு", "அந்த"})
 
 
+def test_stop_list_is_read_as_a_word_list_is():
+    # A byte order mark, CRLF line ends, comments, blank and white-space
+    # lines, an NFD word and a duplicate: the set holds each NFC word once.
+    koli = "கோழி"
+    text = f"\ufeffஒரு\r\n# comment\r\n\r\n  \r\n {unicodedata.normalize('NFD', koli)}\t\r\nஒரு\r\nஅந்த"
+    want = frozenset({"ஒரு", koli, "அந்த"})
+    for source in (io.BytesIO(text.encode()), io.StringIO(text)):
+        assert load_stop_words(source) == want
+    assert set(load_wordlist(io.BytesIO(text.encode())).words()) == want
+
+
+@pytest.mark.parametrize(
+    "loader, error, form",
+    [
+        (load_confusion_matrix, MatrixFormatError, "letter<TAB>neighbours"),
+        (load_parallel_dict, TamilSpellError, "foreign<TAB>tamil"),
+    ],
+    ids=["matrix", "parallel"],
+)
+def test_tab_loaders_name_a_line_without_a_tab(tmp_path, loader, error, form):
+    text = "# comment\n\nக்\tல்\nno tab here\n"
+    path = tmp_path / "no-tab.tsv"
+    path.write_text(text, encoding="utf-8")
+    for source, name in ((path, str(path)), (io.StringIO(text), "<stream>")):
+        with pytest.raises(TamilSpellError) as err:
+            loader(source)
+        assert type(err.value) is error
+        assert str(err.value) == f"{name}:4: expected '{form}'"
+
+
+def read_document(source) -> str:
+    """A document's text, read as the command line reads each FILE."""
+    return _data_text(source, TamilSpellError)[1]
+
+
+class FsPath:
+    """A path-like object that is neither a str nor a Path."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __fspath__(self):
+        return self.path
+
+
 # Each file is good lines (G) and one bad line (B: an invalid start byte;
 # C: a letter whose three bytes are cut to two), with the bad line's number.
 _BAD_FILES = {
@@ -938,6 +999,7 @@ _BAD_FILES = {
         (load_confusion_matrix, MatrixFormatError, "க்\tல்"),
         (load_parallel_dict, TamilSpellError, "computer\tகணினி"),
         (load_stop_words, TamilSpellError, "ஒரு"),
+        (read_document, TamilSpellError, "பழம் பளம்"),
     ],
 )
 def test_loaders_name_the_undecodable_line(tmp_path, loader, error, first_line):
@@ -950,7 +1012,8 @@ def test_loaders_name_the_undecodable_line(tmp_path, loader, error, first_line):
             data.splitlines(keepends=True)[lineno - 1].decode("utf-8")
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
-        for source, name in ((str(path), str(path)), (path, str(path)), (io.BytesIO(data), "<stream>")):
+        sources = ((str(path), str(path)), (path, str(path)), (FsPath(path), str(path)))
+        for source, name in (*sources, (io.BytesIO(data), "<stream>")):
             with pytest.raises(TamilSpellError) as err:
                 loader(source)
             assert type(err.value) is error, case
@@ -973,8 +1036,9 @@ def test_a_bad_byte_is_reported_before_an_earlier_format_error():
         (load_confusion_matrix, "க்\tல்\n", lambda cm: (len(cm), cm.alternates_for("க்")), (1, ("ல்",))),
         (load_parallel_dict, "computer\tகணினி\n", dict, {"computer": "கணினி"}),
         (load_stop_words, "ஒரு\nஅந்த\n", set, {"ஒரு", "அந்த"}),
+        (read_document, "பழம்\nகல்\n", str, "பழம்\nகல்\n"),
     ],
-    ids=["wordlist", "matrix", "parallel", "stop-words"],
+    ids=["wordlist", "matrix", "parallel", "stop-words", "document"],
 )
 def test_loaders_drop_a_leading_byte_order_mark(tmp_path, loader, text, view, want):
     # Editors that save "UTF-8 with BOM" put U+FEFF before the first line;
@@ -982,7 +1046,7 @@ def test_loaders_drop_a_leading_byte_order_mark(tmp_path, loader, text, view, wa
     data = ("\ufeff" + text).encode()
     path = tmp_path / "bom.txt"
     path.write_bytes(data)
-    for source in (path, io.BytesIO(data), io.StringIO("\ufeff" + text)):
+    for source in (path, FsPath(path), io.BytesIO(data), io.StringIO("\ufeff" + text)):
         assert view(loader(source)) == want
 
 

@@ -203,6 +203,24 @@ def test_wordlist_saved_with_a_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_document_saved_with_a_byte_order_mark_and_crlf(tmp_path, wordlist, capsys):
+    # The mark is dropped, and a CR ends a token as a line feed does: the
+    # findings and tokens are the plain document's.
+    text = "பழம் பளம்\nதென்றல்காற்று computer\n"
+    plain = write_doc(tmp_path, "plain.txt", text)
+    saved = tmp_path / "saved.txt"
+    saved.write_bytes(("\ufeff" + text.replace("\n", "\r\n")).encode())
+    outputs = []
+    for path in (plain, str(saved)):
+        tsv_status = main([path, "--dict", wordlist])
+        tsv = capsys.readouterr().out.replace(path, "FILE")
+        json_status = main([path, "--dict", wordlist, "--json"])
+        tokens = json.loads(capsys.readouterr().out)[0]["tokens"]
+        outputs.append((tsv_status, tsv, json_status, tokens))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1 and len(outputs[0][3]) == 4
+
+
 def test_batch_conjoined_finding_still_exits_zero(tmp_path, wordlist, capsys):
     doc = write_doc(tmp_path, "doc.txt", "தென்றல்காற்று\n")
     status = main([doc, "--dict", wordlist])
@@ -320,7 +338,7 @@ def test_undecodable_document_exits_two(tmp_path, wordlist, capsys):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"tamilspell: error: {bad}: ")
+    assert captured.err.startswith(f"tamilspell: error: {bad}:2: undecodable bytes: ")
     assert "can't decode byte 0xff" in captured.err
 
 
