@@ -25,10 +25,8 @@ from .checker import (
 from .errors import MatrixFormatError, TamilSpellError, WordListError
 from .keyboard import ConfusionMatrix, load_confusion_matrix
 from .letters import (
-    Alphabet,
     Letter,
     LetterKind,
-    alphabet,
     is_tamil_codepoint,
     join_mei_uyir,
     split_mei_uyir,
@@ -39,7 +37,6 @@ from .lexicon import Lexicon, load_wordlist
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "CheckReport",
     "ConfusionMatrix",
     "EngineConfig",
@@ -55,7 +52,6 @@ __all__ = [
     "Verdict",
     "WordListError",
     "__version__",
-    "alphabet",
     "is_tamil_codepoint",
     "join_mei_uyir",
     "load_confusion_matrix",

@@ -1,4 +1,4 @@
-"""Tamil script model: code-point screening, letter tokenization, alphabets.
+"""Tamil script model: code-point screening, letter tokenization.
 
 Tamil is an abugida, so a "letter" is usually a grapheme built from more
 than one code point: a consonant plus pulli forms a mei (க + ் = க்), a
@@ -6,7 +6,8 @@ consonant alone carries an implicit அ, and a consonant plus a vowel sign
 forms the other uyirmei shapes (க + ா = கா).  Edit operations that work on
 raw code points produce garbage (deleting the ா from கா yields a different
 letter, not a shorter word), so everything downstream runs on the letter
-sequences produced by :func:`tokenize`.
+texts produced by :func:`letter_texts`; the four strategies reject a
+word's text or a sequence of :class:`Letter` objects.
 
 Splitting is one compiled regular expression: a consonant (the conjunct
 க்ஷ tried first) with an optional pulli or vowel sign, or else any single
@@ -15,13 +16,6 @@ code point.  :func:`letter_texts` returns those texts as they are;
 holds a shared :class:`Letter` for every Tamil letter and every lone mark
 (``Letter`` is frozen, so sharing is safe), and wraps any other code
 point as an OTHER letter.
-
-Two alphabet tables are provided.  The standard table has 247 letters:
-12 uyir, the ayudham ஃ, 18 mei and 216 uyirmei.  The extended table adds
-the grantha consonants for 323 letters: mei forms for ஜ ஷ ஸ ஹ plus the
-twelve vowel forms for each of ஜ ஷ ஸ ஹ க்ஷ ஶ.  The conjunct க்ஷ is treated
-as a single consonant by the tokenizer; க்ஷ் and ஶ் therefore remain
-tokenizable even though the table does not count them.
 """
 
 from __future__ import annotations
@@ -58,8 +52,6 @@ CONSONANTS = (
     "ம", "ய", "ர", "ல", "வ", "ழ", "ள", "ற", "ன",
 )
 GRANTHA_CONSONANTS = ("ஜ", "ஷ", "ஸ", "ஹ", KSSA, "ஶ")
-# Grantha consonants whose mei form counts toward the 323-letter table.
-_GRANTHA_WITH_MEI = ("ஜ", "ஷ", "ஸ", "ஹ")
 
 
 class LetterKind(Enum):
@@ -73,11 +65,6 @@ class LetterKind(Enum):
     MALFORMED = "malformed"  # combining mark with no consonant to attach to
 
 
-_LETTER_KINDS = frozenset(
-    {LetterKind.UYIR, LetterKind.AYUDHAM, LetterKind.MEI, LetterKind.UYIRMEI}
-)
-
-
 @dataclass(frozen=True, slots=True)
 class Letter:
     """One tokenizer token: a Tamil letter, or a pass-through code point."""
@@ -85,29 +72,8 @@ class Letter:
     text: str
     kind: LetterKind
 
-    @property
-    def is_tamil_letter(self) -> bool:
-        return self.kind in _LETTER_KINDS
-
     def __str__(self) -> str:
         return self.text
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """An ordered letter table: the standard letters, or those and the grantha ones."""
-
-    letters: tuple[str, ...]
-    includes_grantha: bool
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __contains__(self, letter: object) -> bool:
-        return letter in self.letters
 
 
 def is_tamil_codepoint(ch: str) -> bool:
@@ -242,28 +208,3 @@ def join_mei_uyir(mei: Letter | str, uyir: Letter | str) -> Letter:
     if u.kind is not LetterKind.UYIR:
         raise ValueError(f"not an uyir letter: {u.text!r}")
     return _LETTERS[UYIRMEI[m.text][u.text]]
-
-
-def _build_alphabet(grantha: bool) -> Alphabet:
-    letters: list[str] = list(UYIR_LETTERS)
-    letters.append(AYUDHAM)
-    vowel_order = tuple(VOWEL_SIGNS[u] for u in UYIR_LETTERS)
-    for cons in CONSONANTS:
-        letters.append(cons + PULLI)
-        letters.extend(cons + sign for sign in vowel_order)
-    if grantha:
-        for cons in _GRANTHA_WITH_MEI:
-            letters.append(cons + PULLI)
-            letters.extend(cons + sign for sign in vowel_order)
-        for cons in (KSSA, "ஶ"):
-            letters.extend(cons + sign for sign in vowel_order)
-    return Alphabet(tuple(letters), grantha)
-
-
-_STANDARD = _build_alphabet(grantha=False)
-_GRANTHA = _build_alphabet(grantha=True)
-
-
-def alphabet(grantha: bool = False) -> Alphabet:
-    """The 247-letter table, or the 323-letter table with ``grantha=True``."""
-    return _GRANTHA if grantha else _STANDARD

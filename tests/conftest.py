@@ -6,7 +6,7 @@ import re
 import pytest
 
 from tamilspell.bundled import bundled_confusion_matrix, bundled_lexicon, bundled_parallel_dict
-from tamilspell.letters import alphabet
+from oracles import LETTERS
 from tamilspell.lexicon import Lexicon
 
 _ACCEPTANCE_TEST = re.compile(r"test_acceptance\.py::test_c(\d+)_")
@@ -77,6 +77,6 @@ def random_letter_word(rng: random.Random, min_len: int = 1, max_len: int = 6) -
     merging pair, க் + ஷ…, needs a grantha letter), so the word's
     tokenization is exactly the letters drawn.
     """
-    table = alphabet().letters
+    table = LETTERS
     n = rng.randint(min_len, max_len)
     return "".join(rng.choice(table) for _ in range(n))

@@ -1,6 +1,7 @@
 """Independent brute-force oracles the tests compare the package against.
 
-Everything here is written the slow, obvious way on purpose: list
+Everything here is written the slow, obvious way on purpose: the letter
+table listed consonant by consonant and sign by sign, list
 comprehensions over letter tuples, breadth-first search for distances,
 itertools enumeration for lattices, per-code-point loops for letters and
 for word tokens, string prefixes for a letter's consonant.  No package
@@ -26,6 +27,25 @@ from tamilspell.letters import (
 from tamilspell.mayangoli import DEFAULT_SERIES
 
 _SINGLE_CONSONANTS = frozenset(CONSONANTS) | {"ஜ", "ஷ", "ஸ", "ஹ", "ஶ"}
+
+
+def letter_table(grantha: bool = False) -> tuple[str, ...]:
+    """The 247 Tamil letters, or the 323 with the grantha ones, in script order.
+
+    Uyir, then ஃ, then per consonant its mei, its bare form and one form
+    per vowel sign; grantha adds ஜ ஷ ஸ ஹ the same way, then க்ஷ and ஶ
+    without their mei.
+    """
+    marks = (PULLI, "", *SIGN_TO_UYIR)
+    table = [*UYIR_LETTERS, AYUDHAM, *(c + m for c in CONSONANTS for m in marks)]
+    if grantha:
+        table += (c + m for c in ("ஜ", "ஷ", "ஸ", "ஹ") for m in marks)
+        table += (c + m for c in (KSSA, "ஶ") for m in marks[1:])
+    return tuple(table)
+
+
+LETTERS = letter_table()
+GRANTHA_LETTERS = letter_table(grantha=True)
 
 
 def reference_tokenize(text: str) -> list[Letter]:

@@ -7,6 +7,7 @@ counts are pinned here, not sampled at run time.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import random
@@ -24,8 +25,13 @@ from tamilspell import edits, keyboard
 from tamilspell.conjoined import SplitKind, recognize
 from tamilspell.keyboard import ConfusionMatrix
 from tamilspell.letters import (
+    AYUDHAM,
+    KSSA,
+    PULLI,
+    SIGN_TO_UYIR,
+    UYIR_LETTERS,
     LetterKind,
-    alphabet,
+    _LETTERS,
     classify,
     is_tamil_codepoint,
     join_mei_uyir,
@@ -115,22 +121,38 @@ def test_c3_ottru_split_structure():
 # ------------------------------------------------------------------ C4
 
 
+def _oracle_kind(letter: str) -> LetterKind:
+    if letter in UYIR_LETTERS:
+        return LetterKind.UYIR
+    if letter == AYUDHAM:
+        return LetterKind.AYUDHAM
+    return LetterKind.MEI if letter.endswith(PULLI) else LetterKind.UYIRMEI
+
+
 def test_c4_alphabet_totals():
-    standard = alphabet()
-    grantha = alphabet(grantha=True)
-    assert len(standard) == 247
-    assert len(grantha) == 323
+    # The package's one letter table holds exactly the oracle's 323
+    # letters, the two grantha mei those leave out and the lone marks.
+    expected = {letter: _oracle_kind(letter) for letter in oracles.GRANTHA_LETTERS}
+    assert len(expected) == len(oracles.GRANTHA_LETTERS) == 323
+    assert collections.Counter(expected.values()) == {
+        LetterKind.UYIR: 12, LetterKind.AYUDHAM: 1, LetterKind.MEI: 22, LetterKind.UYIRMEI: 288
+    }
+    expected.update(dict.fromkeys((KSSA + PULLI, "ஶ" + PULLI), LetterKind.MEI))
+    expected.update(dict.fromkeys((PULLI, *SIGN_TO_UYIR), LetterKind.MALFORMED))
+    assert len(expected) == 337
+    got = {text: (letter.text, letter.kind) for text, letter in _LETTERS.items()}
+    assert got == {text: (text, kind) for text, kind in expected.items()}
 
     round_tripped = {}
-    for name, table in (("standard", standard), ("grantha", grantha)):
-        compounds = [lt for lt in table.letters if classify(lt).kind is LetterKind.UYIRMEI]
+    for name, table in (("standard", oracles.LETTERS), ("grantha", oracles.GRANTHA_LETTERS)):
+        compounds = [lt for lt in table if expected[lt] is LetterKind.UYIRMEI]
         for letter in compounds:
             mei, uyir = split_mei_uyir(letter)
             assert join_mei_uyir(mei, uyir).text == letter
         round_tripped[name] = len(compounds)
     assert round_tripped["standard"] == 216
     assert round_tripped["grantha"] == 288
-    detail(4, "247/323 letters; 216+288 uyirmei split/join round-trips")
+    detail(4, "337 entries (323 letters, 2 grantha mei, 12 marks) equal the oracle's; 216+288 uyirmei split/join round-trips")
 
 
 # ------------------------------------------------------------------ C5
@@ -173,7 +195,7 @@ def test_c5_edit_counts_and_oracle_equality():
 
 def test_c6_pruned_lattice_equals_oracle():
     rng = random.Random(66)
-    table = alphabet().letters
+    table = oracles.LETTERS
     table_set = set(table)
     strict = 0
     for _ in range(500):

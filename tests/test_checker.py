@@ -32,10 +32,10 @@ from tamilspell.checker import (
 from tamilspell.edits import letter_edit_distance
 from tamilspell.errors import MatrixFormatError, TamilSpellError, WordListError, _data_text
 from tamilspell.keyboard import ConfusionMatrix, load_confusion_matrix
-from tamilspell.letters import alphabet, letter_texts
+from tamilspell.letters import letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
 from conftest import random_letter_word
-from oracles import reference_word_tokens
+from oracles import LETTERS, reference_word_tokens
 from test_walks import _random_lexicon
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -755,7 +755,7 @@ _TWO_PART_WORDS = sorted(
 @given(
     st.sampled_from(_TWO_PART_WORDS),
     st.lists(
-        st.tuples(st.booleans(), st.integers(0, 20), st.sampled_from(alphabet().letters)),
+        st.tuples(st.booleans(), st.integers(0, 20), st.sampled_from(LETTERS)),
         max_size=2,
     ),
 )

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import random_letter_word
 from tamilspell.edits import letter_edit_distance, suggest
-from tamilspell.letters import alphabet, letter_texts, tokenize
+from tamilspell.letters import letter_texts, tokenize
 from tamilspell.lexicon import Lexicon
 
 AK = ("அ", "க")
@@ -62,7 +62,7 @@ def test_suggest_rejects_anything_but_letter_texts(word, fixture_lexicon):
 def test_edits_n_matches_oracle_small():
     # A lexicon that holds every oracle candidate gives them all back.
     rng = random.Random(4021)
-    table = alphabet().letters
+    table = oracles.LETTERS
     for _ in range(25):
         alpha = tuple(rng.sample(table, rng.randint(1, 3)))
         letters = tuple(rng.choice(table) for _ in range(rng.randint(1, 3)))
@@ -134,7 +134,7 @@ def test_distance_matches_bfs_oracle(seed):
 
 def test_candidates_stay_within_distance():
     rng = random.Random(99)
-    table = alphabet().letters
+    table = oracles.LETTERS
     for _ in range(10):
         alpha = tuple(rng.sample(table, 3))
         words = Lexicon("".join(w) for n in range(1, 6) for w in itertools.product(alpha, repeat=n))

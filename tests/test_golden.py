@@ -34,16 +34,17 @@ from pathlib import Path
 import pytest
 
 import tamilspell.checker
+from oracles import LETTERS
 from tamilspell.bundled import bundled_confusion_matrix, bundled_lexicon
 from tamilspell.checker import EngineConfig, SpellChecker
 from tamilspell.cli import main
-from tamilspell.letters import alphabet, letter_texts
+from tamilspell.letters import letter_texts
 from tamilspell.lexicon import Lexicon
 
 GOLDEN = Path(__file__).with_name("golden")
 DOCUMENT = "document.txt"
 SERIES = ("லழள", "ரற", "நனண", "ஙஞ")
-TABLE = alphabet().letters
+TABLE = LETTERS
 
 
 def _swap_series(letters: tuple[str, ...], rng: random.Random) -> tuple[str, ...] | None:

@@ -9,7 +9,7 @@ import oracles
 from conftest import random_letter_word
 from tamilspell.errors import MatrixFormatError
 from tamilspell.keyboard import ConfusionMatrix, corrections, load_confusion_matrix
-from tamilspell.letters import alphabet, letter_texts, tokenize
+from tamilspell.letters import letter_texts, tokenize
 from tamilspell.lexicon import Lexicon
 
 
@@ -135,7 +135,7 @@ def test_patterns_through_uyirmei():
 
 
 def _random_matrix(rng: random.Random) -> ConfusionMatrix:
-    table = alphabet().letters
+    table = oracles.LETTERS
     keys = rng.sample(table, rng.randint(2, 6))
     mapping = {}
     for key in keys:

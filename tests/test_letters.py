@@ -1,19 +1,20 @@
 from __future__ import annotations
 
+import collections
 import unicodedata
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_tokenize
+from oracles import GRANTHA_LETTERS, LETTERS, reference_tokenize
 from tamilspell.letters import (
     AYUDHAM,
+    GRANTHA_CONSONANTS,
     KSSA,
     PULLI,
     SIGN_TO_UYIR,
     Letter,
     LetterKind,
-    alphabet,
     classify,
     has_tamil,
     is_tamil_codepoint,
@@ -22,7 +23,7 @@ from tamilspell.letters import (
     split_mei_uyir,
     tokenize,
 )
-from tamilspell.letters import _BASE_CODE_POINTS, _known_nfc
+from tamilspell.letters import _BASE_CODE_POINTS, _LETTERS, _known_nfc
 
 
 def texts(tokens):
@@ -155,12 +156,11 @@ def test_tokenize_equals_reference_loop(text):
 
 
 def test_every_table_letter_is_one_token():
-    for grantha in (False, True):
-        for letter in alphabet(grantha):
-            tokens = tokenize(letter)
-            assert len(tokens) == 1, letter
-            assert tokens[0].text == letter
-            assert tokens[0].is_tamil_letter
+    for letter in GRANTHA_LETTERS:
+        tokens = tokenize(letter)
+        assert len(tokens) == 1, letter
+        assert tokens[0].text == letter
+        assert tokens[0].kind not in (LetterKind.OTHER, LetterKind.MALFORMED)
 
 
 # --------------------------------------------------------------------- #
@@ -208,7 +208,7 @@ def test_join_rejects_wrong_kinds():
 
 def test_split_join_round_trip_whole_table():
     seen = 0
-    for letter in alphabet(grantha=True):
+    for letter in GRANTHA_LETTERS:
         token = classify(letter)
         if token.kind is not LetterKind.UYIRMEI:
             continue
@@ -219,49 +219,46 @@ def test_split_join_round_trip_whole_table():
 
 
 # --------------------------------------------------------------------- #
-# alphabet tables
+# the package's letter table (C4 checks it entry by entry against the oracle)
 
 
 def test_alphabet_sizes():
-    assert len(alphabet()) == 247
-    assert len(alphabet(grantha=True)) == 323
+    assert len(_LETTERS) == 337
+    assert sum(lt.kind is not LetterKind.MALFORMED for lt in _LETTERS.values()) == 323 + 2
 
 
 def test_alphabet_letters_unique():
-    for grantha in (False, True):
-        letters = alphabet(grantha).letters
-        assert len(set(letters)) == len(letters)
+    # Each entry is keyed by its own text, so no two share a Letter.
+    assert all(text == lt.text for text, lt in _LETTERS.items())
 
 
 def test_grantha_extends_standard():
-    standard = alphabet().letters
-    grantha = alphabet(grantha=True).letters
-    assert grantha[: len(standard)] == standard
+    # Past the 247 standard letters come only the grantha ones and the marks.
+    assert set(LETTERS) <= _LETTERS.keys()
+    for text in _LETTERS.keys() - set(LETTERS):
+        assert text.startswith(GRANTHA_CONSONANTS) or _LETTERS[text].kind is LetterKind.MALFORMED, text
 
 
 def test_alphabet_composition():
-    table = alphabet().letters
-    by_kind = {}
-    for letter in table:
-        by_kind.setdefault(classify(letter).kind, []).append(letter)
-    assert len(by_kind[LetterKind.UYIR]) == 12
-    assert len(by_kind[LetterKind.AYUDHAM]) == 1
-    assert len(by_kind[LetterKind.MEI]) == 18
-    assert len(by_kind[LetterKind.UYIRMEI]) == 216
+    kinds = collections.Counter(lt.kind for lt in _LETTERS.values())
+    assert kinds == {
+        LetterKind.UYIR: 12,
+        LetterKind.AYUDHAM: 1,
+        LetterKind.MEI: 24,
+        LetterKind.UYIRMEI: 288,
+        LetterKind.MALFORMED: 12,
+    }
 
 
 def test_alphabet_codepoints_are_tamil():
-    for letter in alphabet(grantha=True):
-        assert all(is_tamil_codepoint(ch) for ch in letter)
+    for letter in _LETTERS:
+        assert all(is_tamil_codepoint(ch) for ch in letter), letter
 
 
 def test_letter_codepoint_width():
-    # Standard letters span 1..3 code points; only signed க்ஷ forms reach 4.
-    for letter in alphabet():
-        assert 1 <= len(letter) <= 3
-    widths = {len(letter) for letter in alphabet(grantha=True)}
-    assert widths == {1, 2, 3, 4}
-    assert all(letter.startswith(KSSA) for letter in alphabet(grantha=True) if len(letter) == 4)
+    # Letters and marks span 1..3 code points; only the க்ஷ forms reach 4.
+    assert {len(letter) for letter in _LETTERS} == {1, 2, 3, 4}
+    assert all(letter.startswith(KSSA) for letter in _LETTERS if len(letter) == 4)
 
 
 # Base code points, half of them the marks NFC can act on: the vowel

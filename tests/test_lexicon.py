@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_letter_word
-from oracles import capped_distance
+from oracles import GRANTHA_LETTERS, LETTERS, capped_distance
 import tamilspell
 from tamilspell import lexicon as lexicon_module
 from tamilspell.edits import letter_edit_distance
 from tamilspell.errors import WordListError
 from tamilspell.lexicon import Lexicon, load_wordlist
-from tamilspell.letters import alphabet, letter_texts
+from tamilspell.letters import letter_texts
 
 
 def test_membership_basics(make_lexicon):
@@ -162,10 +162,10 @@ def test_fixture_lexicon_contents(fixture_lexicon):
 
 
 def test_fixture_words_tokenize_cleanly(fixture_lexicon):
-    from tamilspell.letters import tokenize
+    from tamilspell.letters import LetterKind, tokenize
 
     for word in fixture_lexicon.words():
-        assert all(t.is_tamil_letter for t in tokenize(word)), word
+        assert all(t.kind not in (LetterKind.OTHER, LetterKind.MALFORMED) for t in tokenize(word)), word
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -231,7 +231,7 @@ def _near(rng: random.Random, word: str, pool) -> str:
 def test_more_than_256_letters():
     # Letter codes past 255 no longer fit one byte.
     rng = random.Random(256)
-    pool = list(alphabet(grantha=True).letters) + list(string.ascii_letters + string.digits)
+    pool = list(GRANTHA_LETTERS) + list(string.ascii_letters + string.digits)
     words = ["".join(pool[i : i + 3]) for i in range(0, len(pool), 3)]
     words += ["".join(rng.choice(pool) for _ in range(rng.randint(1, 4))) for _ in range(250)]
     assert len({letter for w in words for letter in letter_texts(w)}) > 256
@@ -290,7 +290,7 @@ def test_every_query_length_around_the_split_walks_exactly():
     for ed in (1, 2, 3):
         for m in range(1, 2 * ed + 2):
             for _ in range(4):
-                letters = rng.sample(alphabet().letters, 4)
+                letters = rng.sample(LETTERS, 4)
                 words = {
                     "".join(rng.choice(letters) for _ in range(rng.randint(1, m + ed)))
                     for _ in range(rng.randint(50, 300))
@@ -355,7 +355,7 @@ def test_too_many_distinct_letters_is_a_word_list_error(monkeypatch):
     # Letters are coded as characters, so there is a largest letter count;
     # past it the build refuses rather than confusing two letters.
     monkeypatch.setattr(lexicon_module, "_MAX_LETTERS", 300)
-    table = alphabet(grantha=True).letters
+    table = GRANTHA_LETTERS
     lex = Lexicon(table[:300])
     assert all(lex.contains_letters((letter,)) for letter in table[:300])
     with pytest.raises(WordListError):
@@ -415,7 +415,7 @@ def test_dense_lexicons_walk_exactly():
     # are reached again at several depths, and several walks run on each
     # lexicon.  Brute-force distances to every word are the referee.
     rng = random.Random(1717)
-    table = alphabet().letters
+    table = LETTERS
     found = 0
     for _ in range(8):
         letters = rng.sample(table, rng.randint(3, 4))
@@ -472,7 +472,7 @@ def test_walk_setup_stays_linear_in_the_query(fixture_lexicon):
     # reversed trie is built first.
     fixture_lexicon.within_distance(("க",) * 4, 2)
     rng = random.Random(10_000)
-    query = tuple(rng.choice(alphabet().letters) for _ in range(10_000))
+    query = tuple(rng.choice(LETTERS) for _ in range(10_000))
     counts = {"lines": 0}
 
     def local(frame, event, arg):
@@ -544,7 +544,7 @@ def test_each_split_half_equals_its_capped_oracle():
     rng = random.Random(2002)
     checked = 0
     for _ in range(150):
-        letters = rng.sample(alphabet().letters, rng.randint(2, 5))
+        letters = rng.sample(LETTERS, rng.randint(2, 5))
         words = {
             "".join(rng.choice(letters) for _ in range(rng.randint(1, 7)))
             for _ in range(rng.randint(5, 40))
@@ -572,7 +572,7 @@ def test_capped_oracle_halves_give_the_distance():
     # neither half reaches a word beyond ed.
     rng = random.Random(2004)
     for _ in range(600):
-        letters = rng.sample(alphabet().letters, rng.randint(2, 4))
+        letters = rng.sample(LETTERS, rng.randint(2, 4))
         word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
         query = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
         distance = letter_edit_distance(query, word)
@@ -596,7 +596,7 @@ def test_wide_nodes_walk_exactly():
     # of children, most of which the walk steps over.  Brute-force
     # distances to every word are the referee.
     rng = random.Random(4040)
-    letters = rng.sample(alphabet().letters, 40)
+    letters = rng.sample(LETTERS, 40)
     words = set()
     while len(words) < 2_000:
         words.add("".join(rng.choice(letters) for _ in range(rng.choice((1, 2, 2, 3, 3, 4, 5, 6)))))

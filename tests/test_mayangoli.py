@@ -8,7 +8,7 @@ import oracles
 from conftest import random_letter_word
 from tamilspell import mayangoli
 from tamilspell.lexicon import Lexicon
-from tamilspell.letters import alphabet, letter_texts, split_mei_uyir, tokenize
+from tamilspell.letters import letter_texts, split_mei_uyir, tokenize
 from tamilspell.mayangoli import DEFAULT_SERIES, suggest
 
 
@@ -28,8 +28,8 @@ def test_default_series_families():
 def test_series_table_equals_the_oracle():
     # Every letter's alternates, grantha included, against the series
     # derived from consonants and vowel signs.
-    assert set(mayangoli._ALTERNATES) <= set(alphabet(grantha=True))
-    for letter in alphabet(grantha=True):
+    assert set(mayangoli._ALTERNATES) <= set(oracles.GRANTHA_LETTERS)
+    for letter in oracles.GRANTHA_LETTERS:
         want = {(alt,) for alt in mayangoli._ALTERNATES.get(letter, ())}
         assert oracles.series_variants((letter,)) == want, letter
 

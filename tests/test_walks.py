@@ -21,10 +21,10 @@ from tamilspell.checker import EngineConfig, SpellChecker, Verdict
 from tamilspell.conjoined import SplitKind, SplitPair
 from tamilspell.edits import letter_edit_distance, suggest
 from tamilspell.keyboard import ConfusionMatrix
-from tamilspell.letters import alphabet, join_mei_uyir, letter_texts
+from tamilspell.letters import join_mei_uyir, letter_texts
 from tamilspell.lexicon import Lexicon
 
-TABLE = alphabet().letters
+TABLE = oracles.LETTERS
 # Letter-tuple order and text order agree on TABLE, but not here: க்ஸ sorts
 # before க்ஷ by letters (க் is a prefix of க்ஷ) and after it by text.
 GRANTHA = ("க்", "க்ஷ", "ஸ", "ஷ", "கா", "க")
