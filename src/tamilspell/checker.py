@@ -29,12 +29,18 @@ series candidate beyond ``edit_distance`` (the series budget is
 unlimited) is scored on its own.  The ``MAX_SUGGESTIONS`` smallest keys
 are kept, and a :class:`Suggestion` is built for those alone.
 
-The kept list is the head of that ranking.  On a lexicon of at least
-``DENSE_LEXICON`` words, at an ``edit_distance`` ed of 2 or more, a
-non-word of at most ed + 3 letters takes the bounded path, which finds the
-kept list without listing the whole edit ball; every other non-word takes
-one walk within ed, since its ball is small and the bound skips little
-(``DENSE_LEXICON`` gives the measured crossovers).  On the bounded path
+The kept list is the head of that ranking.  At an ``edit_distance`` ed of
+2 or more, a non-word of at most ed + 3 letters takes the bounded path,
+which finds the kept list without listing the whole edit ball; every other
+non-word takes one walk within ed, since its ball is small and the bound
+skips little.  The choice reads ed and the letter count alone, on any
+lexicon.  On a 200,000-word lexicon at ed 2 the bounded path took
+0.35-0.38 against 3.6-4.0 ms per token at 3 letters and lost from 6; at
+ed 3 it won at 6 letters and lost at 7, and at ed 4 the walk won from 9.
+At ed 1 the one walk was as fast or faster at every length.  On the
+bundled lexicon, over 600 typos, the rule took 208-229 against 289-316 ms
+at ed 3 and 380-385 against 461-485 ms at ed 4 with the one walk alone,
+and 124-129 against 121-128 ms at ed 2.  On the bounded path
 the lexicon is first walked within ``edit_distance`` - 1, and those words
 are ranked with the other strategies' candidates.  An edit word that walk
 leaves out, and that no other strategy proposed, scores
@@ -85,7 +91,6 @@ from .letters import _BASE_CODE_POINTS, _OTHER_CHARS, _known_nfc, has_tamil, let
 __all__ = [
     "CACHE_SIZE",
     "CheckReport",
-    "DENSE_LEXICON",
     "EngineConfig",
     "MAX_SUGGESTIONS",
     "SpellChecker",
@@ -105,28 +110,6 @@ CACHE_SIZE = 4096
 # conjoined pair ranks first, and keeping it is what makes the token read
 # clean.
 MAX_SUGGESTIONS = 10
-
-# Lexicon words from which a non-word of m <= ed + 3 letters, at ed >= 2,
-# is first searched within ed - 1, and then only for the distance-ed edit
-# words the cut can still take, the text-smallest (the bounded path, see
-# ``SpellChecker._non_word``).  Every other non-word takes one walk within
-# ed.  In a lexicon this dense a short non-word has hundreds of words at
-# distance ed, and the bounded search skips every trie node whose prefix
-# text sorts after the last word kept: every word below the node starts
-# with the prefix, so sorts after it too.  A longer token's ed ball is
-# small, the bound skips little, and the ed - 1 walk is extra cost.  On a
-# 200,000-word lexicon (two seeds, best of 4 alternated passes) the
-# bounded path took 0.35-0.38 against 3.6-4.0 ms per token at ed 2 and
-# m = 3, and 1.2-1.45 against 1.55-1.7 ms at m = 5, but 1.2-1.3 against
-# 1.1 ms at m = 6 and 7-12% more than the walk from m = 7; at ed 3 it won
-# at m = 6 (6.2-8.8 against 9.0-9.6 ms) and lost 14-23% at m = 7; at ed 4
-# the two were within 6% at m = 8 and the walk won from m = 9.  At ed 1
-# the one walk was as fast or faster at every m.  On the 263-word bundled
-# lexicon at ed 2 the bounded path was faster only at m <= 2, and over 600
-# typos it took 0.149 against 0.143 s, so a smaller lexicon keeps the one
-# walk.
-DENSE_LEXICON = 10_000
-
 
 class Verdict(Enum):
     VALID = "valid"
@@ -404,9 +387,9 @@ class SpellChecker:
         series = mayangoli.suggest(letters, lexicon)
         nearby = keyboard.corrections(letters, lexicon, self.confusion_matrix, ed)
         pairs = conjoined.recognize(letters, lexicon)
-        # The bounded search pays only where the ed ball is large (see
-        # DENSE_LEXICON); both paths give the same report.
-        bounded = 2 <= ed and len(letters) <= ed + 3 and len(lexicon) >= DENSE_LEXICON
+        # The bounded search pays only where the ed ball is large (see the
+        # module docstring); both paths give the same report.
+        bounded = 2 <= ed and len(letters) <= ed + 3
         if bounded:
             within = lexicon.within_distance(letters, ed - 1)
         else:
@@ -452,7 +435,8 @@ def _ranks(letters, within, ed, nearby, series, pairs) -> dict[str, tuple[int, i
 def _head(ranks: dict[str, tuple[int, int, str]]) -> tuple[Suggestion, ...]:
     """The ``MAX_SUGGESTIONS`` smallest rank keys, as suggestions.
 
-    On the bounded path ``ranks`` holds, of the keys that score ``ed`` with
+    On the bounded path, taken at ``ed`` 2 or more by a non-word of at most
+    ``ed`` + 3 letters, ``ranks`` holds, of the keys that score ``ed`` with
     the EDIT label, only the text-smallest ones the cut can take.  Those
     keys differ by text alone and rank after every other key within
     ``ed``, so the ones left out could only have come after the cut.

@@ -63,6 +63,21 @@ def fixture_parallel() -> dict[str, str]:
 
 
 @pytest.fixture
+def walk_calls(monkeypatch) -> tuple[list, list]:
+    """Every ``within_distance`` budget and every ``first_at_distance`` count, in call order."""
+    budgets: list = []
+    searches: list = []
+    walk, search = Lexicon.within_distance, Lexicon.first_at_distance
+    monkeypatch.setattr(
+        Lexicon, "within_distance", lambda *args: budgets.append(args[2]) or walk(*args)
+    )
+    monkeypatch.setattr(
+        Lexicon, "first_at_distance", lambda *args: searches.append(args[3]) or search(*args)
+    )
+    return budgets, searches
+
+
+@pytest.fixture
 def make_lexicon():
     def _make(*words: str) -> Lexicon:
         return Lexicon(words)

@@ -4,9 +4,9 @@ Everything here is written the slow, obvious way on purpose: the letter
 table listed consonant by consonant and sign by sign, list
 comprehensions over letter tuples, breadth-first search for distances,
 itertools enumeration for lattices, per-code-point loops for letters and
-for word tokens, string prefixes for a letter's consonant.  No package
-internals are reused beyond the letter constants, ``DEFAULT_SERIES`` and
-the ``Letter`` record.
+for word tokens, string prefixes for a letter's consonant, every lexicon
+word scored for a ranking.  No package internals are reused beyond the
+letter constants, ``DEFAULT_SERIES`` and the ``Letter`` record.
 """
 
 from __future__ import annotations
@@ -261,3 +261,44 @@ def split_pairs(letters: tuple) -> list[tuple[tuple, tuple, str]]:
             mei, uyir = parts[0] + PULLI, SIGN_TO_UYIR.get(parts[1], "அ")
             ottru.append((letters[:i] + (mei,), (uyir,) + letters[i + 1 :], "ottru"))
     return plain + ottru
+
+
+# The checker's merge priorities: a smaller number outranks a larger one.
+CONJOINED, MAYANGOLI, KEYBOARD, EDIT = range(4)
+
+
+def reference_ranking(word: str, words, matrix, ed: int) -> list[tuple[int, int, str]]:
+    """Every candidate's rank key (distance, priority, text), smallest first.
+
+    The candidates are the lexicon words within ``ed`` edits of ``word``
+    (EDIT), the ``substitution_lattice`` words over ``matrix``'s
+    alternates with at most ``ed`` substitutions (KEYBOARD), the
+    ``series_variants`` words at any distance (MAYANGOLI), and the
+    ``split_pairs`` whose halves are both words, as "left right" at
+    distance 0 (CONJOINED).  A candidate several strategies propose keeps
+    its highest-priority key.  Distances come from ``capped_distance``:
+    ``bfs_edit_distance`` explores whole-word states, too many at ed 3-4.
+    """
+    letters = tuple(lt.text for lt in reference_tokenize(word))
+    lexicon = {tuple(lt.text for lt in reference_tokenize(w)) for w in words}
+    keys: dict[str, tuple[int, int, str]] = {}
+
+    def distance(t: tuple, limit: int) -> int | None:
+        return capped_distance(t, letters, [limit] * (len(letters) + 1))
+
+    def propose(text: str, d: int, priority: int) -> None:
+        keys[text] = min(keys.get(text, (d, priority, text)), (d, priority, text))
+
+    for t in lexicon:
+        d = distance(t, ed)
+        if d:
+            propose("".join(t), d, EDIT)
+    alternates = [matrix.alternates_for(lt) for lt in letters]
+    for t in lexicon.intersection(substitution_lattice(letters, alternates, ed)):
+        propose("".join(t), distance(t, ed), KEYBOARD)
+    for t in lexicon.intersection(series_variants(letters)):
+        propose("".join(t), distance(t, len(letters)), MAYANGOLI)
+    for left, right, _ in split_pairs(letters):
+        if left in lexicon and right in lexicon:
+            propose("".join(left) + " " + "".join(right), 0, CONJOINED)
+    return sorted(keys.values())

@@ -8,7 +8,6 @@ import json
 import random
 import time
 import unicodedata
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -35,10 +34,8 @@ from tamilspell.keyboard import ConfusionMatrix, load_confusion_matrix
 from tamilspell.letters import letter_texts
 from tamilspell.lexicon import Lexicon, load_wordlist
 from conftest import random_letter_word
-from oracles import LETTERS, reference_word_tokens
+from oracles import LETTERS, reference_ranking, reference_word_tokens
 from test_walks import _random_lexicon
-
-GOLDEN = Path(__file__).with_name("golden")
 
 
 def engine(lexicon, **kwargs):
@@ -130,8 +127,7 @@ def test_max_suggestions_cap(fixture_lexicon, monkeypatch):
     assert len(engine(fixture_lexicon).check_word("பளம்").suggestions) == 2
 
 
-# The longest non-word, in letters, that takes the bounded path at each ed
-# on a lexicon of DENSE_LEXICON words or more.
+# The longest non-word, in letters, that takes the bounded path at each ed.
 _BOUNDED_UP_TO = {1: 0, 2: 5, 3: 6, 4: 7}
 
 
@@ -142,22 +138,14 @@ def _suggestions(monkeypatch, lexicon, matrix, word, k, ed=2):
 
 
 @pytest.mark.parametrize("ed", [1, 2, 3, 4])
-def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch, ed):
+def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch, walk_calls, ed):
     # Dense random lexicons over series letters, a mei and an uyir give
-    # every strategy candidates, many at one distance.  The cut must keep
-    # exactly the head of the uncut ranking, also with DENSE_LEXICON at 0,
-    # where a short non-word takes the bounded path: it is first walked
-    # within ed - 1 and then searched for only the distance-ed edit words
-    # the cut can still take, or not at all when the cut is already full.
-    budgets, searches = [], []
-    walk, search = Lexicon.within_distance, Lexicon.first_at_distance
-    monkeypatch.setattr(
-        Lexicon, "within_distance", lambda *args: budgets.append(args[2]) or walk(*args)
-    )
-    monkeypatch.setattr(
-        Lexicon, "first_at_distance", lambda *args: searches.append(args[3]) or search(*args)
-    )
-    default = tamilspell.checker.DENSE_LEXICON
+    # every strategy candidates, many at one distance.  Every cut must keep
+    # exactly the head of the oracle's ranking.  A short non-word takes the
+    # bounded path: it is first walked within ed - 1 and then searched for
+    # only the distance-ed edit words the cut can still take, or not at all
+    # when the cut is already full.
+    budgets, searches = walk_calls
     skipped = bounded = 0
     rng = random.Random(1210)
     pool = ["ல", "ள", "ழ", "லா", "ன", "ண", "ல்", "அ"]
@@ -175,30 +163,24 @@ def test_max_suggestions_keeps_the_head_of_the_ranking(monkeypatch, ed):
             word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
         if lexicon.is_word(word):
             continue
-        # The uncut ranking comes from the ed walk.
-        monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", default)
-        uncut = _suggestions(monkeypatch, lexicon, matrix, word, 10**6, ed)
-        for gate in (default, 0):
-            monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", gate)
-            for k in (1, 3, 10):
-                del budgets[:], searches[:]
-                assert _suggestions(monkeypatch, lexicon, matrix, word, k, ed) == uncut[:k], (word, k, gate)
-                if budgets == [ed]:
-                    assert not searches, "the ed walk needs no bounded search"
-                    assert gate or len(letter_texts(word)) > _BOUNDED_UP_TO[ed]
-                    continue
-                assert not gate and budgets == [ed - 1], "a lexicon this small takes the ed walk"
-                bounded += 1
-                if not searches:
-                    skipped += 1
-                else:
-                    assert len(searches) == 1 and 0 < searches[0] <= k
-        keys = [(s.score, s.strategy.priority, s.candidate) for s in uncut]
-        assert keys == sorted(keys)
-        assert len({s.candidate for s in uncut}) == len(uncut)
+        ranking = reference_ranking(word, words, matrix, ed)
+        for k in (1, 3, 10, 10**6):
+            del budgets[:], searches[:]
+            kept = _suggestions(monkeypatch, lexicon, matrix, word, k, ed)
+            assert [(s.score, s.strategy.priority, s.candidate) for s in kept] == ranking[:k], (word, k)
+            if budgets == [ed]:
+                assert not searches, "the ed walk needs no bounded search"
+                assert len(letter_texts(word)) > _BOUNDED_UP_TO[ed]
+                continue
+            assert budgets == [ed - 1] and len(letter_texts(word)) <= _BOUNDED_UP_TO[ed]
+            bounded += 1
+            if not searches:
+                skipped += 1
+            else:
+                assert len(searches) == 1 and 0 < searches[0] <= k
         # Few lexicons hold more than ten candidates within one edit, so at
         # ed 1 the cut at three is the one that must bite.
-        dense += len(uncut) > (3 if ed == 1 else 10)
+        dense += len(ranking) > (3 if ed == 1 else 10)
     assert dense > 40, "the lexicons must give more candidates than the cut keeps"
     if ed == 1:
         assert bounded == 0, "at ed 1 every non-word takes the ed walk"
@@ -213,7 +195,6 @@ def test_the_early_out_counts_a_candidate_two_strategies_propose_once(monkeypatc
     # Counted twice, the three keys under ed would read as a full cut of
     # four and lose இஈ, two edits away.
     lexicon = Lexicon(["அ", "க", "அ க", "இஈ"])
-    monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
     ranked = _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "அக", 10**6)
     assert ranked == (
         Suggestion("அ க", Strategy.CONJOINED, 0),
@@ -230,7 +211,6 @@ def test_the_early_out_needs_the_whole_cut_below_ed(monkeypatch):
     # லலலம் (one edit) and ழழழ fill it after the ed - 1 walk, but லம், two
     # edits away, outranks ழழழ, so the search at distance ed must still run.
     lexicon = Lexicon(["லலலம்", "லம்", "ழழழ"])
-    monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
     ranked = _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "லலல", 10**6)
     assert ranked == (
         Suggestion("லலலம்", Strategy.EDIT, 1),
@@ -240,80 +220,54 @@ def test_the_early_out_needs_the_whole_cut_below_ed(monkeypatch):
     assert _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "லலல", 2) == ranked[:2]
 
 
-def test_a_small_lexicon_takes_one_edit_walk_per_non_word(fixture_lexicon):
-    # Under DENSE_LEXICON words, every non-word takes the ed walk alone,
-    # as it did before the early-out existed.
-    budgets = []
-
-    class Recording(Lexicon):
-        def within_distance(self, letters, ed):
-            budgets.append(ed)
-            return super().within_distance(letters, ed)
-
-    lexicon = Recording(fixture_lexicon.words())
-    assert len(lexicon) < tamilspell.checker.DENSE_LEXICON
-    eng = engine(lexicon)
-    eng.check_text((GOLDEN / "document.txt").read_text(encoding="utf-8"))
-    for word in ("பளம்", "ஙொ", "கறக", "மலழ"):
-        eng.check_word(word)
-    assert budgets == [2] * eng.stats["cache_misses"]
-
-
-def test_a_dense_lexicon_chooses_the_search_by_token_length():
-    # On a lexicon of exactly DENSE_LEXICON words a short non-word takes
-    # the bounded path, one walk within ed - 1 and at most one bounded
-    # search, and a longer one, or any one at ed 1, takes one walk within
-    # ed.  One word fewer, every non-word takes the one walk.
-    budgets, searches = [], []
-
-    class Recording(Lexicon):
-        def within_distance(self, letters, ed):
-            budgets.append(ed)
-            return super().within_distance(letters, ed)
-
-        def first_at_distance(self, letters, ed, count, exclude):
-            searches.append(ed)
-            return super().first_at_distance(letters, ed, count, exclude)
-
-    # The rule reads only the lexicon's size, the token's length and ed.
-    # Every word starts with அஆஇ, so the walks from the tokens stay small.
+def test_the_search_is_chosen_by_token_length_alone(fixture_lexicon, walk_calls):
+    # At ed 2 or more a non-word of at most ed + 3 letters takes the
+    # bounded path, one walk within ed - 1 and at most one bounded search,
+    # and a longer one, or any one at ed 1, takes one walk within ed.  The
+    # lexicon's size plays no part: the bundled lexicon and one of 10,000
+    # words make the same choice at every ed and length.
+    budgets, searches = walk_calls
+    # Every word of the large lexicon starts with அஆஇ, so the walks from
+    # the tokens stay small.
     rng = random.Random("search-rule")
     words = set()
-    while len(words) < tamilspell.checker.DENSE_LEXICON:
+    while len(words) < 10_000:
         words.add("அஆஇ" + random_letter_word(rng, 2, 4))
-    ordered = sorted(words)
-    dense, sparse = Recording(ordered), Recording(ordered[1:])
-    assert len(dense) == tamilspell.checker.DENSE_LEXICON == len(sparse) + 1
+    lexicons = (fixture_lexicon, Lexicon(words))
     tokens = {}
     while len(tokens) < 9:
         token = random_letter_word(rng, 1, 9)
-        if not dense.holds(token):
+        if not any(lexicon.holds(token) for lexicon in lexicons):
             tokens.setdefault(len(letter_texts(token)), token)
     for ed, longest in _BOUNDED_UP_TO.items():
-        for lexicon, bound in ((dense, longest), (sparse, 0)):
-            checker = SpellChecker(lexicon, config=EngineConfig(edit_distance=ed))
-            for m in range(1, longest + 3):
+        for m in range(1, longest + 3):
+            for lexicon in lexicons:
                 del budgets[:], searches[:]
+                checker = SpellChecker(lexicon, config=EngineConfig(edit_distance=ed))
                 assert checker.check_word(tokens[m]).verdict is Verdict.NON_WORD
-                if m <= bound:
-                    assert budgets == [ed - 1] and searches in ([], [ed]), (ed, m)
+                if m <= longest:
+                    assert budgets == [ed - 1] and len(searches) <= 1, (ed, m, len(lexicon))
                 else:
                     assert budgets == [ed] and searches == [], (ed, m, len(lexicon))
 
 
-def test_an_edit_distance_beyond_every_word_answers_quickly(fixture_lexicon, monkeypatch):
+def test_a_short_non_word_on_the_bundled_lexicon_takes_the_bounded_path(walk_calls):
+    # பளம் has three letters, so at ed 3 it is walked within 2, not 3.
+    budgets, _ = walk_calls
+    SpellChecker(bundled_lexicon(), config=EngineConfig(edit_distance=3)).check_word("பளம்")
+    assert budgets == [2]
+
+
+def test_an_edit_distance_beyond_every_word_answers_quickly(fixture_lexicon):
     # No word is farther than max(m, L) letters from an m-letter token, so
-    # any larger edit distance gives the same report, in the same time, on
-    # either path.
-    for gate in (tamilspell.checker.DENSE_LEXICON, 0):
-        monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", gate)
-        for word in ("கடலா", "பளம்", "ஙொ"):
-            top = max(len(letter_texts(word)), fixture_lexicon.longest)
-            at_top = engine(fixture_lexicon, config=EngineConfig(edit_distance=top)).check_word(word)
-            started = time.perf_counter()
-            far = engine(fixture_lexicon, config=EngineConfig(edit_distance=10**6)).check_word(word)
-            assert time.perf_counter() - started < 2.0
-            assert far == at_top
+    # any larger edit distance gives the same report, in the same time.
+    for word in ("கடலா", "பளம்", "ஙொ"):
+        top = max(len(letter_texts(word)), fixture_lexicon.longest)
+        at_top = engine(fixture_lexicon, config=EngineConfig(edit_distance=top)).check_word(word)
+        started = time.perf_counter()
+        far = engine(fixture_lexicon, config=EngineConfig(edit_distance=10**6)).check_word(word)
+        assert time.perf_counter() - started < 2.0
+        assert far == at_top
 
 
 def test_engine_config_validation():

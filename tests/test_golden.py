@@ -13,7 +13,10 @@ for byte:
   ``tamilspell --json`` output for it;
 * ``dense.sha256``, the digest of the ``check_word`` reports for seeded
   typos over a seeded dense lexicon that :func:`dense_case` builds, whose
-  trie nodes have dozens of children.
+  trie nodes have dozens of children;
+* ``dense.ed<n>.sha256`` and ``document.ed<n>.sha256``, the digests of
+  those reports and of ``document.json``'s text at the edit distances
+  ``OTHER_DISTANCES``, 1, 3 and 4.
 
 The reports are ranked by ``(score, priority, candidate)``, so neither
 depends on the hash seed.  To rewrite the fixtures at a commit whose
@@ -33,7 +36,6 @@ from pathlib import Path
 
 import pytest
 
-import tamilspell.checker
 from oracles import LETTERS
 from tamilspell.bundled import bundled_confusion_matrix, bundled_lexicon
 from tamilspell.checker import EngineConfig, SpellChecker
@@ -43,6 +45,8 @@ from tamilspell.lexicon import Lexicon
 
 GOLDEN = Path(__file__).with_name("golden")
 DOCUMENT = "document.txt"
+# The edit distances pinned by digest, besides the default 2.
+OTHER_DISTANCES = (1, 3, 4)
 SERIES = ("லழள", "ரற", "நனண", "ஙஞ")
 TABLE = LETTERS
 
@@ -149,12 +153,20 @@ def dense_case() -> tuple[Lexicon, list[str]]:
     return Lexicon(ordered), _typos(ordered, rng, plan, ordered)
 
 
-def dense_digest() -> str:
+def dense_digest(ed: int = 2) -> str:
     lexicon, queries = dense_case()
-    checker = SpellChecker(lexicon)
+    checker = SpellChecker(lexicon, config=EngineConfig(edit_distance=ed))
     reports = [checker.check_word(q).as_dict() for q in queries]
     text = json.dumps(reports, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def document_digest(ed: int) -> str:
+    return hashlib.sha256(_json_report(ed).encode()).hexdigest()
+
+
+def _pinned(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="ascii").strip()
 
 
 def _batch_output(*options: str) -> str:
@@ -170,18 +182,25 @@ def _batch_output(*options: str) -> str:
     return out.getvalue()
 
 
-def _json_report() -> str:
+def _json_report(ed: int = 2) -> str:
     """The compact JSON report of the golden document over the bundled lexicon."""
     text = (GOLDEN / DOCUMENT).read_text(encoding="utf-8")
-    return SpellChecker(bundled_lexicon()).check_text(text).to_json()
+    checker = SpellChecker(bundled_lexicon(), config=EngineConfig(edit_distance=ed))
+    return checker.check_text(text).to_json()
 
 
 def test_document_output_is_golden():
     assert _batch_output() == (GOLDEN / "document.tsv").read_text(encoding="utf-8")
 
 
-def test_document_json_report_is_golden():
+def test_document_json_report_is_golden(walk_calls):
+    # The short non-words take the bounded path (one walk within ed - 1),
+    # where a few skip the distance-ed search and the others take it, and
+    # the long ones take the ed walk.
+    budgets, searches = walk_calls
     assert _json_report() == (GOLDEN / "document.json").read_text(encoding="utf-8")
+    assert 0 < len(searches) < budgets.count(1)
+    assert budgets.count(2) > 0
 
 
 def test_document_cli_json_output_is_golden():
@@ -189,54 +208,20 @@ def test_document_cli_json_output_is_golden():
     assert _batch_output("--json") == expected
 
 
-def test_dense_lexicon_reports_are_golden():
-    assert dense_digest() == (GOLDEN / "dense.sha256").read_text(encoding="ascii").strip()
-
-
-def _count_bounded_searches(monkeypatch) -> tuple[list, list]:
-    """Force the bounded path open; record each walk's budget and each distance-ed search."""
-    budgets: list = []
-    searches: list = []
-    walk, search = Lexicon.within_distance, Lexicon.first_at_distance
-    monkeypatch.setattr(
-        Lexicon, "within_distance", lambda *args: budgets.append(args[2]) or walk(*args)
-    )
-    monkeypatch.setattr(
-        Lexicon, "first_at_distance", lambda *args: searches.append(1) or search(*args)
-    )
-    monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
-    return budgets, searches
-
-
-def test_document_json_report_is_golden_with_the_early_out_forced(monkeypatch):
-    # The bundled lexicon is below DENSE_LEXICON, so its reports come from
-    # the ed walk; with the gate forced open the short non-words take the
-    # bounded path (one walk within ed - 1), where a few skip the
-    # distance-ed search and the others take it, and the long ones still
-    # take the ed walk.
-    budgets, searches = _count_bounded_searches(monkeypatch)
-    text = (GOLDEN / DOCUMENT).read_text(encoding="utf-8")
-    report = SpellChecker(bundled_lexicon()).check_text(text)
-    assert report.to_json() == (GOLDEN / "document.json").read_text(encoding="utf-8")
-    assert 0 < len(searches) < budgets.count(1)
-    assert budgets.count(2) > 0
-
-
-def test_dense_lexicon_reports_are_golden_with_the_early_out_forced(monkeypatch):
-    budgets, searches = _count_bounded_searches(monkeypatch)
-    assert dense_digest() == (GOLDEN / "dense.sha256").read_text(encoding="ascii").strip()
+def test_dense_lexicon_reports_are_golden(walk_calls):
+    budgets, searches = walk_calls
+    assert dense_digest() == _pinned("dense.sha256")
     assert 0 < len(searches) < budgets.count(1), "a full cut must skip some distance-ed searches"
 
 
-@pytest.mark.parametrize("ed", [1, 3, 4])
-def test_dense_lexicon_reports_agree_on_both_paths(monkeypatch, ed):
-    # dense.sha256 pins ed 2 on both paths; here the bounded path, forced
-    # open, must give the one walk's reports at the other distances.
-    lexicon, queries = dense_case()
-    config = EngineConfig(edit_distance=ed)
-    one_walk = [SpellChecker(lexicon, config=config).check_word(q) for q in queries]
-    monkeypatch.setattr(tamilspell.checker, "DENSE_LEXICON", 0)
-    assert [SpellChecker(lexicon, config=config).check_word(q) for q in queries] == one_walk
+@pytest.mark.parametrize("ed", OTHER_DISTANCES)
+def test_dense_lexicon_reports_are_golden_at_other_distances(ed):
+    assert dense_digest(ed) == _pinned(f"dense.ed{ed}.sha256")
+
+
+@pytest.mark.parametrize("ed", OTHER_DISTANCES)
+def test_document_json_report_is_golden_at_other_distances(ed):
+    assert document_digest(ed) == _pinned(f"document.ed{ed}.sha256")
 
 
 if __name__ == "__main__":
@@ -246,3 +231,6 @@ if __name__ == "__main__":
     (GOLDEN / "document.json").write_text(_json_report(), encoding="utf-8")
     (GOLDEN / "document.cli.json").write_text(_batch_output("--json"), encoding="utf-8")
     (GOLDEN / "dense.sha256").write_text(dense_digest() + "\n", encoding="ascii")
+    for ed in OTHER_DISTANCES:
+        (GOLDEN / f"dense.ed{ed}.sha256").write_text(dense_digest(ed) + "\n", encoding="ascii")
+        (GOLDEN / f"document.ed{ed}.sha256").write_text(document_digest(ed) + "\n", encoding="ascii")
