@@ -8,6 +8,7 @@ import json
 import random
 import time
 import unicodedata
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -36,6 +37,8 @@ from tamilspell.lexicon import Lexicon, load_wordlist
 from conftest import random_letter_word
 from oracles import LETTERS, reference_ranking, reference_word_tokens
 from test_walks import _random_lexicon
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def engine(lexicon, **kwargs):
@@ -220,7 +223,26 @@ def test_the_early_out_needs_the_whole_cut_below_ed(monkeypatch):
     assert _suggestions(monkeypatch, lexicon, ConfusionMatrix({}), "லலல", 2) == ranked[:2]
 
 
-def test_the_search_is_chosen_by_token_length_alone(fixture_lexicon, walk_calls):
+def test_a_small_lexicon_takes_one_edit_walk_per_non_word(fixture_lexicon):
+    # Every non-word takes one walk, on a small lexicon as on a dense one:
+    # within ed - 1 when it has at most ed + 3 letters, else within ed.
+    walks = []
+
+    class Recording(Lexicon):
+        def within_distance(self, letters, ed):
+            walks.append((len(letters), ed))
+            return super().within_distance(letters, ed)
+
+    eng = engine(Recording(fixture_lexicon.words()))
+    eng.check_text((GOLDEN / "document.txt").read_text(encoding="utf-8"))
+    for word in ("பளம்", "ஙொ", "கறக", "மலழ"):
+        eng.check_word(word)
+    assert len(walks) == eng.stats["cache_misses"]
+    assert walks == [(m, 1 if m <= 5 else 2) for m, _ in walks]
+    assert {ed for _, ed in walks} == {1, 2}
+
+
+def test_a_dense_lexicon_chooses_the_search_by_token_length(fixture_lexicon, walk_calls):
     # At ed 2 or more a non-word of at most ed + 3 letters takes the
     # bounded path, one walk within ed - 1 and at most one bounded search,
     # and a longer one, or any one at ed 1, takes one walk within ed.  The

@@ -36,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+import tamilspell.checker
 from oracles import LETTERS
 from tamilspell.bundled import bundled_confusion_matrix, bundled_lexicon
 from tamilspell.checker import EngineConfig, SpellChecker
@@ -153,12 +154,19 @@ def dense_case() -> tuple[Lexicon, list[str]]:
     return Lexicon(ordered), _typos(ordered, rng, plan, ordered)
 
 
-def dense_digest(ed: int = 2) -> str:
+def dense_reports(ed: int = 2) -> list[dict]:
     lexicon, queries = dense_case()
     checker = SpellChecker(lexicon, config=EngineConfig(edit_distance=ed))
-    reports = [checker.check_word(q).as_dict() for q in queries]
+    return [checker.check_word(q).as_dict() for q in queries]
+
+
+def _digest(reports: list[dict]) -> str:
     text = json.dumps(reports, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def dense_digest(ed: int = 2) -> str:
+    return _digest(dense_reports(ed))
 
 
 def document_digest(ed: int) -> str:
@@ -212,6 +220,42 @@ def test_dense_lexicon_reports_are_golden(walk_calls):
     budgets, searches = walk_calls
     assert dense_digest() == _pinned("dense.sha256")
     assert 0 < len(searches) < budgets.count(1), "a full cut must skip some distance-ed searches"
+
+
+def _heads(reports: list[dict], k: int) -> list[dict]:
+    """The reports with each suggestion list cut to its first ``k``."""
+    return [{**report, "suggestions": report["suggestions"][:k]} for report in reports]
+
+
+def _with_the_early_out_forced(monkeypatch, walk_calls, reports):
+    """``reports()`` at the default cut and at a cut of three, and the distance-ed searches each made.
+
+    At a cut of three, more short non-words fill the cut within ed - 1,
+    so the bounded path skips their distance-ed search (the early out).
+    """
+    searches = walk_calls[1]
+    full = reports()
+    taken = len(searches)
+    del searches[:]
+    monkeypatch.setattr(tamilspell.checker, "MAX_SUGGESTIONS", 3)
+    return full, taken, reports(), len(searches)
+
+
+def test_document_json_report_is_golden_with_the_early_out_forced(monkeypatch, walk_calls):
+    # Each report at the cut of three is the head of the golden report.
+    full, taken, cut, forced = _with_the_early_out_forced(
+        monkeypatch, walk_calls, lambda: json.loads(_json_report())
+    )
+    assert full == json.loads((GOLDEN / "document.json").read_text(encoding="utf-8"))
+    assert cut == _heads(full, 3)
+    assert forced < taken, "a cut of three must skip more distance-ed searches"
+
+
+def test_dense_lexicon_reports_are_golden_with_the_early_out_forced(monkeypatch, walk_calls):
+    full, taken, cut, forced = _with_the_early_out_forced(monkeypatch, walk_calls, dense_reports)
+    assert _digest(full) == _pinned("dense.sha256")
+    assert cut == _heads(full, 3)
+    assert forced < taken, "a cut of three must skip more distance-ed searches"
 
 
 @pytest.mark.parametrize("ed", OTHER_DISTANCES)
