@@ -20,14 +20,18 @@ which outranks keyboard-adjacency patterns, which outrank generic edit
 candidates.  The strategies return bare words (the edit strategy maps
 each to its distance), and the checker alone ranks them: each candidate
 gets one rank key, (letter-level edit distance to the input, strategy
-priority, candidate), where a recognized conjoined pair scores 0.  The
-edit strategy returns every lexicon word within ``edit_distance``.
-Every keyboard candidate and every series candidate within that distance
-is among them, so each candidate is scored once, by the edit walk, and
-labelled with the highest-priority strategy that proposed it.  Only a
-series candidate beyond ``edit_distance`` (the series budget is
-unlimited) is scored on its own.  The ``MAX_SUGGESTIONS`` smallest keys
-are kept, and a :class:`Suggestion` is built for those alone.
+priority, candidate), where a recognized conjoined pair scores 0.  A
+candidate the edit walk found takes the distance the walk gave it, and
+is labelled with the highest-priority strategy that proposed it.  The
+one walk holds every lexicon word within ``edit_distance`` ed, so it
+finds every keyboard candidate and every series candidate within ed;
+only a series candidate beyond ed (the series budget is unlimited) is
+scored on its own, by ``letter_edit_distance``.  On the bounded path
+(below) the walk holds only the ed - 1 ball: a keyboard candidate
+outside it scores ed, since the keyboard strategy substitutes at most ed
+letters, and a series candidate outside it is scored on its own.  The
+``MAX_SUGGESTIONS`` smallest keys are kept, and a :class:`Suggestion` is
+built for those alone.
 
 The kept list is the head of that ranking.  At an ``edit_distance`` ed of
 2 or more, a non-word of at most ed + 3 letters takes the bounded path,
@@ -394,55 +398,35 @@ class SpellChecker:
             within = lexicon.within_distance(letters, ed - 1)
         else:
             within = edits.suggest(letters, lexicon, nedits=ed)
-        ranks = _ranks(letters, within, ed, nearby, series, pairs)
+        # Candidate -> rank key.  Each strategy overwrites the ones of lower
+        # priority.
+        edit = Strategy.EDIT.priority
+        ranks = {candidate: (distance, edit, candidate) for candidate, distance in within.items()}
+        for candidate in nearby:
+            # Only on the bounded path can ``within`` lack a keyboard
+            # candidate, which then scores ed: the strategy substitutes at
+            # most ed letters, so the candidate is within ed, and it is not
+            # within ed - 1 since ``within`` holds that whole ball.
+            ranks[candidate] = (within.get(candidate, ed), Strategy.KEYBOARD.priority, candidate)
+        for candidate in series:
+            distance = within.get(candidate) or letter_edit_distance(letters, candidate)
+            ranks[candidate] = (distance, Strategy.MAYANGOLI.priority, candidate)
+        for pair in pairs:
+            # Scores 0, below any other strategy's score for the same text.
+            candidate = f"{pair.left} {pair.right}"
+            ranks[candidate] = (0, Strategy.CONJOINED.priority, candidate)
         if bounded:
             # The edit words at distance ed left to rank have keys
             # (ed, EDIT, word), after every other key within ed, so the cut
             # takes the text-smallest of them into the slots it has left.
-            bar = (ed, Strategy.EDIT.priority)
+            bar = (ed, edit)
             need = MAX_SUGGESTIONS - sum(key < bar for key in ranks.values())
             if need > 0:
                 for candidate in lexicon.first_at_distance(letters, ed, need, ranks):
                     ranks[candidate] = (*bar, candidate)
-        return TokenReport(word, Verdict.NON_WORD, _head(ranks))
-
-
-def _ranks(letters, within, ed, nearby, series, pairs) -> dict[str, tuple[int, int, str]]:
-    """Each candidate's rank key, under its highest-priority label.
-
-    ``within`` maps edit candidates to their distances: every word within
-    ``ed``, or on the bounded path every word within ``ed - 1``.  A keyboard
-    candidate it lacks scores ``ed``: the keyboard strategy substitutes at
-    most ``ed`` letters, so the candidate is within ``ed``, and it is not
-    within ``ed - 1`` since ``within`` holds that whole ball.
-    """
-    # Candidate -> rank key.  Each strategy overwrites the ones of lower
-    # priority.
-    edit = Strategy.EDIT.priority
-    ranks = {candidate: (distance, edit, candidate) for candidate, distance in within.items()}
-    for candidate in nearby:
-        ranks[candidate] = (within.get(candidate, ed), Strategy.KEYBOARD.priority, candidate)
-    for candidate in series:
-        distance = within.get(candidate) or letter_edit_distance(letters, candidate)
-        ranks[candidate] = (distance, Strategy.MAYANGOLI.priority, candidate)
-    for pair in pairs:
-        # Scores 0, below any other strategy's score for the same text.
-        candidate = f"{pair.left} {pair.right}"
-        ranks[candidate] = (0, Strategy.CONJOINED.priority, candidate)
-    return ranks
-
-
-def _head(ranks: dict[str, tuple[int, int, str]]) -> tuple[Suggestion, ...]:
-    """The ``MAX_SUGGESTIONS`` smallest rank keys, as suggestions.
-
-    On the bounded path, taken at ``ed`` 2 or more by a non-word of at most
-    ``ed`` + 3 letters, ``ranks`` holds, of the keys that score ``ed`` with
-    the EDIT label, only the text-smallest ones the cut can take.  Those
-    keys differ by text alone and rank after every other key within
-    ``ed``, so the ones left out could only have come after the cut.
-    """
-    kept = heapq.nsmallest(MAX_SUGGESTIONS, ranks.values())
-    return tuple([Suggestion(c, _BY_PRIORITY[p], score) for score, p, c in kept])
+        kept = heapq.nsmallest(MAX_SUGGESTIONS, ranks.values())
+        suggestions = tuple([Suggestion(c, _BY_PRIORITY[p], score) for score, p, c in kept])
+        return TokenReport(word, Verdict.NON_WORD, suggestions)
 
 
 # ---------------------------------------------------------------------- #

@@ -41,14 +41,19 @@ class ConfusionMatrix:
     """Letter -> likely-mistyped-neighbour lists.
 
     Every key and neighbour must be one letter, and no key may list
-    itself; a bad entry raises :class:`MatrixFormatError`.  Every
-    letter's alternates are resolved once, at construction: the direct
-    entries, and for each mei key the uyirmei fallback of its twelve uyir
-    forms.
+    itself; a bad entry raises :class:`MatrixFormatError`.  Keys that
+    spell the same letter (say in NFC and in NFD) are one key: each
+    entry extends the earlier list for its letter, in order and without
+    repeats, as a repeated key in a matrix file does.  Every letter's
+    alternates are resolved once, at construction: the direct entries,
+    and for each mei key the uyirmei fallback of its twelve uyir forms.
     """
 
     def __init__(self, neighbors: Mapping[str, Sequence[str]]):
-        table = dict(_entry(key, alts) for key, alts in neighbors.items())
+        table: dict[str, tuple[str, ...]] = {}
+        for key, alts in neighbors.items():
+            key, alts = _entry(key, alts)
+            table[key] = tuple(dict.fromkeys(table.get(key, ()) + alts))
         self._table = table
         resolved = dict(table)
         for key, alts in table.items():
@@ -84,9 +89,9 @@ class ConfusionMatrix:
 
 
 def _entry(key: str, alts: Iterable[str]) -> tuple[str, tuple[str, ...]]:
-    """One matrix entry, NFC-normalized and deduplicated, or MatrixFormatError."""
+    """One matrix entry, NFC-normalized, or MatrixFormatError."""
     key = _single_token(key)
-    alts = tuple(dict.fromkeys(_single_token(alt) for alt in alts))
+    alts = tuple(map(_single_token, alts))
     if key in alts:
         raise MatrixFormatError(f"{key!r} lists itself as a neighbour")
     return key, alts
@@ -119,13 +124,6 @@ def load_confusion_matrix(source) -> ConfusionMatrix:
     return ConfusionMatrix(table)
 
 
-def _alternates(matrix: ConfusionMatrix, letters: Sequence[str]) -> list[tuple[str, ...]]:
-    # No entry lists its own letter: the matrix rejects self-neighbours,
-    # and distinct mei neighbours join to distinct uyirmei.
-    get = matrix._resolved.get
-    return [get(letter, ()) for letter in letters]
-
-
 def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: int = 2) -> set[str]:
     """Lexicon words that substitute matrix neighbours at 1..``ed`` positions.
 
@@ -135,5 +133,7 @@ def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: in
     """
     _check_letters(letters)
     _check_distance("ed", ed)
-    alternates = _alternates(matrix, letters)
-    return lexicon.substitutions(letters, alternates, ed)
+    # No entry lists its own letter: the matrix rejects self-neighbours,
+    # and distinct mei neighbours join to distinct uyirmei.
+    get = matrix._resolved.get
+    return lexicon.substitutions(letters, [get(letter, ()) for letter in letters], ed)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import io
 import random
+import unicodedata
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from conftest import random_letter_word
@@ -75,6 +77,36 @@ def test_loader_parses_and_validates(tmp_path):
 def test_loader_merges_repeated_keys():
     table = load_confusion_matrix(io.StringIO("க்\tல்\nக்\tம் ல்\n"))
     assert table.alternates_for("க்") == ("ல்", "ம்")
+
+
+# Letters whose NFD spelling differs from their NFC one, and some that
+# have one spelling, with the mei of the uyirmei ones as keys too.
+_MATRIX_LETTERS = ("கொ", "கோ", "கெ", "பொ", "கௌ", "க்", "ப்", "ள்", "ழ்")
+
+
+@st.composite
+def _matrix_entries(draw) -> dict[str, list[str]]:
+    spelled = draw(st.lists(st.tuples(
+        st.sampled_from(_MATRIX_LETTERS), st.sampled_from(("NFC", "NFD"))
+    ), max_size=8))
+    return {
+        unicodedata.normalize(form, letter): draw(st.lists(
+            st.sampled_from([alt for alt in _MATRIX_LETTERS if alt != letter]), max_size=3
+        ))
+        for letter, form in spelled
+    }
+
+
+@given(_matrix_entries())
+def test_matrix_from_a_mapping_reads_its_entries_as_a_file_would(mapping):
+    # Two keys that spell one letter are one key, as a repeated key in a
+    # file is.
+    lines = "".join(f"{key}\t{' '.join(alts)}\n" for key, alts in mapping.items())
+    built, loaded = ConfusionMatrix(mapping), load_confusion_matrix(io.StringIO(lines))
+    assert len(built) == len(loaded)
+    for key in (*mapping, *_MATRIX_LETTERS):
+        assert (key in built) == (key in loaded)
+        assert built.alternates_for(key) == loaded.alternates_for(key)
 
 
 # --------------------------------------------------------------------- #
