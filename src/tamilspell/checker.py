@@ -39,15 +39,16 @@ which finds the kept list without listing the whole edit ball; every other
 non-word takes one walk within ed, since its ball is small and the bound
 skips little.  The choice reads ed and the letter count alone, on any
 lexicon.  On a 200,000-word lexicon at ed 2 the bounded path took
-0.35-0.38 against 3.6-4.0 ms per token at 3 letters and lost from 6; at
-ed 3 it won at 6 letters and lost at 7, and at ed 4 the walk won from 9.
-At ed 1 the one walk was as fast or faster at every length.  On the
-bundled lexicon, over 600 typos, the rule took 208-229 against 289-316 ms
-at ed 3 and 380-385 against 461-485 ms at ed 4 with the one walk alone,
-and 124-129 against 121-128 ms at ed 2.  On the bounded path
-the lexicon is first walked within ``edit_distance`` - 1, and those words
-are ranked with the other strategies' candidates.  An edit word that walk
-leaves out, and that no other strategy proposed, scores
+0.35-0.38 against 3.6-4.0 ms per token at 3 letters and 1.2-1.45 against
+1.55-1.7 ms at 5, but lost 5-16% at 6 letters and 7-12% from 7 on; at ed 3
+it won at 6 letters and lost at 7, and at ed 4 the two were within 6% at 8
+letters and the walk won from 9.  At ed 1 the one walk was never slower.
+On the bundled lexicon, over 600 typos (best of 5 passes), the rule took
+208-229 against 289-316 ms at ed 3 and 380-385 against 461-485 ms at ed 4
+with the one walk alone, and 124-129 against 121-128 ms at ed 2.  On the
+bounded path the lexicon is first walked within ``edit_distance`` - 1, and
+those words are ranked with the other strategies' candidates.  An edit
+word that walk leaves out, and that no other strategy proposed, scores
 ``edit_distance`` under the EDIT label, so its key ranks after every other
 key within that distance, and such keys differ in their text alone.  Of
 them the cut can keep only as many as it has slots left, the

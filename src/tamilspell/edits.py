@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import _check_distance, _check_letters
+from .errors import _check_distance
 from .letters import letter_texts
 
 __all__ = [
@@ -31,7 +31,6 @@ def suggest(letters: Sequence[str], lexicon, nedits: int = 2) -> dict[str, int]:
     particular order.
     ``lexicon`` is a :class:`tamilspell.lexicon.Lexicon`.
     """
-    _check_letters(letters)
     _check_distance("nedits", nedits)
     return lexicon.within_distance(letters, nedits)
 

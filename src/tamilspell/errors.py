@@ -1,5 +1,5 @@
-"""Exception types raised by the data-file loaders, the one reader for
-each input format, and the checks the strategies' arguments pass."""
+"""Exception types, the one reader for each input format, and the argument
+checks; the letter check serves the lexicon and ``conjoined``."""
 
 from __future__ import annotations
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 import unicodedata
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import MatrixFormatError, _check_distance, _check_letters, _data_fields
-from .letters import UYIRMEI, Letter, LetterKind, letter_texts, tokenize
+from .errors import MatrixFormatError, _check_distance, _data_fields
+from .letters import UYIRMEI, Letter, LetterKind, classify, tokenize
 
 __all__ = [
     "ConfusionMatrix",
@@ -78,14 +78,9 @@ class ConfusionMatrix:
         mei's entry, each mei neighbour re-joined with the original uyir
         (non-mei neighbours cannot carry an uyir and are skipped).
         """
-        if isinstance(letter, Letter):
-            text = letter.text
-        else:
-            texts = letter_texts(unicodedata.normalize("NFC", letter))
-            if len(texts) != 1:
-                raise ValueError(f"not a single letter: {letter!r}")
-            text = texts[0]
-        return self._resolved.get(text, ())
+        if not isinstance(letter, Letter):
+            letter = classify(unicodedata.normalize("NFC", letter))
+        return self._resolved.get(letter.text, ())
 
 
 def _entry(key: str, alts: Iterable[str]) -> tuple[str, tuple[str, ...]]:
@@ -131,7 +126,6 @@ def corrections(letters: Sequence[str], lexicon, matrix: ConfusionMatrix, ed: in
     its text; ``ed`` may exceed its length, as n letters take at most n
     substitutions.
     """
-    _check_letters(letters)
     _check_distance("ed", ed)
     # No entry lists its own letter: the matrix rejects self-neighbours,
     # and distinct mei neighbours join to distinct uyirmei.

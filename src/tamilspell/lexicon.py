@@ -18,17 +18,19 @@ It keeps three structures:
   taken.
 
 Correction candidates come out of the tries by walking them:
-:meth:`Lexicon.within_distance` maps every word within an edit distance
-to that distance, :meth:`Lexicon.first_at_distance` gives only the few
-text-smallest words at one distance, and :meth:`Lexicon.substitutions`
-gives the words that swap letters for per-position alternates
-(confusable series, keyboard neighbours).  The tries' layout is private
-to this module.  It is flat, in the spirit of Daciuk et al. 2000: each
-distinct letter is coded as one character, in load order, and nodes are
-numbered breadth-first, so that the child along edge ``e`` is node ``e + 1``.
-One string holds every edge's letter code, sorted within each node; per
-node, an ``array('I')`` holds the offset of its first edge (its edges run
-to the next node's offset) and a byte string marks where words end.
+:meth:`Lexicon.within_distance` maps every word within an edit distance to
+that distance, :meth:`Lexicon.first_at_distance` gives only the few
+text-smallest words at one distance, and :meth:`Lexicon.substitutions` gives
+the words that swap letters for per-position alternates (confusable series,
+keyboard neighbours).  The walks and :meth:`Lexicon.contains_letters` take a
+word's ``letter_texts`` and raise ``TypeError`` for its text or ``Letter``
+objects.  The tries' layout is private to this module.  It is flat, in the
+spirit of Daciuk et al. 2000: each distinct letter is coded as one
+character, in load order, and nodes are numbered breadth-first, so that the
+child along edge ``e`` is node ``e + 1``.  One string holds every edge's
+letter code, sorted within each node; per node, an ``array('I')`` holds the
+offset of its first edge (its edges run to the next node's offset) and a
+byte string marks where words end.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from bisect import bisect_right, insort
 from collections.abc import Container, Iterable, Iterator, Sequence
 from functools import partial
 
-from .errors import WordListError, _listed_words
+from .errors import WordListError, _check_letters, _listed_words
 from .letters import _known_nfc, letter_texts
 
 __all__ = ["Lexicon", "load_wordlist"]
@@ -139,7 +141,8 @@ class Lexicon:
     node starts with the node's prefix text, so it sorts after it, and a
     node whose prefix sorts after the last word kept holds none that could
     be kept.  That compares text, not letter codes, so it holds whatever
-    order the codes were given in.
+    order the codes were given in.  The walks and :meth:`contains_letters`
+    take a word's ``letter_texts`` and raise ``TypeError`` otherwise.
 
     The words are held in NFC.  They are deduplicated as given and joined
     once, and only a word list whose join NFC could change is normalized,
@@ -198,6 +201,7 @@ class Lexicon:
 
     def contains_letters(self, letters: Sequence[str]) -> bool:
         """True when ``letters`` is exactly the letter split of a loaded word."""
+        _check_letters(letters)
         text = "".join(letters)
         return text in self._words and letter_texts(text) == tuple(letters)
 
@@ -235,6 +239,7 @@ class Lexicon:
         and m = 5).  So a query of at most ``ed`` letters takes one forward
         walk with every column at ``ed``.
         """
+        _check_letters(letters)
         found: dict[str, int] = {}
         self._search(tuple(letters), ed, found)
         return found
@@ -255,6 +260,7 @@ class Lexicon:
         That holds for any order of the letter codes, since it compares the
         text itself.
         """
+        _check_letters(letters)
         query = tuple(letters)
         if count < 1 or ed > max(len(query), self.longest):
             return []
@@ -526,6 +532,7 @@ class Lexicon:
         lexicon prefix are followed, so the work is bounded by the lexicon,
         not by the product of the alternates.
         """
+        _check_letters(letters)
         n = len(letters)
         (first, labels, ends), code = self._forward, self._code
         found: set[str] = set()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import _check_letters
 from .letters import UYIRMEI, VOWEL_SIGNS
 
 __all__ = [
@@ -54,7 +53,6 @@ def suggest(letters: Sequence[str], lexicon) -> set[str]:
     ``letters`` is the word's letter split from ``letter_texts``, not
     its text.  Any number of positions may change.
     """
-    _check_letters(letters)
     get = _ALTERNATES.get
     alternates = [get(letter, ()) for letter in letters]
     return lexicon.substitutions(letters, alternates, len(letters))

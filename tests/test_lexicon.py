@@ -21,7 +21,7 @@ from tamilspell import lexicon as lexicon_module
 from tamilspell.edits import letter_edit_distance
 from tamilspell.errors import WordListError
 from tamilspell.lexicon import Lexicon, load_wordlist
-from tamilspell.letters import letter_texts
+from tamilspell.letters import letter_texts, tokenize
 
 
 def test_membership_basics(make_lexicon):
@@ -162,7 +162,7 @@ def test_fixture_lexicon_contents(fixture_lexicon):
 
 
 def test_fixture_words_tokenize_cleanly(fixture_lexicon):
-    from tamilspell.letters import LetterKind, tokenize
+    from tamilspell.letters import LetterKind
 
     for word in fixture_lexicon.words():
         assert all(t.kind not in (LetterKind.OTHER, LetterKind.MALFORMED) for t in tokenize(word)), word
@@ -351,6 +351,25 @@ def test_contains_letters_means_the_exact_letter_split(word_pieces, probe):
         assert lex.contains_letters(seq) == (tuple(seq) in tokenized), seq
 
 
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda lex, word: lex.within_distance(word, 1),
+        lambda lex, word: lex.first_at_distance(word, 1, 0, ()),
+        lambda lex, word: lex.substitutions(word, [()] * len(word), 1),
+        lambda lex, word: lex.contains_letters(word),
+    ],
+    ids=["within_distance", "first_at_distance", "substitutions", "contains_letters"],
+)
+@pytest.mark.parametrize("word", ["பளம்", tokenize("பளம்")], ids=["text", "letter objects"])
+def test_walks_reject_anything_but_letter_texts(ask, word, fixture_lexicon):
+    # Read as letters, a text's code points or Letter objects find no word;
+    # first_at_distance asks for no word at all, so it checks before it
+    # answers.
+    with pytest.raises(TypeError, match="letter_texts"):
+        ask(fixture_lexicon, word)
+
+
 def test_too_many_distinct_letters_is_a_word_list_error(monkeypatch):
     # Letters are coded as characters, so there is a largest letter count;
     # past it the build refuses rather than confusing two letters.
@@ -365,7 +384,7 @@ def test_too_many_distinct_letters_is_a_word_list_error(monkeypatch):
 _TRIE_DIGEST = """
 import hashlib
 from tamilspell.bundled import bundled_lexicon
-from tamilspell.letters import letter_texts
+from tamilspell.letters import letter_texts, tokenize
 
 lex = bundled_lexicon()
 lex.within_distance(letter_texts("பழம்"), 1)  # builds the reversed trie
