@@ -58,7 +58,10 @@ every word below a node starts with its prefix.  When no slot is left,
 that search is skipped.  A token too long for any candidate (see
 ``SpellChecker.__init__``) gets no suggestions and no strategy runs.
 
-Reports are named tuples, so building one costs little.  Each engine
+Token reports and suggestions are named tuples, so building one costs
+little; a :class:`CheckReport` and an :class:`EngineConfig` are immutable
+records (``letters._Record``), and a copied or unpickled config is checked
+as a new one is.  Each engine
 keeps one LRU memo of ``CACHE_SIZE`` non-words that maps a non-word to
 its finished report, so a document that repeats a misspelling computes
 it once, ``check_word`` and ``check_text`` hand out the same report
@@ -83,7 +86,6 @@ import heapq
 import re
 import unicodedata
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import NamedTuple
@@ -91,7 +93,7 @@ from typing import NamedTuple
 from . import conjoined, edits, keyboard, mayangoli
 from .edits import letter_edit_distance
 from .errors import TamilSpellError, _check_distance, _data_fields, _listed_words
-from .letters import _BASE_CODE_POINTS, _OTHER_CHARS, _known_nfc, has_tamil, letter_texts
+from .letters import _BASE_CODE_POINTS, _OTHER_CHARS, _known_nfc, _Record, has_tamil, letter_texts
 
 __all__ = [
     "CACHE_SIZE",
@@ -215,11 +217,14 @@ def _suggestions_json(suggestions: tuple[Suggestion, ...], indent: str | None, d
     ]) + nl[2] + "]"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Every token of a checked document, in order."""
 
+    __slots__ = __match_args__ = ("tokens",)
     tokens: tuple[TokenReport, ...]
+
+    def __init__(self, tokens: tuple[TokenReport, ...]):
+        object.__setattr__(self, "tokens", tokens)
 
     @property
     def clean(self) -> bool:
@@ -265,14 +270,16 @@ class CheckReport:
         return (sep + nl[1]).join(parts)
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(_Record):
     """Tunables for a :class:`SpellChecker`."""
 
+    __match_args__ = ("edit_distance",)
+    # A class attribute, not a slot: it is the default, which the CLI reads.
     edit_distance: int = 2
 
-    def __post_init__(self):
-        _check_distance("edit_distance", self.edit_distance)
+    def __init__(self, edit_distance: int = edit_distance):
+        _check_distance("edit_distance", edit_distance)
+        object.__setattr__(self, "edit_distance", edit_distance)
 
 
 class SpellChecker:

@@ -5,19 +5,19 @@ Two split families are generated.  A plain split cuts between letters:
 because joining word-final mei with word-initial uyir is exactly how such
 compounds fuse: கணவன் -> கண் + அவன் (the ண becomes ண் + அ).  A word the
 lexicon already knows both halves of is reported as a recognized pair
-rather than a misspelling; recognizing one asks the lexicon only whether
-each half is a word.  ``recognize`` takes the word as its letter split,
+rather than a misspelling, as a :class:`SplitPair`, an immutable record
+(``letters._Record``); recognizing one asks the lexicon only whether each
+half is a word.  ``recognize`` takes the word as its letter split,
 as the checker made it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import _check_letters
-from .letters import MEI_UYIR, join_mei_uyir, tokenize
+from .letters import MEI_UYIR, _Record, join_mei_uyir, tokenize
 
 __all__ = [
     "SplitKind",
@@ -31,13 +31,18 @@ class SplitKind(Enum):
     OTTRU = "ottru"
 
 
-@dataclass(frozen=True, slots=True)
-class SplitPair:
+class SplitPair(_Record):
     """One candidate decomposition of a word into two halves."""
 
+    __slots__ = __match_args__ = ("left", "right", "kind")
     left: str
     right: str
     kind: SplitKind
+
+    def __init__(self, left: str, right: str, kind: SplitKind):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "kind", kind)
 
     def reconstruct(self) -> str:
         """Re-fuse the halves back into the original word."""

@@ -16,12 +16,16 @@ code point.  :func:`letter_texts` returns those texts as they are;
 holds a shared :class:`Letter` for every Tamil letter and every lone mark
 (``Letter`` is frozen, so sharing is safe), and wraps any other code
 point as an OTHER letter.
+
+``Letter``, like ``conjoined.SplitPair``, ``checker.CheckReport`` and
+``checker.EngineConfig``, is a plain immutable class on the private base
+``_Record``, not a dataclass: ``dataclasses`` imports ``inspect`` and
+``ast``, and added about 10 ms to every cold start.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 PULLI = "்"
@@ -65,12 +69,57 @@ class LetterKind(Enum):
     MALFORMED = "malformed"  # combining mark with no consonant to attach to
 
 
-@dataclass(frozen=True, slots=True)
-class Letter:
+class _Record:
+    """Base of the package's immutable records: Letter, SplitPair, CheckReport, EngineConfig.
+
+    A record names its fields in ``__match_args__`` and sets them in its own
+    ``__init__`` through ``object.__setattr__``.  It equals only a record of
+    its own class with equal fields, hashes by its fields, and refuses to
+    set or delete any attribute.  Pickling, ``copy`` and ``copy.replace``
+    go through the constructor, so they check what it checks.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __replace__(self, **changes):
+        return type(self)(**{**dict(zip(self.__match_args__, self._values())), **changes})
+
+
+class Letter(_Record):
     """One tokenizer token: a Tamil letter, or a pass-through code point."""
 
+    __slots__ = __match_args__ = ("text", "kind")
     text: str
     kind: LetterKind
+
+    def __init__(self, text: str, kind: LetterKind):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "kind", kind)
 
     def __str__(self) -> str:
         return self.text

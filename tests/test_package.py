@@ -1,9 +1,12 @@
-"""The package's public names."""
+"""The package's public names, and the modules importing it loads."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import tamilspell
 
@@ -22,3 +25,17 @@ def test_every_all_name_resolves():
             assert hasattr(module, public), f"{name}.__all__ names {public!r}"
             checked += 1
     assert checked > 40
+
+
+def test_import_loads_no_dataclasses():
+    # A cold start pays for every module imported; dataclasses brings in
+    # inspect, ast, dis and tokenize.  -S keeps site's own imports out.
+    src = str(Path(tamilspell.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import tamilspell, tamilspell.bundled, tamilspell.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
