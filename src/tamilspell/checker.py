@@ -226,6 +226,9 @@ class CheckReport(_Record):
     def __init__(self, tokens: tuple[TokenReport, ...]):
         object.__setattr__(self, "tokens", tokens)
 
+    def _values(self) -> tuple[tuple[TokenReport, ...]]:
+        return (self.tokens,)
+
     @property
     def clean(self) -> bool:
         return all(t.is_clean for t in self.tokens)
@@ -280,6 +283,9 @@ class EngineConfig(_Record):
     def __init__(self, edit_distance: int = edit_distance):
         _check_distance("edit_distance", edit_distance)
         object.__setattr__(self, "edit_distance", edit_distance)
+
+    def _values(self) -> tuple[int]:
+        return (self.edit_distance,)
 
 
 class SpellChecker:

@@ -44,6 +44,9 @@ class SplitPair(_Record):
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "kind", kind)
 
+    def _values(self) -> tuple[str, str, SplitKind]:
+        return (self.left, self.right, self.kind)
+
     def reconstruct(self) -> str:
         """Re-fuse the halves back into the original word."""
         if self.kind is SplitKind.PLAIN:

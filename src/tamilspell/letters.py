@@ -72,18 +72,18 @@ class LetterKind(Enum):
 class _Record:
     """Base of the package's immutable records: Letter, SplitPair, CheckReport, EngineConfig.
 
-    A record names its fields in ``__match_args__`` and sets them in its own
-    ``__init__`` through ``object.__setattr__``.  It equals only a record of
-    its own class with equal fields, hashes by its fields, and refuses to
-    set or delete any attribute.  Pickling, ``copy`` and ``copy.replace``
-    go through the constructor, so they check what it checks.
+    A record names its fields in ``__match_args__``, sets them in its own
+    ``__init__`` through ``object.__setattr__``, and returns their values in
+    that order from its own ``_values``, written out field by field (a loop
+    over the names made ``==`` several times slower).  It equals only a
+    record of its own class with equal fields, hashes by its fields, and
+    refuses to set or delete any attribute.  Pickling, ``copy`` and
+    ``copy.replace`` go through the constructor, so they check what it
+    checks.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -120,6 +120,9 @@ class Letter(_Record):
     def __init__(self, text: str, kind: LetterKind):
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "kind", kind)
+
+    def _values(self) -> tuple[str, LetterKind]:
+        return (self.text, self.kind)
 
     def __str__(self) -> str:
         return self.text

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -29,13 +30,29 @@ def test_every_all_name_resolves():
 
 def test_import_loads_no_dataclasses():
     # A cold start pays for every module imported; dataclasses brings in
-    # inspect, ast, dis and tokenize.  -S keeps site's own imports out.
-    src = str(Path(tamilspell.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); "
-        "import tamilspell, tamilspell.bundled, tamilspell.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    # inspect, ast, dis and tokenize.  -S keeps site's own imports out.  The
+    # child first runs the package's own module-level standard-library
+    # imports, since from Python 3.12 on importlib.resources loads inspect
+    # itself, and then checks what importing the package adds.
+    package = Path(tamilspell.__file__).parent
+    unwanted = {"dataclasses", "inspect"}
+    stdlib = sorted({
+        ast.unparse(node)
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if (isinstance(node, ast.Import) and not unwanted & {a.name.split(".")[0] for a in node.names})
+        or (isinstance(node, ast.ImportFrom) and not node.level
+            and node.module.split(".")[0] not in unwanted | {"__future__"})
+    })
+    assert "from importlib import resources" in stdlib
+    code = "\n".join([
+        *stdlib,
+        "import sys",
+        "before = set(sys.modules)",
+        f"sys.path.insert(0, {str(package.parent)!r})",
+        "import tamilspell, tamilspell.bundled, tamilspell.cli",
+        f"print(sorted({unwanted!r} & (set(sys.modules) - before)))",
+    ])
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-import sys
 
 import pytest
 
@@ -77,25 +76,16 @@ def test_repr_names_class_and_fields(cls, values, other, text):
 
 
 @by_record
-def test_no_field_can_be_set_or_deleted(cls, values, other, text):
+def test_no_attribute_can_be_set_or_deleted(cls, values, other, text):
+    # A frozen dataclass with slots raised TypeError for a new name on
+    # Python 3.11; every name now raises AttributeError.
     record = cls(*values)
-    for name in FIELDS[cls]:
+    for name in (*FIELDS[cls], "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, name)
-    assert record == cls(*values)
-
-
-@by_record
-def test_no_attribute_can_be_added(cls, values, other, text):
-    # A frozen dataclass with slots raised TypeError here on Python 3.11.
-    record = cls(*values)
-    with pytest.raises(AttributeError):
-        record.extra = None
-    with pytest.raises(AttributeError):
-        del record.extra
-    assert not hasattr(record, "extra")
+    assert record == cls(*values) and not hasattr(record, "extra")
 
 
 @by_record
@@ -116,26 +106,17 @@ def test_engine_config_default_is_two_at_class_level_and_on_the_command_line():
     assert _build_parser().parse_args([]).ed == 2
 
 
-@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")
-@pytest.mark.parametrize("bad", [0, True, "2"])
-def test_copy_replace_validates_the_engine_config(bad):
-    config = EngineConfig(3)
-    assert copy.replace(config) == config
-    assert copy.replace(config, edit_distance=4) == EngineConfig(4)
-    with pytest.raises((TypeError, ValueError)):
-        copy.replace(config, edit_distance=bad)
-
-
 @by_record
 def test_replace_builds_through_the_constructor(cls, values, other, text):
-    # copy.replace calls __replace__ from Python 3.13 on; earlier
-    # Pythons lack it, so this calls it directly.
+    # copy.replace, new in Python 3.13, calls __replace__; earlier
+    # Pythons lack it, so there this calls __replace__ directly.
+    replace = getattr(copy, "replace", cls.__replace__)
     record = cls(*values)
-    assert record.__replace__() == record
-    assert record.__replace__(**dict(zip(FIELDS[cls], other))) == cls(*other)
+    assert replace(record) == record
+    assert replace(record, **dict(zip(FIELDS[cls], other))) == cls(*other)
     with pytest.raises(TypeError):
-        record.__replace__(extra=None)
+        replace(record, extra=None)
     if cls is EngineConfig:
         for bad in (0, True, "2"):
             with pytest.raises((TypeError, ValueError)):
-                record.__replace__(edit_distance=bad)
+                replace(record, edit_distance=bad)
